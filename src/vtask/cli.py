@@ -8,6 +8,7 @@ verdict, 2 usage or input error, 3 capacity cap exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +45,10 @@ def _load(path: str) -> dsl.RealizedDocument:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise VTaskError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise VTaskError(
+            f"cannot read {path}: not UTF-8 text (byte {err.start}: {err.reason})"
+        ) from err
     return dsl.realize_document(dsl.parse_task_file(text))
 
 
@@ -222,7 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_census.add_argument("--max-tasks", type=int, default=None)
     p_census.add_argument("--time-budget", type=float, default=None)
-    p_census.add_argument("--workers", type=int, default=1)
+    p_census.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, at most the number of CPUs",
+    )
     p_census.add_argument("--exemplars", type=int, default=3)
     add_structured(p_census)
     p_census.set_defaults(handler=_cmd_census)
@@ -243,6 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_census_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject out-of-range census arguments as usage errors, before the
+    library sees them, and worker counts above the machine's CPUs."""
+    cpus = os.cpu_count() or 1
+    if args.n_states < 1:
+        parser.error("--n-states must be at least 1")
+    if args.vocab_size < 0:
+        parser.error("--vocab-size must be nonnegative")
+    if not 1 <= args.workers <= cpus:
+        parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
+    if args.exemplars < 0:
+        parser.error("--exemplars must be nonnegative")
+    if args.max_tasks is not None and args.max_tasks < 0:
+        parser.error("--max-tasks must be nonnegative")
+    # written so that NaN fails too
+    if args.time_budget is not None and not args.time_budget >= 0:
+        parser.error("--time-budget must be a nonnegative number of seconds")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -252,6 +281,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError
         except ValueError:
             parser.error("--set-policies takes 'all' or a nonnegative integer")
+    if args.command == "census":
+        _check_census_args(parser, args)
     try:
         return args.handler(args)
     except CapacityError as err:

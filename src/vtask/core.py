@@ -49,10 +49,6 @@ class StateSpace:
     def full_mask(self) -> int:
         return (1 << self.n_states) - 1
 
-    def full_program(self) -> "Program":
-        """The program that holds in every state."""
-        return Program(self.full_mask, self.n_states)
-
 
 @dataclass(frozen=True, order=True)
 class Program:
@@ -93,13 +89,6 @@ class Program:
     def to_bitstring(self) -> str:
         """Literal notation: leftmost character is state 1."""
         return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.width))
-
-    def __and__(self, other: "Program") -> "Program":
-        if self.width != other.width:
-            raise MalformedInputError(
-                f"program width mismatch: {self.width} vs {other.width}"
-            )
-        return Program(self.bits & other.bits, self.width)
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,12 @@ class CensusReport:
     elapsed_seconds: float
 
     def __post_init__(self) -> None:
-        assert self.tasks_solvable + self.tasks_unsolvable == self.tasks_valid
+        if self.tasks_solvable + self.tasks_unsolvable != self.tasks_valid:
+            raise ValueError(
+                f"solvable ({self.tasks_solvable}) plus unsolvable "
+                f"({self.tasks_unsolvable}) tasks must equal valid tasks "
+                f"({self.tasks_valid})"
+            )
 
 
 def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
@@ -301,7 +306,7 @@ def _census_partition(
     for ordinal, vocab in enumerate(enumerate_vocabularies(spec)):
         if ordinal % n_parts != part:
             continue
-        if deadline is not None and time.time() >= deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             totals.truncated = True
             break
         if spec.max_tasks is not None and totals.valid >= spec.max_tasks:
@@ -332,7 +337,7 @@ def _census_language(
         low = i_mask & -i_mask
         ei = ei_table[i_mask ^ low] | ext[low.bit_length() - 1]
         ei_table[i_mask] = ei
-        if deadline is not None and time.time() >= deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             totals.truncated = True
             return
         if spec.max_tasks is not None and totals.valid >= spec.max_tasks:
@@ -383,7 +388,9 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    start = time.time()
+    # the monotonic clock is system-wide (CLOCK_MONOTONIC on Linux), so
+    # worker processes compare their readings with this same deadline
+    start = time.monotonic()
     deadline = start + spec.time_budget if spec.time_budget is not None else None
     if workers == 1:
         parts = [_census_partition(spec, 0, 1, deadline)]
@@ -404,7 +411,7 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
         totals.merge(partial)
         keyed_exemplars.extend(exemplars)
     keyed_exemplars.sort(key=lambda kv: kv[0])
-    elapsed = time.time() - start
+    elapsed = time.monotonic() - start
     return CensusReport(
         spec=spec,
         vocabularies=totals.vocabularies,

@@ -159,19 +159,45 @@ def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchR
     ``pruned`` skips statements longer than :func:`max_policy_length_bound`.
     Both modes find the same correct set; ``checked`` counts the candidates
     actually examined.
+
+    Every candidate's selection count #{y ∈ E_inputs : p ⊆ y} comes from one
+    superset-sum (zeta) transform: start with 1 on each member of the input
+    extension, then, for each vocabulary bit, add the count of every
+    statement holding the bit into the same statement without it. A
+    language is closed under subsets (dropping a program never empties the
+    intersection), so that smaller mask is a statement too, and no superset
+    of a non-statement is one; the transform therefore stays inside the
+    language and costs O(k·|L|) for k programs, never O(2^k). A candidate is
+    correct exactly when it is a subset of every output, so it selects all
+    of them, and its count equals the number of outputs, so it selects
+    nothing else.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
+    lang = task.language
+    masks = [s.members for s in lang.statements]
+    selected = dict.fromkeys(masks, 0)
+    for y in task.input_extension:
+        selected[y.members] = 1
+    for i in range(len(lang.vocabulary)):
+        bit = 1 << i
+        for m in masks:
+            if m & bit:
+                selected[m ^ bit] += selected[m]
+    common = lang.vocabulary.member_mask
+    for o in task.outputs:
+        common &= o.members
+    n_outputs = len(task.outputs)
     bound = max_policy_length_bound(task) if mode == "pruned" else None
     counts: dict[AnyPolicy, int] = {}
     correct: list[Policy] = []
-    for candidate in task.language:
+    for candidate in lang:
         if bound is not None and len(candidate) > bound:
             continue
-        sel = selection(candidate, task)
+        n = selected[candidate.members]
         policy = Policy(candidate)
-        counts[policy] = len(sel)
-        if sel == task.outputs:
+        counts[policy] = n
+        if n == n_outputs and candidate.members & common == candidate.members:
             correct.append(policy)
     return PolicySearchResult(
         task=task,
@@ -256,7 +282,7 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
 
     correct_masks.sort(key=lambda s: (s.bit_count(), s))
     correct = tuple(
-        SetPolicy(frozenset(lang.statements[i] for i in _bit_indices(mask)))
+        SetPolicy(frozenset(lang.statements[i] for i in Statement(mask).indices()))
         for mask in correct_masks
     )
     counts = {p: len(set_selection(p, task)) for p in correct}
@@ -268,10 +294,6 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
         correct=correct,
         per_policy_selection_counts=counts,
     )
-
-
-def _bit_indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)

@@ -56,18 +56,6 @@ RANDOM_VOCABULARY_SEED = 411
 RANDOM_VOCABULARY_COUNT = 100
 
 
-def reference_language() -> tuple[Language, dict[str, int]]:
-    """The reference language plus a name -> vocabulary index table."""
-    space = StateSpace(REFERENCE_N_STATES)
-    programs = {
-        name: Program.from_included_states(states, REFERENCE_N_STATES)
-        for name, states in REFERENCE_PROGRAMS.items()
-    }
-    vocab = Vocabulary.build(programs.values(), space)
-    index = {name: vocab.index_of(p) for name, p in programs.items()}
-    return build_language(vocab), index
-
-
 def reference_task(
     language_builder: Callable[[Vocabulary], Language] = build_language,
 ) -> tuple[Task, dict[str, int], tuple[str, ...]]:

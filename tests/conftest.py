@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -15,7 +16,9 @@ from vtask.core import (
 from vtask.tasks import Task, validate_task
 from vtask.verify import reference_task
 
-SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_tasks"
+ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = ROOT / "src"
+SAMPLE_DIR = ROOT / "sample_tasks"
 TWO_CLASS_FILE = SAMPLE_DIR / "two_class_single_feature.pvt"
 COLORED_BOX_FILE = SAMPLE_DIR / "colored_box.pvt"
 
@@ -105,8 +108,11 @@ def _random_outputs(rng, inputs, lang):
 
 
 def run_cli(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
+    """Run ``python -m vtask`` on this checkout's sources."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "vtask", *args],
         capture_output=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )

@@ -1,5 +1,9 @@
 import json
+import os
 
+import pytest
+
+from vtask import cli
 from vtask.core import Vocabulary, build_language
 from vtask.dsl import parse_task_file, realize_document
 from vtask.verify import run_reference_checks
@@ -149,8 +153,44 @@ def test_census_cli_small():
 
 def test_census_cli_workers_byte_identical():
     one = run_cli("census", "--n-states", "2", "--vocab-size", "2")
-    four = run_cli("census", "--n-states", "2", "--vocab-size", "2", "--workers", "4")
-    assert one.stdout == four.stdout
+    many = str(min(4, os.cpu_count() or 1))
+    split = run_cli("census", "--n-states", "2", "--vocab-size", "2", "--workers", many)
+    assert one.stdout == split.stdout
+
+
+@pytest.mark.parametrize(
+    "fragment",
+    [
+        ["--n-states", "0"],
+        ["--vocab-size", "-1"],
+        ["--workers", "0"],
+        ["--exemplars", "-1"],
+        ["--max-tasks", "-1"],
+        ["--time-budget", "-1"],
+        ["--time-budget", "nan"],
+    ],
+)
+def test_census_bad_arguments_are_usage_errors(fragment, capsys):
+    argv = ["census", "--n-states", "2", "--vocab-size", "2", *fragment]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert fragment[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [3, None])
+def test_census_workers_bounded_by_cpu_count(cpus, monkeypatch, capsys):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census must not start")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "census", no_census)
+    limit = cpus or 1
+    with pytest.raises(SystemExit) as info:
+        cli.main(["census", "--n-states", "2", "--vocab-size", "2",
+                  "--workers", str(limit + 1)])
+    assert info.value.code == 2
+    assert f"between 1 and {limit}" in capsys.readouterr().err
 
 
 def test_census_cli_zero_budget_truncates():
@@ -215,6 +255,15 @@ def test_verify_paper_named_failure_with_tampered_builder():
 def test_missing_file_is_usage_error():
     result = run_cli("lang", "/no/such/file.pvt")
     assert result.returncode == 2
+
+
+def test_non_utf8_file_is_usage_error(tmp_path):
+    f = tmp_path / "latin.pvt"
+    f.write_bytes(b"states 2\nprogram a \xff\xfe\n")
+    result = run_cli("lang", str(f))
+    assert result.returncode == 2
+    assert b"UTF-8" in result.stderr
+    assert b"Traceback" not in result.stderr
 
 
 def test_no_command_is_usage_error():

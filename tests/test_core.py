@@ -71,7 +71,7 @@ def test_program_width_validation():
     with pytest.raises(MalformedInputError):
         Program(0b100, 2)
     with pytest.raises(MalformedInputError):
-        bits("01") & bits("011")
+        intersect_programs([bits("01"), bits("011")], StateSpace(2))
 
 
 def test_vocabulary_canonical_order_and_duplicates():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,6 +248,22 @@ def test_census_zero_budget_truncates():
     report = census(SearchSpec(n_states=2, vocab_size=2, time_budget=0.0))
     assert report.truncated
     assert report.tasks_valid == 0
+
+
+def test_census_deadline_ignores_wall_clock_steps(monkeypatch):
+    # a wall clock that jumps a day forward at every reading must not fire
+    # a one-minute budget
+    readings = itertools.count(time.time(), 86_400)
+    monkeypatch.setattr(time, "time", lambda: next(readings))
+    report = census(SearchSpec(n_states=2, vocab_size=2, time_budget=60.0))
+    assert not report.truncated
+    assert report.tasks_valid == 262
+
+
+def test_census_report_invariant_raises():
+    report = census(SearchSpec(n_states=1, vocab_size=1))
+    with pytest.raises(ValueError):
+        dataclasses.replace(report, tasks_unsolvable=report.tasks_unsolvable + 1)
 
 
 def test_census_max_tasks_truncates():

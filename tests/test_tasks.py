@@ -10,7 +10,9 @@ from vtask.core import (
     Statement,
     Vocabulary,
     build_language,
+    extension_of_set,
     extension_of_statement,
+    statement_key,
 )
 from vtask.errors import CapacityError, DomainError, TaskValidationError
 from vtask.tasks import (
@@ -184,6 +186,54 @@ def test_pruned_equals_exhaustive_on_random_tasks(seed):
     assert exhaustive.correct == pruned.correct
     assert exhaustive.checked == len(task.language)
     assert pruned.checked <= exhaustive.checked
+
+
+def _oracle_task(rng: random.Random, dense: bool):
+    """A task over k <= 8 programs. Dense: the reference family, each
+    program false in exactly one state, so every subset is a statement.
+    Sparse: random programs, so the language usually misses some of the
+    2^k subsets. Half
+    the tasks take their outputs from one policy's selection, so correct
+    policies turn up often."""
+    while True:
+        k = rng.randint(1, 8)
+        if dense:
+            n = k + 1
+            bits = [((1 << n) - 1) & ~(1 << i) for i in range(k)]
+        else:
+            n = rng.randint(2, 8)
+            if k > (1 << n) - 1:
+                continue
+            bits = rng.sample(range(1, 1 << n), k)
+        lang = build_language(Vocabulary.build((Program(b, n) for b in bits), StateSpace(n)))
+        if len(lang) < 3:
+            continue
+        inputs = rng.sample(lang.statements, rng.randint(1, min(3, len(lang) - 1)))
+        extension = sorted(extension_of_set(inputs, lang), key=statement_key)
+        if rng.random() < 0.5:
+            planted = rng.choice(lang.statements)
+            outputs = [y for y in extension if planted.issubset(y)]
+        else:
+            outputs = rng.sample(extension, rng.randint(1, len(extension)))
+        if 0 < len(outputs) < len(extension):
+            return validate_task(inputs, outputs, lang)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_policy_search_matches_selection_oracle(seed, dense):
+    task = _oracle_task(random.Random(seed), dense)
+    bound = max_policy_length_bound(task)
+    for mode in ("exhaustive", "pruned"):
+        result = find_correct_policies(task, mode=mode)
+        examined = [
+            Policy(s) for s in task.language if mode == "exhaustive" or len(s) <= bound
+        ]
+        assert list(result.per_policy_selection_counts) == examined
+        assert result.checked == len(examined)
+        for policy, count in result.per_policy_selection_counts.items():
+            assert count == len(selection(policy.statement, task))
+        assert list(result.correct) == [p for p in examined if is_correct_policy(p, task)]
 
 
 # -- set policies ------------------------------------------------------------
