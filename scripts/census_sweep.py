@@ -9,6 +9,7 @@ restricted to tasks shaped like encoded classification problems.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +40,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--classification", action="store_true")
     parser.add_argument("--dedup", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1, help="worker processes, at most the number of CPUs"
+    )
     args = parser.parse_args()
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
 
     header = f"{'states':>6} {'vocab':>5} {'valid':>9} {'solvable':>9} {'unsolvable':>10} {'share':>7} {'secs':>6}"
     print(header)

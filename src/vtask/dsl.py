@@ -36,6 +36,7 @@ from .encoder import ClassificationSpec, encode_classification
 from .errors import ParseDiagnostic, ParseError, TaskFileError
 from .search import CensusReport
 from .tasks import Policy, PolicySearchResult, SetPolicy, Task, validate_task
+from .verify import VerifyReport
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -504,11 +505,7 @@ def render_statement(
 ) -> str:
     """"{f1 f3}" with names, "{01111 11011}" without; "{}" for the empty
     statement."""
-    if names is not None:
-        parts = sorted(names[i] for i in statement.indices())
-    else:
-        parts = [vocabulary.programs[i].to_bitstring() for i in statement.indices()]
-    return "{" + " ".join(parts) + "}"
+    return "{" + " ".join(_statement_names(statement, vocabulary, names)) + "}"
 
 
 def _statement_names(
@@ -753,26 +750,6 @@ def serialize_check(
         }
         return _json_bytes(tree)
     raise ValueError(f"unknown serialization mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named verification check."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Result of the built-in reference verification suite."""
-
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def serialize_verify(report: VerifyReport) -> bytes:

@@ -13,11 +13,15 @@ where masks index the language's canonical statement order. "First"
 always means first in this order; exemplar selection and the mask stream
 both follow it.
 
-The per-input work collapses: for fixed inputs, the solvable output sets
-are exactly the distinct nonempty proper selections ``E_policy ∩ E_inputs``
-over all policies, so counting never iterates output sets. Output sets are
-only walked explicitly to collect exemplars or when a task filter needs to
-inspect them.
+The per-input work collapses, so counting never walks output sets. Fix
+the inputs I, with input extension E_I. The valid outputs are the sets
+inside the union of disjoint blocks C_i that meet every block: one block,
+E_I, without a filter; for classification-shaped tasks, one block per
+input i, holding the statements i ∪ {p} for each program p outside the
+inputs' feature union. So there are Π(2^|C_i| − 1) − [∪C_i = E_I] valid
+outputs, and the solvable ones are the distinct selections
+``E_policy ∩ E_I`` that are valid outputs. Outputs are walked only to
+collect exemplars, and only until the limit is reached.
 
 Partitions are vocabulary residue classes, so census totals are
 independent of worker count; merge is associative. Truncated runs (time
@@ -31,7 +35,7 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     Language,
@@ -153,17 +157,44 @@ def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
         yield Vocabulary.build((Program(b, spec.n_states) for b in combo), space)
 
 
-def _language_for_census(vocab: Vocabulary) -> Language:
-    lang = build_language(vocab)
-    if len(lang) > CENSUS_LANGUAGE_CAP:
+def _input_extensions(lang: Language) -> list[int]:
+    """The input-extension table: entry ``i_mask`` is the mask of E_I, the
+    statements that extend some input of ``i_mask``, over language indices.
+    It covers every input mask but the whole language; entry 0 is empty."""
+    m = len(lang)
+    if m > CENSUS_LANGUAGE_CAP:
         raise CapacityError(
-            f"language of {len(lang)} statements exceeds the "
+            f"language of {m} statements exceeds the "
             f"{CENSUS_LANGUAGE_CAP}-statement census cap (input enumeration "
             "is 2^|language|); reduce n_states or vocab_size",
             cap_name="census_language_cap",
             cap_value=CENSUS_LANGUAGE_CAP,
         )
-    return lang
+    ext = lang.extension_masks()
+    table = [0] * ((1 << m) - 1)
+    for i_mask in range(1, len(table)):
+        low = i_mask & -i_mask
+        table[i_mask] = table[i_mask ^ low] | ext[low.bit_length() - 1]
+    return table
+
+
+def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int) -> list[int]:
+    """One block per input i: the language indices of the statements
+    i ∪ {p}, for each program p outside the inputs' feature union. Each
+    such statement extends i, so every block lies in ``ei``."""
+    feature_union = 0
+    blocks = {}
+    for i in range(i_mask.bit_length()):
+        if i_mask >> i & 1:
+            feature_union |= members[i]
+            blocks[members[i]] = 0
+    for j in range(ei.bit_length()):
+        if ei >> j & 1:
+            extra = members[j] & ~feature_union
+            base = members[j] ^ extra
+            if extra.bit_count() == 1 and base in blocks:
+                blocks[base] |= 1 << j
+    return list(blocks.values())
 
 
 def _ascending_submasks(mask: int) -> Iterator[int]:
@@ -176,28 +207,24 @@ def _ascending_submasks(mask: int) -> Iterator[int]:
         yield sub
 
 
+def _outputs(ei: int, blocks: Sequence[int]) -> Iterator[int]:
+    """Output masks other than ``ei`` that lie inside the blocks' union and
+    meet every block, in ascending order."""
+    union = 0
+    for block in blocks:
+        union |= block
+    for o_mask in _ascending_submasks(union):
+        if o_mask != ei and all(o_mask & block for block in blocks):
+            yield o_mask
+
+
 def enumerate_task_masks(lang: Language) -> Iterator[tuple[int, int, int]]:
     """Stream of (input mask, output mask, input-extension mask) triples
     over language indices, covering exactly the valid tasks of the
     language, in census order."""
-    m = len(lang)
-    if m > CENSUS_LANGUAGE_CAP:
-        raise CapacityError(
-            f"language of {m} statements exceeds the "
-            f"{CENSUS_LANGUAGE_CAP}-statement census cap",
-            cap_name="census_language_cap",
-            cap_value=CENSUS_LANGUAGE_CAP,
-        )
-    ext = lang.extension_masks()
-    full = (1 << m) - 1
-    ei_table = [0] * (1 << m)
-    for i_mask in range(1, full):
-        low = i_mask & -i_mask
-        ei = ei_table[i_mask ^ low] | ext[low.bit_length() - 1]
-        ei_table[i_mask] = ei
-        for o_mask in _ascending_submasks(ei):
-            if o_mask != ei:
-                yield i_mask, o_mask, ei
+    for i_mask, ei in enumerate(_input_extensions(lang)):
+        for o_mask in _outputs(ei, (ei,)):
+            yield i_mask, o_mask, ei
 
 
 def _statements_of_mask(lang: Language, mask: int) -> frozenset[Statement]:
@@ -242,44 +269,16 @@ def is_classification_shaped(task: Task) -> bool:
     return covered == set(input_masks)
 
 
-def _mask_classification_shaped(
-    statement_members: tuple[int, ...], i_mask: int, o_mask: int
-) -> bool:
-    input_members = [
-        statement_members[i] for i in range(i_mask.bit_length()) if i_mask >> i & 1
-    ]
-    feature_union = 0
-    for m in input_members:
-        feature_union |= m
-    covered = set()
-    for j in range(o_mask.bit_length()):
-        if not o_mask >> j & 1:
-            continue
-        o = statement_members[j]
-        matched = None
-        for m in input_members:
-            extra = o & ~m
-            if o | m == o and extra.bit_count() == 1 and not extra & feature_union:
-                matched = m
-                break
-        if matched is None:
-            return False
-        covered.add(matched)
-    return covered == set(input_members)
-
-
 def enumerate_tasks(vocab: Vocabulary, spec: SearchSpec | None = None) -> Iterator[Task]:
     """Every valid task over the vocabulary, in census order, as Task
     objects. Applies the spec's task filter when given."""
-    lang = _language_for_census(vocab)
+    lang = build_language(vocab)
     members = tuple(s.members for s in lang.statements)
-    want_classification = spec.require_classification_shaped if spec else False
-    for i_mask, o_mask, ei_mask in enumerate_task_masks(lang):
-        if want_classification and not _mask_classification_shaped(
-            members, i_mask, o_mask
-        ):
-            continue
-        yield _task_from_masks(lang, i_mask, o_mask, ei_mask)
+    shaped = spec is not None and spec.require_classification_shaped
+    for i_mask, ei in enumerate(_input_extensions(lang)):
+        blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
+        for o_mask in _outputs(ei, blocks):
+            yield _task_from_masks(lang, i_mask, o_mask, ei)
 
 
 @dataclass
@@ -313,7 +312,7 @@ def _census_partition(
             totals.truncated = True
             break
         totals.vocabularies += 1
-        lang = _language_for_census(vocab)
+        lang = build_language(vocab)
         _census_language(spec, lang, ordinal, deadline, totals, exemplars)
         if totals.truncated:
             break
@@ -328,15 +327,12 @@ def _census_language(
     totals: _Partial,
     exemplars: list[tuple[tuple[int, int, int], Task]],
 ) -> None:
-    m = len(lang)
+    ei_table = _input_extensions(lang)
     ext = lang.extension_masks()
     members = tuple(s.members for s in lang.statements)
-    full = (1 << m) - 1
-    ei_table = [0] * (1 << m)
-    for i_mask in range(1, full):
-        low = i_mask & -i_mask
-        ei = ei_table[i_mask ^ low] | ext[low.bit_length() - 1]
-        ei_table[i_mask] = ei
+    shaped = spec.require_classification_shaped
+    # entry 0 (no inputs) has no outputs and falls through to the next mask
+    for i_mask, ei in enumerate(ei_table):
         if deadline is not None and time.monotonic() >= deadline:
             totals.truncated = True
             return
@@ -346,38 +342,39 @@ def _census_language(
         n_outputs = (1 << ei.bit_count()) - 2
         if n_outputs <= 0:
             continue
+        totals.enumerated += n_outputs
+        # the blocks are disjoint: an output extending two inputs would
+        # make each input a subset of the other
+        blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
+        union = 0
+        valid = 1
+        for block in blocks:
+            union |= block
+            valid *= (1 << block.bit_count()) - 1
+        valid -= union == ei
+        if not valid:
+            continue
+        totals.valid += valid
         selections = set()
-        for p in range(m):
-            sel = ext[p] & ei
-            if sel and sel != ei:
-                selections.add(sel)
-        if not spec.require_classification_shaped:
-            totals.enumerated += n_outputs
-            totals.valid += n_outputs
-            totals.solvable += len(selections)
-            if len(exemplars) < spec.exemplar_limit:
-                for o_mask in _ascending_submasks(ei):
-                    if o_mask == ei or o_mask in selections:
-                        continue
-                    exemplars.append(
-                        ((ordinal, i_mask, o_mask), _task_from_masks(lang, i_mask, o_mask, ei))
-                    )
-                    if len(exemplars) >= spec.exemplar_limit:
-                        break
-        else:
-            for o_mask in _ascending_submasks(ei):
-                if o_mask == ei:
-                    continue
-                totals.enumerated += 1
-                if not _mask_classification_shaped(members, i_mask, o_mask):
-                    continue
-                totals.valid += 1
+        for e in ext:
+            selections.add(e & ei)
+        selections.discard(0)
+        selections.discard(ei)
+        if shaped:
+            selections = {
+                sel for sel in selections
+                if not sel & ~union and all(sel & block for block in blocks)
+            }
+        totals.solvable += len(selections)
+        if len(exemplars) < spec.exemplar_limit:
+            for o_mask in _outputs(ei, blocks):
                 if o_mask in selections:
-                    totals.solvable += 1
-                elif len(exemplars) < spec.exemplar_limit:
-                    exemplars.append(
-                        ((ordinal, i_mask, o_mask), _task_from_masks(lang, i_mask, o_mask, ei))
-                    )
+                    continue
+                exemplars.append(
+                    ((ordinal, i_mask, o_mask), _task_from_masks(lang, i_mask, o_mask, ei))
+                )
+                if len(exemplars) >= spec.exemplar_limit:
+                    break
 
 
 def census(spec: SearchSpec, workers: int = 1) -> CensusReport:

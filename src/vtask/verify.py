@@ -17,6 +17,7 @@ from a task file, so the verification cannot drift with the DSL.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
@@ -29,7 +30,6 @@ from .core import (
     extension_of_set,
     extension_of_statement,
 )
-from .dsl import CheckResult, VerifyReport
 from .errors import VTaskError
 from .tasks import (
     Policy,
@@ -54,6 +54,26 @@ REFERENCE_OUTPUTS = (("f1", "f3"), ("f2", "f4"))
 
 RANDOM_VOCABULARY_SEED = 411
 RANDOM_VOCABULARY_COUNT = 100
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named verification check."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Result of the built-in reference verification suite."""
+
+    checks: tuple[CheckResult, ...]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def reference_task(

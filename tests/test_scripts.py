@@ -1,0 +1,31 @@
+import subprocess
+import sys
+
+from conftest import ROOT
+
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True
+    )
+
+
+def test_reproduce_counterexample_runs():
+    result = run_script("reproduce_counterexample.py")
+    assert result.returncode == 0, result.stderr
+
+
+def test_census_sweep_classification_rows():
+    result = run_script("census_sweep.py", "--classification")
+    assert result.returncode == 0, result.stderr
+    rows = {tuple(line.split()[:2]): line.split()[2:4] for line in result.stdout.splitlines()}
+    assert rows[("3", "3")] == ["1580", "417"]
+
+
+def test_census_sweep_rejects_zero_workers():
+    result = run_script("census_sweep.py", "--workers", "0")
+    assert result.returncode == 2
+    assert "--workers must be between 1 and" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -175,9 +175,13 @@ def test_classification_filter_pinned_counts():
     assert report.tasks_unsolvable == 7
 
 
-def test_classification_filter_matches_task_level_predicate():
-    spec = SearchSpec(n_states=2, vocab_size=2, require_classification_shaped=True)
-    plain = SearchSpec(n_states=2, vocab_size=2)
+SHAPED_POINTS = [(2, 2), (2, 3), (2, 4), (3, 2)]
+
+
+@pytest.mark.parametrize("n_states,vocab_size", SHAPED_POINTS)
+def test_classification_filter_matches_task_level_predicate(n_states, vocab_size):
+    spec = SearchSpec(n_states, vocab_size, require_classification_shaped=True)
+    plain = SearchSpec(n_states, vocab_size)
     for vocab in enumerate_vocabularies(plain):
         filtered = {
             (tuple(sorted(s.members for s in t.inputs)), tuple(sorted(s.members for s in t.outputs)))
@@ -189,6 +193,58 @@ def test_classification_filter_matches_task_level_predicate():
             if is_classification_shaped(t)
         }
         assert filtered == by_predicate
+
+
+def _task_key(task):
+    return (
+        tuple(p.bits for p in task.language.vocabulary.programs),
+        tuple(sorted(s.members for s in task.inputs)),
+        tuple(sorted(s.members for s in task.outputs)),
+    )
+
+
+@pytest.mark.parametrize("n_states,vocab_size", SHAPED_POINTS)
+def test_shaped_census_matches_brute_force(n_states, vocab_size):
+    limit = 10
+    spec = SearchSpec(
+        n_states, vocab_size, require_classification_shaped=True, exemplar_limit=limit
+    )
+    plain = SearchSpec(n_states, vocab_size)
+    enumerated = valid = solvable = 0
+    unsolvable = []
+    for vocab in enumerate_vocabularies(plain):
+        for task in enumerate_tasks(vocab, plain):
+            enumerated += 1
+            if not is_classification_shaped(task):
+                continue
+            valid += 1
+            if find_correct_policies(task).correct:
+                solvable += 1
+            else:
+                unsolvable.append(task)
+    report = census(spec)
+    assert (report.tasks_enumerated, report.tasks_valid, report.tasks_solvable) == (
+        enumerated,
+        valid,
+        solvable,
+    )
+    assert [_task_key(t) for t in report.exemplars] == [
+        _task_key(t) for t in unsolvable[:limit]
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_states,vocab_size,enumerated,valid,solvable",
+    [(3, 3, 509_154, 1_580, 417), (4, 3, 8_274_568, 21_842, 5_232)],
+)
+def test_shaped_census_pinned(n_states, vocab_size, enumerated, valid, solvable):
+    report = census(SearchSpec(n_states, vocab_size, require_classification_shaped=True))
+    assert not report.truncated
+    assert (report.tasks_enumerated, report.tasks_valid, report.tasks_solvable) == (
+        enumerated,
+        valid,
+        solvable,
+    )
 
 
 # -- census ------------------------------------------------------------------
