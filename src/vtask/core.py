@@ -177,9 +177,6 @@ class Statement:
     def issubset(self, other: "Statement") -> bool:
         return self.members & other.members == self.members
 
-    def union(self, other: "Statement") -> "Statement":
-        return Statement(self.members | other.members)
-
 
 EMPTY_STATEMENT = Statement(0)
 

@@ -137,13 +137,10 @@ def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
 def _canonical_program_tuple(
     program_bits: tuple[int, ...], n_states: int
 ) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n_states)):
-        mapped = tuple(sorted(_permute_program_bits(b, perm) for b in program_bits))
-        if best is None or mapped < best:
-            best = mapped
-    assert best is not None
-    return best
+    return min(
+        tuple(sorted(_permute_program_bits(b, perm) for b in program_bits))
+        for perm in itertools.permutations(range(n_states))
+    )
 
 
 def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
@@ -453,14 +450,13 @@ def canonicalize_task(task: Task) -> CanonicalTask:
     k = len(program_bits)
     input_masks = sorted(s.members for s in task.inputs)
     output_masks = sorted(s.members for s in task.outputs)
-    best: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
-    for perm in itertools.permutations(range(n)):
+
+    def image(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         mapped = [_permute_program_bits(b, perm) for b in program_bits]
         order = sorted(range(k), key=lambda i: mapped[i])
         new_index = [0] * k
         for new_pos, old_i in enumerate(order):
             new_index[old_i] = new_pos
-        programs = tuple(mapped[i] for i in order)
 
         def remap(mask: int) -> int:
             out = 0
@@ -469,13 +465,13 @@ def canonicalize_task(task: Task) -> CanonicalTask:
                     out |= 1 << new_index[i]
             return out
 
-        inputs = tuple(sorted((remap(x) for x in input_masks), key=_statement_mask_sort_key))
-        outputs = tuple(sorted((remap(x) for x in output_masks), key=_statement_mask_sort_key))
-        key = (programs, inputs, outputs)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return CanonicalTask(n, *best)
+        return (
+            tuple(mapped[i] for i in order),
+            tuple(sorted((remap(x) for x in input_masks), key=_statement_mask_sort_key)),
+            tuple(sorted((remap(x) for x in output_masks), key=_statement_mask_sort_key)),
+        )
+
+    return CanonicalTask(n, *min(map(image, itertools.permutations(range(n)))))
 
 
 def permute_task(task: Task, perm: tuple[int, ...]) -> Task:

@@ -12,7 +12,6 @@ what the counts mean.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
@@ -152,6 +151,27 @@ def max_policy_length_bound(task: Task) -> int:
     return min(len(o) for o in task.outputs)
 
 
+def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]:
+    """For each statement mask of the language, the sum of ``weights``
+    (keyed by statement mask, absent meaning 0) over its supersets.
+
+    One superset-sum (zeta) transform: for each vocabulary bit, add the sum
+    of every statement holding the bit into the same statement without it.
+    A language is closed under subsets, so that smaller mask is a statement
+    too, and no superset of a non-statement is one; the pass therefore stays
+    inside the language and costs O(k·|L|) for k programs, never O(2^k).
+    """
+    masks = [s.members for s in lang.statements]
+    sums = dict.fromkeys(masks, 0)
+    sums.update(weights)
+    for i in range(len(lang.vocabulary)):
+        bit = 1 << i
+        for m in masks:
+            if m & bit:
+                sums[m ^ bit] += sums[m]
+    return sums
+
+
 def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchResult:
     """Search every statement of the language for correct policies.
 
@@ -160,30 +180,16 @@ def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchR
     Both modes find the same correct set; ``checked`` counts the candidates
     actually examined.
 
-    Every candidate's selection count #{y ∈ E_inputs : p ⊆ y} comes from one
-    superset-sum (zeta) transform: start with 1 on each member of the input
-    extension, then, for each vocabulary bit, add the count of every
-    statement holding the bit into the same statement without it. A
-    language is closed under subsets (dropping a program never empties the
-    intersection), so that smaller mask is a statement too, and no superset
-    of a non-statement is one; the transform therefore stays inside the
-    language and costs O(k·|L|) for k programs, never O(2^k). A candidate is
-    correct exactly when it is a subset of every output, so it selects all
-    of them, and its count equals the number of outputs, so it selects
-    nothing else.
+    Every candidate's selection count #{y ∈ E_inputs : p ⊆ y} is its
+    superset sum with weight 1 on each member of the input extension. A
+    candidate is correct exactly when it is a subset of every output, so it
+    selects all of them, and its count equals the number of outputs, so it
+    selects nothing else.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
     lang = task.language
-    masks = [s.members for s in lang.statements]
-    selected = dict.fromkeys(masks, 0)
-    for y in task.input_extension:
-        selected[y.members] = 1
-    for i in range(len(lang.vocabulary)):
-        bit = 1 << i
-        for m in masks:
-            if m & bit:
-                selected[m ^ bit] += selected[m]
+    selected = _superset_sums(lang, {y.members: 1 for y in task.input_extension})
     common = lang.vocabulary.member_mask
     for o in task.outputs:
         common &= o.members
@@ -226,19 +232,25 @@ def _set_policy_candidate_count(n_statements: int, cap: int | None) -> int:
 
 
 def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearchResult:
-    """Enumerate subsets of the language as set policies.
+    """Find every correct set policy of at most ``cap`` statements (of any
+    size with ``cap=None``).
 
-    With ``cap=None`` every subset is checked (2^len(language) candidates);
-    with a cap only subsets of at most ``cap`` statements are. The total
-    candidate count must stay under ``SET_POLICY_CANDIDATE_CAP`` or a
-    capacity error is raised before any work.
+    A set policy selects the union of its members' selections E_p ∩ E_inputs,
+    so it is correct exactly when every member is admissible (selects only
+    outputs) and the members together cover the outputs. Each statement's
+    selection, as a bitmask over the input extension, is its superset sum
+    with a distinct one-bit weight on each member of that extension. Only
+    subsets of the admissible statements are built, one OR each. The correct
+    ones come in (size, language mask) order, each with selection count
+    ``len(task.outputs)``.
 
-    Selection counts are reported for the correct policies only; a full
-    per-candidate map would dwarf the result.
+    ``checked`` counts the candidates by definition: the subsets of the
+    language of at most ``cap`` statements (2^len(language) with
+    ``cap=None``). A count over ``SET_POLICY_CANDIDATE_CAP`` raises a
+    capacity error before any work.
     """
     lang = task.language
-    m = len(lang)
-    n_candidates = _set_policy_candidate_count(m, cap)
+    n_candidates = _set_policy_candidate_count(len(lang), cap)
     if n_candidates > SET_POLICY_CANDIDATE_CAP:
         raise CapacityError(
             f"set-policy search over {n_candidates} candidate subsets exceeds "
@@ -247,52 +259,40 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             cap_name="set_policy_candidates",
             cap_value=SET_POLICY_CANDIDATE_CAP,
         )
-    ext = lang.extension_masks()
-    ei_mask = 0
-    for s in task.input_extension:
-        ei_mask |= 1 << lang.index_of(s)
-    o_mask = 0
-    for s in task.outputs:
-        o_mask |= 1 << lang.index_of(s)
-
+    bit_of = {
+        y.members: 1 << j
+        for j, y in enumerate(sorted(task.input_extension, key=statement_key))
+    }
+    selected = _superset_sums(lang, bit_of)
+    o_bits = sum(bit_of[o.members] for o in task.outputs)
+    admissible = [
+        (1 << i, selected[s.members])
+        for i, s in enumerate(lang.statements)
+        if selected[s.members] & ~o_bits == 0
+    ]
+    limit = len(admissible) if cap is None else cap
     correct_masks: list[int] = []
-    checked = 0
-    if cap is None:
-        # union-extension table over all subsets, one OR per subset
-        joint = [0] * (1 << m)
-        for subset in range(1 << m):
-            if subset:
-                low = subset & -subset
-                joint[subset] = joint[subset ^ low] | ext[low.bit_length() - 1]
-            checked += 1
-            if joint[subset] & ei_mask == o_mask:
-                correct_masks.append(subset)
-    else:
-        for size in range(min(cap, m) + 1):
-            for combo in itertools.combinations(range(m), size):
-                joint_mask = 0
-                for i in combo:
-                    joint_mask |= ext[i]
-                checked += 1
-                if joint_mask & ei_mask == o_mask:
-                    subset = 0
-                    for i in combo:
-                        subset |= 1 << i
-                    correct_masks.append(subset)
-
+    # depth first: (next admissible position, language mask, selection mask)
+    stack = [(0, 0, 0)]
+    while stack:
+        start, subset, joint = stack.pop()
+        if joint == o_bits:
+            correct_masks.append(subset)
+        if subset.bit_count() < limit:
+            for j, (bit, sel) in enumerate(admissible[start:], start + 1):
+                stack.append((j, subset | bit, joint | sel))
     correct_masks.sort(key=lambda s: (s.bit_count(), s))
     correct = tuple(
         SetPolicy(frozenset(lang.statements[i] for i in Statement(mask).indices()))
         for mask in correct_masks
     )
-    counts = {p: len(set_selection(p, task)) for p in correct}
     mode = "set-full" if cap is None else f"set-cap-{cap}"
     return PolicySearchResult(
         task=task,
         mode=mode,
-        checked=checked,
+        checked=n_candidates,
         correct=correct,
-        per_policy_selection_counts=counts,
+        per_policy_selection_counts=dict.fromkeys(correct, len(task.outputs)),
     )
 
 

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtask import cli
 from vtask.core import Vocabulary, build_language
@@ -269,3 +272,92 @@ def test_non_utf8_file_is_usage_error(tmp_path):
 def test_no_command_is_usage_error():
     result = run_cli()
     assert result.returncode == 2
+
+
+# -- the exit-code contract over arbitrary argv and file bytes -----------------
+
+_PROGRAM_LINES = ["program f 011", "program g 110", "program h 111", "program k 101"]
+_TASK_LINES = [
+    *_PROGRAM_LINES, "program f 01", "label l 111", "label m 010", "input f", "input g",
+    "input f g", "input", "output f g", "output f h", "output g h", "output f k",
+    "example f -> l", "example g -> m", "example f -> f", "# note", "",
+]
+_FILE_BODIES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(["states 3", *_TASK_LINES]), max_size=12).map("\n".join),
+    st.tuples(
+        st.lists(st.sampled_from(["input f", "input g", "input h", "input f g"]),
+                 min_size=1, max_size=3),
+        st.lists(st.sampled_from(["output f g", "output f h", "output g h", "output f g h",
+                                  "output h k", "output f", "output h"]),
+                 min_size=1, max_size=3),
+    ).map(lambda doc: "\n".join(["states 3", *_PROGRAM_LINES, *doc[0], *doc[1]])),
+    st.lists(st.sampled_from(["example f -> l", "example g -> m", "example f g -> l",
+                              "example h -> m"]), min_size=1, max_size=3).map(
+        lambda examples: "\n".join(["states 3", *_PROGRAM_LINES[:2], "label l 111",
+                                    "label m 010", *examples])),
+).map(lambda body: (body if isinstance(body, bytes) else body.encode())[:200])
+
+
+def _options(*pairs):
+    """One argv fragment per (option, values): the bare option when it takes
+    no value, else the option followed by one of its values."""
+    return st.one_of([
+        st.just([option]) if not values else st.sampled_from(values).map(lambda v, o=option: [o, v])
+        for option, values in pairs
+    ])
+
+
+_NUMBERS = ("-1", "0", "1", "2", "3", "nan", "x")
+_POLICY = (("--policy", ("f", "f,g", "g,h", "zz", "")), ("--empty", ()))
+# per subcommand: whether it takes a file, the fragments that lead its
+# options, and the rest. Every census size is at most 3/3 and --workers is
+# never above 1, so no worker pool starts.
+_COMMANDS = {
+    "lang": (True, st.just([]), _options(("--structured", ()))),
+    "check": (True, _options(*_POLICY), _options(*_POLICY, ("--structured", ()))),
+    "search": (True, st.just([]), _options(
+        ("--mode", ("exhaustive", "pruned", "fast")), ("--set-policies", ("all", *_NUMBERS)),
+        ("--invert", ()), ("--structured", ()))),
+    "encode": (True, st.just([]), _options(("--structured", ()))),
+    "verify-paper": (False, st.just([]), st.just([])),
+    "census": (False, st.tuples(st.sampled_from("123"), st.sampled_from("0123")).map(
+        lambda size: ["--n-states", size[0], "--vocab-size", size[1]]), _options(
+        ("--n-states", ("0", "1", "2", "3")), ("--vocab-size", ("-1", "0", "1", "2", "3")),
+        ("--dedup", ()), ("--classification-shaped", ()), ("--max-tasks", _NUMBERS),
+        ("--time-budget", _NUMBERS), ("--workers", ("-1", "0", "1", "x")),
+        ("--exemplars", _NUMBERS), ("--structured", ()))),
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    takes_file, head, fragments = _COMMANDS[command]
+    args = list(draw(head))
+    for fragment in draw(st.lists(fragments, max_size=4)):
+        args += fragment
+    # one call in eight carries an argument no subcommand takes
+    if draw(st.sampled_from([False] * 7 + [True])):
+        args.append(draw(st.sampled_from(["--bogus", "x", "-1"])))
+    body = draw(_FILE_BODIES) if takes_file else None
+    return command, args, body
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_calls())
+def test_cli_exit_code_contract(tmp_path_factory, call):
+    command, args, body = call
+    argv = [command]
+    if body is not None:
+        path = tmp_path_factory.mktemp("cli") / "task.pvt"
+        path.write_bytes(body)
+        argv.append(str(path))
+    stdout = io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv + args)
+        except SystemExit as err:
+            assert err.code == 2
+            return
+    assert code in (0, 1, 2, 3)

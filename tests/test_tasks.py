@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from vtask.core import (
     EMPTY_STATEMENT,
+    Language,
     Program,
     StateSpace,
     Statement,
@@ -147,9 +148,10 @@ def test_search_finds_correct_policy_when_one_exists():
     lang = build_language(vocab)
     a = Statement.from_indices([vocab.index_of(Program(0b11, 2))])
     b = Statement.from_indices([vocab.index_of(Program(0b01, 2))])
-    task = validate_task([a], [a.union(b)], lang)
+    ab = Statement(a.members | b.members)
+    task = validate_task([a], [ab], lang)
     result = find_correct_policies(task)
-    assert [p.statement for p in result.correct] == [b, a.union(b)]
+    assert [p.statement for p in result.correct] == [b, ab]
 
 
 # -- the pruning bound -------------------------------------------------------
@@ -291,6 +293,83 @@ def test_singleton_equivalence_on_random_tasks(seed):
         single = is_correct_policy(Policy(candidate), task)
         as_set = is_correct_set_policy(SetPolicy(frozenset([candidate])), task)
         assert single == as_set
+
+
+def _set_policy_oracle_task(rng: random.Random):
+    """A task over a random language of 3 to 11 statements. Sparse random
+    programs leave some statements with no completion among the inputs'
+    extension, so their selection is empty. Half the tasks take their
+    outputs from the selection of a random set of statements, so correct
+    set policies turn up often."""
+    while True:
+        n = rng.randint(2, 6)
+        k = rng.randint(1, min(5, (1 << n) - 1))
+        bits = rng.sample(range(1, 1 << n), k)
+        lang = build_language(Vocabulary.build((Program(b, n) for b in bits), StateSpace(n)))
+        if not 3 <= len(lang) <= 11:
+            continue
+        inputs = rng.sample(lang.statements, rng.randint(1, min(3, len(lang) - 1)))
+        extension = sorted(extension_of_set(inputs, lang), key=statement_key)
+        if rng.random() < 0.5:
+            planted = rng.sample(lang.statements, rng.randint(1, min(3, len(lang))))
+            outputs = [y for y in extension if any(p.issubset(y) for p in planted)]
+        else:
+            outputs = rng.sample(extension, rng.randint(1, len(extension)))
+        if 0 < len(outputs) < len(extension):
+            return validate_task(inputs, outputs, lang)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_set_policy_search_matches_brute_force(seed):
+    rng = random.Random(seed)
+    with_empty_selection = with_correct = 0
+    for _ in range(40):
+        task = _set_policy_oracle_task(rng)
+        statements = task.language.statements
+        with_empty_selection += any(not selection(s, task) for s in statements)
+        # every subset of the language, in (size, language mask) order
+        subsets = sorted(range(1 << len(statements)), key=lambda m: (m.bit_count(), m))
+        policies = [
+            (mask.bit_count(), SetPolicy(frozenset(s for i, s in enumerate(statements)
+                                                   if mask >> i & 1)))
+            for mask in subsets
+        ]
+        for cap in (None, 0, 1, 2, 3):
+            candidates = [p for size, p in policies if cap is None or size <= cap]
+            result = find_correct_set_policies(task, cap=cap)
+            assert result.checked == len(candidates)
+            assert list(result.correct) == [
+                p for p in candidates if is_correct_set_policy(p, task)
+            ]
+            assert result.per_policy_selection_counts == {
+                p: len(set_selection(p, task)) for p in result.correct
+            }
+        with_correct += bool(result.correct)
+    assert with_empty_selection and with_correct
+
+
+def test_set_policy_search_builds_no_language_square_table(monkeypatch, ref_task):
+    def no_table(lang):
+        raise AssertionError("set-policy search must not build the |L|^2 table")
+
+    monkeypatch.setattr(Language, "extension_masks", no_table)
+    result = find_correct_set_policies(ref_task, cap=None)
+    assert (result.checked, result.correct) == (1 << 16, ())
+    # the reference family at 14 programs: 16,384 statements, a 2^28-bit table
+    k = 14
+    vocab = Vocabulary.build(
+        [Program(((1 << (k + 1)) - 1) & ~(1 << i), k + 1) for i in range(k)],
+        StateSpace(k + 1),
+    )
+    lang = build_language(vocab)
+    assert len(lang) == 1 << k
+    # inputs {f1}, {f2}; outputs {f1, f3}, {f2, f4}, as in the reference
+    task = validate_task(
+        [Statement(0b0001), Statement(0b0010)], [Statement(0b0101), Statement(0b1010)], lang
+    )
+    capped = find_correct_set_policies(task, cap=1)
+    assert capped.checked == len(lang) + 1
+    assert capped.correct == ()
 
 
 def test_set_policy_capacity_error():
