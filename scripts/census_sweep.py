@@ -33,6 +33,9 @@ SWEEP = [
     SweepPoint(3, 1),
     SweepPoint(3, 2),
     SweepPoint(3, 3),
+    SweepPoint(3, 4),
+    SweepPoint(4, 3),
+    SweepPoint(4, 4),
 ]
 
 
@@ -48,7 +51,7 @@ def main() -> int:
     if not 1 <= args.workers <= cpus:
         parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
 
-    header = f"{'states':>6} {'vocab':>5} {'valid':>9} {'solvable':>9} {'unsolvable':>10} {'share':>7} {'secs':>6}"
+    header = f"{'states':>6} {'vocab':>5} {'valid':>12} {'solvable':>9} {'unsolvable':>12} {'share':>7} {'secs':>6}"
     print(header)
     print("-" * len(header))
     for point in SWEEP:
@@ -63,9 +66,9 @@ def main() -> int:
             report.tasks_solvable / report.tasks_valid if report.tasks_valid else 0.0
         )
         print(
-            f"{point.n_states:>6} {point.vocab_size:>5} {report.tasks_valid:>9} "
-            f"{report.tasks_solvable:>9} {report.tasks_unsolvable:>10} "
-            f"{share:>7.3f} {report.elapsed_seconds:>6.2f}"
+            f"{point.n_states:>6} {point.vocab_size:>5} {report.tasks_valid:>12} "
+            f"{report.tasks_solvable:>9} {report.tasks_unsolvable:>12} "
+            f"{share:>7.4f} {report.elapsed_seconds:>6.2f}"
         )
     return 0
 

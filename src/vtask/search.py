@@ -23,10 +23,19 @@ outputs, and the solvable ones are the distinct selections
 ``E_policy ∩ E_I`` that are valid outputs. Outputs are walked only to
 collect exemplars, and only until the limit is reached.
 
+A language's census depends only on its statement masks, and most
+vocabularies share their language with an earlier one (5/3 has 4,960
+vocabularies and 11 distinct languages). So each partition computes each
+distinct language's counts and exemplar masks once and reuses them;
+exemplar tasks are always built from the vocabulary being counted.
+
 Partitions are vocabulary residue classes, so census totals are
-independent of worker count; merge is associative. Truncated runs (time
-budget or task limit hit) stop at input-set granularity and their totals
-may depend on the partitioning; only untruncated reports are byte-stable.
+independent of worker count; merge is associative. The time budget and
+the task limit are checked before each vocabulary, so a truncated report
+counts whole languages (with one worker, those of the first
+``vocabularies`` vocabularies) and may overshoot ``max_tasks`` by one
+language's tasks per partition. Truncated totals may depend on the
+partitioning; only untruncated reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -61,7 +70,9 @@ class SearchSpec:
     Validity of enumerated tasks is always required;
     ``require_classification_shaped`` additionally restricts the census to
     tasks shaped like encoded classification problems. ``max_tasks`` and
-    ``time_budget`` truncate the run (flagged in the report).
+    ``time_budget`` truncate the run (flagged in the report); both are
+    checked before each vocabulary, so a truncated run counts whole
+    languages.
     """
 
     n_states: int
@@ -299,6 +310,9 @@ def _census_partition(
 ) -> tuple[_Partial, list[tuple[tuple[int, int, int], Task]]]:
     totals = _Partial()
     exemplars: list[tuple[tuple[int, int, int], Task]] = []
+    # keyed by statement masks; it lives for one call, so a later census
+    # in the same process starts afresh
+    memo: dict[tuple[int, ...], tuple[int, int, int, list[tuple[int, int, int]]]] = {}
     for ordinal, vocab in enumerate(enumerate_vocabularies(spec)):
         if ordinal % n_parts != part:
             continue
@@ -310,36 +324,41 @@ def _census_partition(
             break
         totals.vocabularies += 1
         lang = build_language(vocab)
-        _census_language(spec, lang, ordinal, deadline, totals, exemplars)
-        if totals.truncated:
-            break
+        missing = spec.exemplar_limit - len(exemplars)
+        key = tuple(s.members for s in lang.statements)
+        if key not in memo:
+            # ``missing`` never grows, so the triples stored here cover
+            # every later vocabulary with this language
+            memo[key] = _census_language(spec, lang, missing)
+        enumerated, valid, solvable, triples = memo[key]
+        totals.enumerated += enumerated
+        totals.valid += valid
+        totals.solvable += solvable
+        for i_mask, o_mask, ei in triples[:missing]:
+            exemplars.append(
+                ((ordinal, i_mask, o_mask), _task_from_masks(lang, i_mask, o_mask, ei))
+            )
     return totals, exemplars
 
 
 def _census_language(
-    spec: SearchSpec,
-    lang: Language,
-    ordinal: int,
-    deadline: float | None,
-    totals: _Partial,
-    exemplars: list[tuple[tuple[int, int, int], Task]],
-) -> None:
+    spec: SearchSpec, lang: Language, exemplar_limit: int
+) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+    """Census of one language: its enumerated, valid and solvable task
+    counts, and the (input mask, output mask, input-extension mask)
+    triples of its first ``exemplar_limit`` unsolvable tasks."""
     ei_table = _input_extensions(lang)
     ext = lang.extension_masks()
     members = tuple(s.members for s in lang.statements)
     shaped = spec.require_classification_shaped
+    enumerated = valid_total = solvable = 0
+    triples: list[tuple[int, int, int]] = []
     # entry 0 (no inputs) has no outputs and falls through to the next mask
     for i_mask, ei in enumerate(ei_table):
-        if deadline is not None and time.monotonic() >= deadline:
-            totals.truncated = True
-            return
-        if spec.max_tasks is not None and totals.valid >= spec.max_tasks:
-            totals.truncated = True
-            return
         n_outputs = (1 << ei.bit_count()) - 2
         if n_outputs <= 0:
             continue
-        totals.enumerated += n_outputs
+        enumerated += n_outputs
         # the blocks are disjoint: an output extending two inputs would
         # make each input a subset of the other
         blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
@@ -351,7 +370,7 @@ def _census_language(
         valid -= union == ei
         if not valid:
             continue
-        totals.valid += valid
+        valid_total += valid
         selections = set()
         for e in ext:
             selections.add(e & ei)
@@ -362,16 +381,15 @@ def _census_language(
                 sel for sel in selections
                 if not sel & ~union and all(sel & block for block in blocks)
             }
-        totals.solvable += len(selections)
-        if len(exemplars) < spec.exemplar_limit:
+        solvable += len(selections)
+        if len(triples) < exemplar_limit:
             for o_mask in _outputs(ei, blocks):
                 if o_mask in selections:
                     continue
-                exemplars.append(
-                    ((ordinal, i_mask, o_mask), _task_from_masks(lang, i_mask, o_mask, ei))
-                )
-                if len(exemplars) >= spec.exemplar_limit:
+                triples.append((i_mask, o_mask, ei))
+                if len(triples) >= exemplar_limit:
                     break
+    return enumerated, valid_total, solvable, triples
 
 
 def census(spec: SearchSpec, workers: int = 1) -> CensusReport:

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vtask import search
 from vtask.core import Program, StateSpace, Statement, Vocabulary, build_language
 from vtask.errors import CapacityError
 from vtask.search import (
@@ -203,25 +204,35 @@ def _task_key(task):
     )
 
 
-@pytest.mark.parametrize("n_states,vocab_size", SHAPED_POINTS)
-def test_shaped_census_matches_brute_force(n_states, vocab_size):
-    limit = 10
-    spec = SearchSpec(
-        n_states, vocab_size, require_classification_shaped=True, exemplar_limit=limit
-    )
-    plain = SearchSpec(n_states, vocab_size)
+def _brute_force_census(spec, vocabs):
+    """(enumerated, valid, solvable, unsolvable tasks in census order) over
+    ``vocabs``, from enumerate_tasks, is_classification_shaped and
+    find_correct_policies."""
+    plain = SearchSpec(spec.n_states, spec.vocab_size)
     enumerated = valid = solvable = 0
     unsolvable = []
-    for vocab in enumerate_vocabularies(plain):
+    for vocab in vocabs:
         for task in enumerate_tasks(vocab, plain):
             enumerated += 1
-            if not is_classification_shaped(task):
+            if spec.require_classification_shaped and not is_classification_shaped(task):
                 continue
             valid += 1
             if find_correct_policies(task).correct:
                 solvable += 1
             else:
                 unsolvable.append(task)
+    return enumerated, valid, solvable, unsolvable
+
+
+@pytest.mark.parametrize("n_states,vocab_size", SHAPED_POINTS)
+def test_shaped_census_matches_brute_force(n_states, vocab_size):
+    limit = 10
+    spec = SearchSpec(
+        n_states, vocab_size, require_classification_shaped=True, exemplar_limit=limit
+    )
+    enumerated, valid, solvable, unsolvable = _brute_force_census(
+        spec, enumerate_vocabularies(spec)
+    )
     report = census(spec)
     assert (report.tasks_enumerated, report.tasks_valid, report.tasks_solvable) == (
         enumerated,
@@ -234,8 +245,29 @@ def test_shaped_census_matches_brute_force(n_states, vocab_size):
 
 
 @pytest.mark.parametrize(
+    "n_states,vocab_size,shaped,n_unsolvable",
+    [(3, 2, False, 1_384), (2, 3, False, 2_197), (4, 2, False, 7_275),
+     (3, 2, True, 51), (4, 2, True, 265)],
+)
+def test_census_exemplars_across_repeated_languages(n_states, vocab_size, shaped, n_unsolvable):
+    # every unsolvable task is an exemplar, so each one drawn from a
+    # language seen before must be built from its own vocabulary
+    spec = SearchSpec(
+        n_states, vocab_size, require_classification_shaped=shaped, exemplar_limit=10**6
+    )
+    *_, unsolvable = _brute_force_census(spec, enumerate_vocabularies(spec))
+    assert len(unsolvable) == n_unsolvable
+    for workers in (1, 2):
+        assert census(spec, workers=workers).exemplars == tuple(unsolvable)
+
+
+@pytest.mark.parametrize(
     "n_states,vocab_size,enumerated,valid,solvable",
-    [(3, 3, 509_154, 1_580, 417), (4, 3, 8_274_568, 21_842, 5_232)],
+    [
+        (3, 3, 509_154, 1_580, 417),
+        (4, 3, 8_274_568, 21_842, 5_232),
+        (4, 4, 681_127_310_008, 1_175_902, 54_632),
+    ],
 )
 def test_shaped_census_pinned(n_states, vocab_size, enumerated, valid, solvable):
     report = census(SearchSpec(n_states, vocab_size, require_classification_shaped=True))
@@ -257,6 +289,16 @@ def test_census_single_state_pinned():
     assert report.tasks_valid == 2
     assert report.tasks_solvable == 1
     assert report.tasks_unsolvable == 1
+
+
+def test_full_census_4_4_pinned():
+    report = census(SearchSpec(n_states=4, vocab_size=4))
+    assert not report.truncated
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
+        1_820,
+        681_127_310_008,
+        299_767_983,
+    )
 
 
 def test_census_vocab_size_zero_is_empty():
@@ -326,6 +368,48 @@ def test_census_max_tasks_truncates():
     report = census(SearchSpec(n_states=2, vocab_size=2, max_tasks=10))
     assert report.truncated
     assert report.tasks_valid >= 10
+
+
+def test_census_truncates_between_vocabularies():
+    # the limit is checked before each vocabulary, so a truncated report
+    # counts whole languages: exactly those of its first ``vocabularies``
+    # vocabularies
+    spec = SearchSpec(n_states=3, vocab_size=3, max_tasks=1000)
+    report = census(spec)
+    assert report.truncated
+    assert 0 < report.vocabularies < 56
+    vocabs = itertools.islice(enumerate_vocabularies(spec), report.vocabularies)
+    enumerated, valid, solvable, _ = _brute_force_census(spec, vocabs)
+    assert (report.tasks_enumerated, report.tasks_valid, report.tasks_solvable) == (
+        enumerated,
+        valid,
+        solvable,
+    )
+
+
+def test_census_memo_is_per_run(monkeypatch):
+    # 5/3 has 4,960 vocabularies but 11 distinct languages; each census
+    # computes each language once, and a second census in the same
+    # process computes them all again
+    calls = 0
+    original = search._census_language
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(search, "_census_language", counted)
+    spec = SearchSpec(n_states=5, vocab_size=3)
+    first = census(spec)
+    assert first.vocabularies == 4_960
+    assert calls == 11
+    calls = 0
+    second = census(spec)
+    assert calls == 11
+    assert dataclasses.replace(second, elapsed_seconds=0.0) == dataclasses.replace(
+        first, elapsed_seconds=0.0
+    )
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():
