@@ -219,7 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_census.add_argument("--n-states", type=int, required=True)
     p_census.add_argument("--vocab-size", type=int, required=True)
-    p_census.add_argument("--dedup", action="store_true")
+    p_census.add_argument(
+        "--dedup",
+        action="store_true",
+        help="census one vocabulary per orbit under relabeling of states",
+    )
     p_census.add_argument(
         "--classification-shaped",
         action="store_true",

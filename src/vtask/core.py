@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CapacityError, DomainError, MalformedInputError
 
@@ -224,19 +224,38 @@ class Language:
 
     def extension_masks(self) -> tuple[int, ...]:
         """For each statement, the bitmask (over language indices) of its
-        extension. O(len^2); intended for small languages in search code."""
+        extension. The table holds len^2 bits; intended for small languages
+        in search code."""
         return self._extension_masks
 
     @cached_property
     def _extension_masks(self) -> tuple[int, ...]:
-        masks = []
-        for s in self.statements:
-            mask = 0
-            for j, t in enumerate(self.statements):
-                if s.issubset(t):
-                    mask |= 1 << j
-            masks.append(mask)
-        return tuple(masks)
+        # the extension of s is the sum of 1 << j over the statements j ⊇ s
+        weights = {s.members: 1 << j for j, s in enumerate(self.statements)}
+        sums = _superset_sums(self, weights)
+        return tuple(sums[s.members] for s in self.statements)
+
+
+def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]:
+    """For each statement mask of the language, the sum of ``weights``
+    (keyed by statement mask, absent meaning 0) over its supersets.
+
+    One superset-sum (zeta) transform: for each vocabulary bit, add the sum
+    of every statement holding the bit into the same statement without it.
+    A language is closed under subsets, so that smaller mask is a statement
+    too, and no superset of a non-statement is one; the pass therefore stays
+    inside the language and costs O(k·|L|) additions for k programs, never
+    O(2^k).
+    """
+    masks = [s.members for s in lang.statements]
+    sums = dict.fromkeys(masks, 0)
+    sums.update(weights)
+    for i in range(len(lang.vocabulary)):
+        bit = 1 << i
+        for m in masks:
+            if m & bit:
+                sums[m ^ bit] += sums[m]
+    return sums
 
 
 def intersect_programs(programs: Iterable[Program], space: StateSpace) -> Program:

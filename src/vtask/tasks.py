@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Union
 from .core import (
     Language,
     Statement,
+    _superset_sums,
     extension_of_set,
     extension_of_statement,
     statement_key,
@@ -26,6 +27,7 @@ from .core import (
 from .errors import CapacityError, DomainError, TaskValidationError
 
 SET_POLICY_CANDIDATE_CAP = 1 << 20
+SET_POLICY_TABLE_BITS = 1 << 30
 
 SEARCH_MODES = ("exhaustive", "pruned")
 
@@ -151,27 +153,6 @@ def max_policy_length_bound(task: Task) -> int:
     return min(len(o) for o in task.outputs)
 
 
-def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]:
-    """For each statement mask of the language, the sum of ``weights``
-    (keyed by statement mask, absent meaning 0) over its supersets.
-
-    One superset-sum (zeta) transform: for each vocabulary bit, add the sum
-    of every statement holding the bit into the same statement without it.
-    A language is closed under subsets, so that smaller mask is a statement
-    too, and no superset of a non-statement is one; the pass therefore stays
-    inside the language and costs O(k·|L|) for k programs, never O(2^k).
-    """
-    masks = [s.members for s in lang.statements]
-    sums = dict.fromkeys(masks, 0)
-    sums.update(weights)
-    for i in range(len(lang.vocabulary)):
-        bit = 1 << i
-        for m in masks:
-            if m & bit:
-                sums[m ^ bit] += sums[m]
-    return sums
-
-
 def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchResult:
     """Search every statement of the language for correct policies.
 
@@ -238,16 +219,19 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
     A set policy selects the union of its members' selections E_p ∩ E_inputs,
     so it is correct exactly when every member is admissible (selects only
     outputs) and the members together cover the outputs. Each statement's
-    selection, as a bitmask over the input extension, is its superset sum
-    with a distinct one-bit weight on each member of that extension. Only
-    subsets of the admissible statements are built, one OR each. The correct
-    ones come in (size, language mask) order, each with selection count
+    superset sum weighs each output with its own low bit and every other
+    member of the input extension with the one bit above them, so a
+    statement is admissible exactly when its sum is below that bit, and the
+    sum is then its selection as a bitmask over the outputs. Only subsets of
+    the admissible statements are built, one OR each. The correct ones come
+    in (size, language mask) order, each with selection count
     ``len(task.outputs)``.
 
     ``checked`` counts the candidates by definition: the subsets of the
     language of at most ``cap`` statements (2^len(language) with
-    ``cap=None``). A count over ``SET_POLICY_CANDIDATE_CAP`` raises a
-    capacity error before any work.
+    ``cap=None``). A count over ``SET_POLICY_CANDIDATE_CAP``, or more than
+    ``SET_POLICY_TABLE_BITS`` selection bits (statements times outputs),
+    raises a capacity error before any work.
     """
     lang = task.language
     n_candidates = _set_policy_candidate_count(len(lang), cap)
@@ -259,16 +243,24 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             cap_name="set_policy_candidates",
             cap_value=SET_POLICY_CANDIDATE_CAP,
         )
-    bit_of = {
-        y.members: 1 << j
-        for j, y in enumerate(sorted(task.input_extension, key=statement_key))
-    }
-    selected = _superset_sums(lang, bit_of)
-    o_bits = sum(bit_of[o.members] for o in task.outputs)
+    n_outputs = len(task.outputs)
+    if len(lang) * n_outputs > SET_POLICY_TABLE_BITS:
+        raise CapacityError(
+            f"set-policy search over {len(lang)} statements and {n_outputs} "
+            f"outputs needs {len(lang) * n_outputs} selection bits, over the "
+            f"{SET_POLICY_TABLE_BITS}-bit cap",
+            cap_name="set_policy_table_bits",
+            cap_value=SET_POLICY_TABLE_BITS,
+        )
+    weights = dict.fromkeys((y.members for y in task.input_extension), 1 << n_outputs)
+    for j, o in enumerate(task.sorted_outputs()):
+        weights[o.members] = 1 << j
+    selected = _superset_sums(lang, weights)
+    o_bits = (1 << n_outputs) - 1
     admissible = [
         (1 << i, selected[s.members])
         for i, s in enumerate(lang.statements)
-        if selected[s.members] & ~o_bits == 0
+        if selected[s.members] <= o_bits
     ]
     limit = len(admissible) if cap is None else cap
     correct_masks: list[int] = []

@@ -307,6 +307,15 @@ def test_membership_and_antitone_extensions(vocab, rng):
 
 
 @given(vocabularies())
+def test_extension_masks_match_subset_definition(vocab):
+    lang = build_language(vocab)
+    assert lang.extension_masks() == tuple(
+        sum(1 << j for j, t in enumerate(lang.statements) if s.issubset(t))
+        for s in lang.statements
+    )
+
+
+@given(vocabularies())
 def test_language_downward_closed(vocab):
     lang = build_language(vocab)
     members = {s.members for s in lang}

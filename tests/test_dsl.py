@@ -5,7 +5,8 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtask.core import Program, StateSpace, Statement
+from vtask import dsl, encoder
+from vtask.core import Program, StateSpace, Statement, build_language
 from vtask.dsl import (
     LanguageListing,
     PolicyCheckReport,
@@ -67,6 +68,21 @@ def test_parse_classification_file(ref_task):
     assert realized.task is not None
     assert realized.task.inputs == ref_task.inputs
     assert realized.task.outputs == ref_task.outputs
+
+
+def test_classification_file_builds_one_language(monkeypatch):
+    built = []
+
+    def counted(vocab):
+        built.append(vocab)
+        return build_language(vocab)
+
+    monkeypatch.setattr(dsl, "build_language", counted)
+    monkeypatch.setattr(encoder, "build_language", counted)
+    realized = realize_document(parse_task_file(COLORED_BOX_FILE.read_text()))
+    assert len(built) == 1
+    assert realized.task.language is realized.language
+    assert realized.language.vocabulary == realized.vocabulary
 
 
 def test_parse_normalizes_order_and_duplicates():

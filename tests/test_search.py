@@ -72,6 +72,50 @@ def test_dedup_yields_orbit_representatives():
         assert len(orbit & representatives) == 1
 
 
+def _least_image_stream(n_states: int, vocab_size: int):
+    """The definitional dedup rule: the combinations that are least among
+    their images under all n! state permutations, in ascending order."""
+    images = [
+        [_apply_perm(b, perm) for b in range(1 << n_states)]
+        for perm in itertools.permutations(range(n_states))
+    ]
+    for combo in itertools.combinations(range(1 << n_states), vocab_size):
+        if all(tuple(sorted(table[b] for b in combo)) >= combo for table in images):
+            yield combo
+
+
+@pytest.mark.parametrize(
+    "n_states, vocab_size",
+    [(n, k) for n in range(1, 5) for k in range(5)] + [(5, 2), (5, 3), (6, 2)],
+)
+def test_dedup_stream_is_least_image_combinations(n_states, vocab_size):
+    spec = SearchSpec(n_states=n_states, vocab_size=vocab_size, dedup=True)
+    stream = [tuple(p.bits for p in v.programs) for v in enumerate_vocabularies(spec)]
+    assert stream == list(_least_image_stream(n_states, vocab_size))
+
+
+@pytest.mark.parametrize(
+    "n_states, vocabularies, valid, solvable",
+    [(5, 134, 2_162_996, 100_289), (6, 302, 5_538_784, 253_996)],
+)
+def test_dedup_census_totals_pinned(n_states, vocabularies, valid, solvable):
+    report = census(SearchSpec(n_states=n_states, vocab_size=3, dedup=True))
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
+        vocabularies, valid, solvable,
+    )
+    assert not report.truncated
+
+
+def test_dedup_obeys_the_census_state_cap_only():
+    # one program per orbit for each count of states it holds in: n + 1
+    for n_states in (9, 10):
+        report = census(SearchSpec(n_states=n_states, vocab_size=1, dedup=True))
+        assert report.vocabularies == n_states + 1
+    with pytest.raises(CapacityError) as info:
+        SearchSpec(n_states=11, vocab_size=1, dedup=True)
+    assert info.value.cap_name == "census_max_states"
+
+
 def _apply_perm(bits: int, perm) -> int:
     out = 0
     for old, new in enumerate(perm):
@@ -85,8 +129,6 @@ def test_spec_caps():
         SearchSpec(n_states=11, vocab_size=2)
     with pytest.raises(CapacityError):
         SearchSpec(n_states=2, vocab_size=7)
-    with pytest.raises(CapacityError):
-        SearchSpec(n_states=9, vocab_size=2, dedup=True)
     with pytest.raises(ValueError):
         SearchSpec(n_states=0, vocab_size=1)
 

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vtask import tasks
 from vtask.core import (
     EMPTY_STATEMENT,
     Language,
@@ -348,6 +350,20 @@ def test_set_policy_search_matches_brute_force(seed):
     assert with_empty_selection and with_correct
 
 
+def _reference_family_task(k: int):
+    """The reference task's inputs {f1}, {f2} and outputs {f1, f3},
+    {f2, f4} over k programs that each miss one state of k + 1: every
+    subset is a statement, 2^k in all."""
+    vocab = Vocabulary.build(
+        [Program(((1 << (k + 1)) - 1) & ~(1 << i), k + 1) for i in range(k)],
+        StateSpace(k + 1),
+    )
+    lang = build_language(vocab)
+    return validate_task(
+        [Statement(0b0001), Statement(0b0010)], [Statement(0b0101), Statement(0b1010)], lang
+    )
+
+
 def test_set_policy_search_builds_no_language_square_table(monkeypatch, ref_task):
     def no_table(lang):
         raise AssertionError("set-policy search must not build the |L|^2 table")
@@ -356,20 +372,34 @@ def test_set_policy_search_builds_no_language_square_table(monkeypatch, ref_task
     result = find_correct_set_policies(ref_task, cap=None)
     assert (result.checked, result.correct) == (1 << 16, ())
     # the reference family at 14 programs: 16,384 statements, a 2^28-bit table
-    k = 14
-    vocab = Vocabulary.build(
-        [Program(((1 << (k + 1)) - 1) & ~(1 << i), k + 1) for i in range(k)],
-        StateSpace(k + 1),
-    )
-    lang = build_language(vocab)
-    assert len(lang) == 1 << k
-    # inputs {f1}, {f2}; outputs {f1, f3}, {f2, f4}, as in the reference
-    task = validate_task(
-        [Statement(0b0001), Statement(0b0010)], [Statement(0b0101), Statement(0b1010)], lang
-    )
+    task = _reference_family_task(14)
+    assert len(task.language) == 1 << 14
     capped = find_correct_set_policies(task, cap=1)
-    assert capped.checked == len(lang) + 1
+    assert capped.checked == len(task.language) + 1
     assert capped.correct == ()
+
+
+def test_set_policy_selection_table_stays_small():
+    task = _reference_family_task(15)
+    assert len(task.language) == 1 << 15
+    tracemalloc.start()
+    try:
+        result = find_correct_set_policies(task, cap=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.checked, result.correct) == ((1 << 15) + 1, ())
+    assert peak < 10 * 2**20
+
+
+def test_set_policy_selection_table_cap(monkeypatch, ref_task):
+    # 16 statements and 2 outputs: 32 selection bits
+    monkeypatch.setattr(tasks, "SET_POLICY_TABLE_BITS", 32)
+    assert find_correct_set_policies(ref_task, cap=1).correct == ()
+    monkeypatch.setattr(tasks, "SET_POLICY_TABLE_BITS", 31)
+    with pytest.raises(CapacityError) as info:
+        find_correct_set_policies(ref_task, cap=1)
+    assert (info.value.cap_name, info.value.cap_value) == ("set_policy_table_bits", 31)
 
 
 def test_set_policy_capacity_error():
