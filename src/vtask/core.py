@@ -10,9 +10,7 @@ share at least one state. The intersection of zero programs is the whole
 state space, so the empty statement belongs to every language.
 
 All types here are immutable and hashable; languages may be shared freely
-across threads or worker processes. Callers that want to parallelise
-language construction can partition the subset range and merge, since
-statement admission is independent per subset.
+across threads or worker processes.
 """
 
 from __future__ import annotations
@@ -224,8 +222,8 @@ class Language:
 
     def extension_masks(self) -> tuple[int, ...]:
         """For each statement, the bitmask (over language indices) of its
-        extension. The table holds len^2 bits; intended for small languages
-        in search code."""
+        extension. The table holds len^2 bits; the census in
+        ``vtask.search`` is its only caller."""
         return self._extension_masks
 
     @cached_property
@@ -314,18 +312,7 @@ def extension_of_statement(x: Statement, lang: Language) -> frozenset[Statement]
         raise DomainError(
             f"statement with member mask {x.members:#x} is not in this language"
         )
-    complement = lang.vocabulary.member_mask & ~x.members
-    positions = lang._positions
-    out = []
-    sub = 0
-    while True:
-        candidate = x.members | sub
-        if candidate in positions:
-            out.append(Statement(candidate))
-        if sub == complement:
-            break
-        sub = (sub - complement) & complement
-    return frozenset(out)
+    return frozenset(y for y in lang if x.issubset(y))
 
 
 def extension_of_set(X: Iterable[Statement], lang: Language) -> frozenset[Statement]:

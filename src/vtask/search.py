@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -59,7 +60,7 @@ from .tasks import Task, validate_task
 CENSUS_MAX_STATES = 10
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
-CANON_MAX_STATES = 8
+CANON_MAX_PROGRAMS = 8
 
 
 @dataclass(frozen=True)
@@ -137,20 +138,26 @@ def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _orbit_key(
-    program_bits: tuple[int, ...], n_states: int, relabelings: Sequence[Sequence[int]]
-) -> tuple[int, ...]:
-    """Key of a program tuple's orbit under state permutations: its state
-    columns (for each state, the mask of the programs that hold there),
-    sorted, least over the program relabelings. ``relabelings`` maps each
-    column under every permutation of the program positions. Two tuples
-    share a key exactly when a state permutation maps one onto the other."""
+def _state_columns(program_bits: Sequence[int], n_states: int) -> list[int]:
+    """For each state, the mask of the programs that hold there."""
     columns = []
     for s in range(n_states):
         column = 0
         for i, bits in enumerate(program_bits):
             column |= (bits >> s & 1) << i
         columns.append(column)
+    return columns
+
+
+def _orbit_key(
+    program_bits: tuple[int, ...], n_states: int, relabelings: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """Key of a program tuple's orbit under state permutations: its state
+    columns, sorted, least over the program relabelings. ``relabelings``
+    maps each column under every permutation of the program positions. Two
+    tuples share a key exactly when a state permutation maps one onto the
+    other."""
+    columns = _state_columns(program_bits, n_states)
     return min(tuple(sorted(table[c] for c in columns)) for table in relabelings)
 
 
@@ -176,10 +183,11 @@ def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
         yield Vocabulary.build((Program(b, spec.n_states) for b in combo), space)
 
 
-def _input_extensions(lang: Language) -> list[int]:
+def _input_extensions(lang: Language) -> array:
     """The input-extension table: entry ``i_mask`` is the mask of E_I, the
     statements that extend some input of ``i_mask``, over language indices.
-    It covers every input mask but the whole language; entry 0 is empty."""
+    It covers every input mask but the whole language; entry 0 is empty.
+    The language cap keeps every mask within the table's 16-bit entries."""
     m = len(lang)
     if m > CENSUS_LANGUAGE_CAP:
         raise CapacityError(
@@ -189,11 +197,11 @@ def _input_extensions(lang: Language) -> list[int]:
             cap_name="census_language_cap",
             cap_value=CENSUS_LANGUAGE_CAP,
         )
-    ext = lang.extension_masks()
-    table = [0] * ((1 << m) - 1)
-    for i_mask in range(1, len(table)):
-        low = i_mask & -i_mask
-        table[i_mask] = table[i_mask ^ low] | ext[low.bit_length() - 1]
+    # the input masks whose highest statement is j: each lower mask plus j
+    table = array("H", [0])
+    for ext in lang.extension_masks():
+        table.extend(array("H", (ei | ext for ei in table)))
+    table.pop()
     return table
 
 
@@ -454,90 +462,87 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
 
 @dataclass(frozen=True, order=True)
 class CanonicalTask:
-    """Relabeling-invariant form of a task: the least image, over all state
-    permutations, of (program values, input masks, output masks)."""
+    """Relabeling-invariant form of a task: the least, over every
+    relabeling of its programs, of its sorted state columns (for each
+    state, the mask of the programs that hold there), its sorted input
+    masks and its sorted output masks. Bit i of every column and mask
+    refers to the same program i."""
 
     n_states: int
-    programs: tuple[int, ...]
+    n_programs: int
+    columns: tuple[int, ...]
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
 
 
-def _statement_mask_sort_key(mask: int) -> tuple[int, int]:
-    return (mask.bit_count(), mask)
-
-
 def canonicalize_task(task: Task) -> CanonicalTask:
     """Canonical form of a task under state permutation; two tasks are
-    isomorphic exactly when their canonical forms are equal."""
-    space = task.language.vocabulary.space
-    n = space.n_states
-    if n > CANON_MAX_STATES:
+    isomorphic exactly when their canonical forms are equal. A state
+    permutation only reorders the state columns, and the program order is
+    arbitrary, so the form sorts the columns and takes the least result
+    over the k! program relabelings."""
+    vocab = task.language.vocabulary
+    k = len(vocab)
+    if k > CANON_MAX_PROGRAMS:
         raise CapacityError(
-            f"canonicalization tries all {n}! state permutations; capped at "
-            f"{CANON_MAX_STATES} states",
-            cap_name="canon_max_states",
-            cap_value=CANON_MAX_STATES,
+            f"canonicalization tries all {k}! program relabelings; capped at "
+            f"{CANON_MAX_PROGRAMS} programs",
+            cap_name="canon_max_programs",
+            cap_value=CANON_MAX_PROGRAMS,
         )
-    program_bits = [p.bits for p in task.language.vocabulary.programs]
-    k = len(program_bits)
-    input_masks = sorted(s.members for s in task.inputs)
-    output_masks = sorted(s.members for s in task.outputs)
+    n = vocab.space.n_states
+    parts = (
+        _state_columns([p.bits for p in vocab.programs], n),
+        [s.members for s in task.inputs],
+        [s.members for s in task.outputs],
+    )
 
     def image(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        mapped = [_permute_program_bits(b, perm) for b in program_bits]
-        order = sorted(range(k), key=lambda i: mapped[i])
-        new_index = [0] * k
-        for new_pos, old_i in enumerate(order):
-            new_index[old_i] = new_pos
-
-        def remap(mask: int) -> int:
-            out = 0
-            for i in range(k):
-                if mask >> i & 1:
-                    out |= 1 << new_index[i]
-            return out
-
-        return (
-            tuple(mapped[i] for i in order),
-            tuple(sorted((remap(x) for x in input_masks), key=_statement_mask_sort_key)),
-            tuple(sorted((remap(x) for x in output_masks), key=_statement_mask_sort_key)),
+        return tuple(
+            tuple(sorted(_permute_program_bits(m, perm) for m in masks))
+            for masks in parts
         )
 
-    return CanonicalTask(n, *min(map(image, itertools.permutations(range(n)))))
+    return CanonicalTask(n, k, *min(map(image, itertools.permutations(range(k)))))
+
+
+def _task_over_programs(
+    program_bits: Sequence[int], n_states: int, inputs: Sequence[int], outputs: Sequence[int]
+) -> Task:
+    """The task whose program i holds in ``program_bits[i]``; ``inputs`` and
+    ``outputs`` are statement masks over those positions, moved here to the
+    positions of the sorted vocabulary."""
+    vocab = Vocabulary.build(
+        (Program(b, n_states) for b in program_bits), StateSpace(n_states)
+    )
+    position = [vocab.index_of(Program(b, n_states)) for b in program_bits]
+    lang = build_language(vocab)
+    return validate_task(
+        [Statement(_permute_program_bits(m, position)) for m in inputs],
+        [Statement(_permute_program_bits(m, position)) for m in outputs],
+        lang,
+    )
 
 
 def permute_task(task: Task, perm: tuple[int, ...]) -> Task:
     """Image of a task under a state permutation (``perm[i]`` is where
     0-based state ``i`` goes). Useful for isomorphism tests."""
-    space = task.language.vocabulary.space
-    if sorted(perm) != list(range(space.n_states)):
-        raise DomainError(f"{perm} is not a permutation of 0..{space.n_states - 1}")
-    old_programs = task.language.vocabulary.programs
-    mapped = [_permute_program_bits(p.bits, perm) for p in old_programs]
-    vocab = Vocabulary.build(
-        (Program(b, space.n_states) for b in mapped), space
-    )
-    new_index = {i: vocab.index_of(Program(b, space.n_states)) for i, b in enumerate(mapped)}
-
-    def remap(statement: Statement) -> Statement:
-        return Statement.from_indices(new_index[i] for i in statement.indices())
-
-    lang = build_language(vocab)
-    return validate_task(
-        [remap(s) for s in task.inputs], [remap(s) for s in task.outputs], lang
+    n = task.language.vocabulary.space.n_states
+    if sorted(perm) != list(range(n)):
+        raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
+    return _task_over_programs(
+        [_permute_program_bits(p.bits, perm) for p in task.language.vocabulary.programs],
+        n,
+        [s.members for s in task.inputs],
+        [s.members for s in task.outputs],
     )
 
 
 def task_from_canonical(form: CanonicalTask) -> Task:
-    """Materialize a task whose canonical form is ``form``."""
-    space = StateSpace(form.n_states)
-    vocab = Vocabulary.build(
-        (Program(b, form.n_states) for b in form.programs), space
-    )
-    lang = build_language(vocab)
-    return validate_task(
-        [Statement(m) for m in form.inputs],
-        [Statement(m) for m in form.outputs],
-        lang,
-    )
+    """Materialize a task whose canonical form is ``form``: program i holds
+    in the states whose column has bit i."""
+    program_bits = [
+        sum((column >> i & 1) << s for s, column in enumerate(form.columns))
+        for i in range(form.n_programs)
+    ]
+    return _task_over_programs(program_bits, form.n_states, form.inputs, form.outputs)

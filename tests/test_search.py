@@ -499,7 +499,50 @@ def test_canonical_form_permutation_invariant(seed, rng):
     perm = list(range(n))
     rng.shuffle(perm)
     image = permute_task(task, tuple(perm))
-    assert canonicalize_task(image) == canonicalize_task(task)
+    form = canonicalize_task(task)
+    assert canonicalize_task(image) == form
+    assert canonicalize_task(task_from_canonical(form)) == form
+
+
+def _permute_bits(bits, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if bits >> i & 1)
+
+
+def _least_state_image(task):
+    """The n! rule: the least image, over every state permutation, of the
+    sorted program values and the input and output masks moved into that
+    sorted vocabulary."""
+    programs = [p.bits for p in task.language.vocabulary.programs]
+    k = len(programs)
+
+    def image(perm):
+        mapped = [_permute_bits(b, perm) for b in programs]
+        order = sorted(range(k), key=mapped.__getitem__)
+        position = [order.index(i) for i in range(k)]
+
+        def masks(statements):
+            moved = (_permute_bits(s.members, position) for s in statements)
+            return tuple(sorted(moved, key=lambda m: (m.bit_count(), m)))
+
+        return tuple(sorted(mapped)), masks(task.inputs), masks(task.outputs)
+
+    n = task.language.vocabulary.space.n_states
+    return n, min(map(image, itertools.permutations(range(n))))
+
+
+def test_canonical_forms_match_least_state_image_classes():
+    rng = random.Random(7)
+    tasks = []
+    for _ in range(600):
+        task = random_task(rng, max_states=4, max_vocab=4)
+        perm = list(range(task.language.vocabulary.space.n_states))
+        rng.shuffle(perm)
+        tasks += [task, permute_task(task, tuple(perm))]
+    pairs = {(canonicalize_task(t), _least_state_image(t)) for t in tasks}
+    # the two partitions agree exactly when each form pairs with one oracle form
+    assert len({form for form, _ in pairs}) == len(pairs)
+    assert len({oracle for _, oracle in pairs}) == len(pairs)
+    assert len(pairs) < len(tasks) // 2
 
 
 def test_reference_orbit_size_pinned(ref_task):
@@ -519,9 +562,23 @@ def test_reference_orbit_size_pinned(ref_task):
     assert len(images) == 60
 
 
-def test_canonicalization_state_cap():
-    vocab = Vocabulary.build([Program(1, 9)], StateSpace(9))
-    lang = build_language(vocab)
-    task = validate_task([Statement(0)], [Statement(0)], lang)
-    with pytest.raises(CapacityError):
+def test_canonicalization_program_cap():
+    vocab = Vocabulary.build([Program(b, 4) for b in range(1, 10)], StateSpace(4))
+    task = validate_task([Statement(0)], [Statement(1)], build_language(vocab))
+    with pytest.raises(CapacityError) as err:
         canonicalize_task(task)
+    assert err.value.cap_name == "canon_max_programs"
+
+
+def test_canonicalization_reaches_past_eight_states():
+    vocab = Vocabulary.build(
+        [Program(b, 12) for b in (0b111111000011, 0b000111111001, 0b100000111111)],
+        StateSpace(12),
+    )
+    lang = build_language(vocab)
+    task = validate_task([Statement(0b001)], [Statement(0b011), Statement(0b101)], lang)
+    form = canonicalize_task(task)
+    assert (form.n_states, form.n_programs) == (12, 3)
+    assert canonicalize_task(task_from_canonical(form)) == form
+    image = permute_task(task, tuple(range(11, -1, -1)))
+    assert canonicalize_task(image) == form
