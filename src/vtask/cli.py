@@ -63,8 +63,7 @@ def _require_task(realized: dsl.RealizedDocument, command: str):
 
 def _cmd_lang(args: argparse.Namespace) -> int:
     realized = _load(args.file)
-    listing = dsl.LanguageListing(realized.language, realized.names)
-    _emit(dsl.serialize_language(listing, _output_mode(args)))
+    _emit(dsl.serialize_language(realized.language, realized.names, _output_mode(args)))
     return EXIT_OK
 
 
@@ -229,15 +228,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="census only tasks shaped like encoded classification problems",
     )
-    p_census.add_argument("--max-tasks", type=int, default=None)
-    p_census.add_argument("--time-budget", type=float, default=None)
+    p_census.add_argument(
+        "--max-tasks",
+        type=int,
+        help="stop before the next vocabulary once this many valid tasks are counted",
+    )
+    p_census.add_argument(
+        "--time-budget",
+        type=float,
+        help="stop before the next vocabulary once this many seconds have passed",
+    )
     p_census.add_argument(
         "--workers",
         type=int,
         default=1,
         help="worker processes, at most the number of CPUs",
     )
-    p_census.add_argument("--exemplars", type=int, default=3)
+    p_census.add_argument(
+        "--exemplars",
+        type=int,
+        default=3,
+        help="list at most this many unsolvable tasks, the first in census order",
+    )
     add_structured(p_census)
     p_census.set_defaults(handler=_cmd_census)
 

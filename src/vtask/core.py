@@ -220,6 +220,17 @@ class Language:
     def statement_set(self) -> frozenset[Statement]:
         return frozenset(self.statements)
 
+    def statements_of(self, mask: int) -> tuple[Statement, ...]:
+        """The statements at a mask's set bits, in language order."""
+        return tuple(s for s, bit in zip(self.statements, bin(mask)[:1:-1]) if bit == "1")
+
+    def mask_of(self, statements: Iterable[Statement]) -> int:
+        """The mask over language indices of the given statements."""
+        digits = bytearray(b"0" * len(self))
+        for s in statements:
+            digits[~self.index_of(s)] = ord("1")
+        return int(digits, 2)
+
     def extension_masks(self) -> tuple[int, ...]:
         """For each statement, the bitmask (over language indices) of its
         extension. The table holds len^2 bits; the census in
@@ -312,7 +323,8 @@ def extension_of_statement(x: Statement, lang: Language) -> frozenset[Statement]
         raise DomainError(
             f"statement with member mask {x.members:#x} is not in this language"
         )
-    return frozenset(y for y in lang if x.issubset(y))
+    m = x.members
+    return frozenset(y for y in lang if y.members & m == m)
 
 
 def extension_of_set(X: Iterable[Statement], lang: Language) -> frozenset[Statement]:

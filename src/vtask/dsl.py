@@ -391,9 +391,9 @@ def parse_task_file(text: str) -> TaskDocument:
             )
         )
 
-    if errors:
+    # a missing state count is always among the errors
+    if errors or n_states is None:
         raise TaskFileError(tuple(sorted(errors, key=lambda d: (d.line, d.column or 0))))
-    assert n_states is not None
     return TaskDocument.build(
         n_states=n_states,
         programs=programs,
@@ -683,30 +683,21 @@ def _census_structured(report: CensusReport) -> bytes:
     return _json_bytes(tree)
 
 
-@dataclass(frozen=True)
-class LanguageListing:
-    """Language statements for display."""
-
-    language: Language
-    names: tuple[str, ...] | None
-
-
-def serialize_language(listing: LanguageListing, mode: str = "text") -> bytes:
-    lang = listing.language
+def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = "text") -> bytes:
     vocab = lang.vocabulary
     if mode == "text":
         lines = [f"language: {len(lang)} statements over {len(vocab)} programs"]
-        lines += [render_statement(s, vocab, listing.names) for s in lang]
+        lines += [render_statement(s, vocab, names) for s in lang]
         return _to_bytes(lines)
     if mode == "structured":
         programs: dict[str, str] = {}
         for i, p in enumerate(vocab.programs):
-            key = listing.names[i] if listing.names is not None else p.to_bitstring()
+            key = names[i] if names is not None else p.to_bitstring()
             programs[key] = p.to_bitstring()
         tree = {
             "count": len(lang),
             "programs": programs,
-            "statements": [_statement_names(s, vocab, listing.names) for s in lang],
+            "statements": [_statement_names(s, vocab, names) for s in lang],
         }
         return _json_bytes(tree)
     raise ValueError(f"unknown serialization mode {mode!r}")

@@ -9,9 +9,9 @@ extension as outputs, in a fixed order:
 
     vocabulary ordinal asc, then input mask asc, then output mask asc,
 
-where masks index the language's canonical statement order. "First"
-always means first in this order; exemplar selection and the mask stream
-both follow it.
+where masks index the language's canonical statement order. A ``Task``
+holds three such masks, and :func:`enumerate_task_masks` is a language's
+one stream of them. "First" always means first in this order.
 
 The per-input work collapses, so counting never walks output sets. Fix
 the inputs I, with input extension E_I. The valid outputs are the sets
@@ -20,14 +20,14 @@ E_I, without a filter; for classification-shaped tasks, one block per
 input i, holding the statements i ∪ {p} for each program p outside the
 inputs' feature union. So there are Π(2^|C_i| − 1) − [∪C_i = E_I] valid
 outputs, and the solvable ones are the distinct selections
-``E_policy ∩ E_I`` that are valid outputs. Outputs are walked only to
-collect exemplars, and only until the limit is reached.
+``E_policy ∩ E_I`` that are valid outputs. Only exemplars walk the
+stream, and only until the limit is reached.
 
 A language's census depends only on its statement masks, and most
 vocabularies share their language with an earlier one (5/3 has 4,960
-vocabularies and 11 distinct languages). So each partition computes each
-distinct language's counts and exemplar masks once and reuses them;
-exemplar tasks are always built from the vocabulary being counted.
+vocabularies and 11 distinct languages). So each partition counts each
+distinct language once and keeps its exemplar triples with the counts;
+exemplar tasks are built over the vocabulary being counted.
 
 Partitions are vocabulary residue classes, so census totals are
 independent of worker count; merge is associative. The time budget and
@@ -245,30 +245,18 @@ def _outputs(ei: int, blocks: Sequence[int]) -> Iterator[int]:
             yield o_mask
 
 
-def enumerate_task_masks(lang: Language) -> Iterator[tuple[int, int, int]]:
-    """Stream of (input mask, output mask, input-extension mask) triples
-    over language indices, covering exactly the valid tasks of the
-    language, in census order."""
+def enumerate_task_masks(
+    lang: Language, spec: SearchSpec | None = None
+) -> Iterator[tuple[int, int, int]]:
+    """The language's task stream: (input mask, output mask,
+    input-extension mask) triples over language indices, one per valid
+    task, in census order. Applies the spec's task filter when given."""
+    members = tuple(s.members for s in lang.statements)
+    shaped = spec is not None and spec.require_classification_shaped
     for i_mask, ei in enumerate(_input_extensions(lang)):
-        for o_mask in _outputs(ei, (ei,)):
+        blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
+        for o_mask in _outputs(ei, blocks):
             yield i_mask, o_mask, ei
-
-
-def _statements_of_mask(lang: Language, mask: int) -> frozenset[Statement]:
-    return frozenset(
-        lang.statements[i] for i in range(mask.bit_length()) if mask >> i & 1
-    )
-
-
-def _task_from_masks(lang: Language, i_mask: int, o_mask: int, ei_mask: int) -> Task:
-    # construction-correct by the stream's definition; cross-checked
-    # against validate_task in the test suite
-    return Task(
-        inputs=_statements_of_mask(lang, i_mask),
-        outputs=_statements_of_mask(lang, o_mask),
-        language=lang,
-        input_extension=_statements_of_mask(lang, ei_mask),
-    )
 
 
 def is_classification_shaped(task: Task) -> bool:
@@ -297,15 +285,11 @@ def is_classification_shaped(task: Task) -> bool:
 
 
 def enumerate_tasks(vocab: Vocabulary, spec: SearchSpec | None = None) -> Iterator[Task]:
-    """Every valid task over the vocabulary, in census order, as Task
-    objects. Applies the spec's task filter when given."""
+    """Every valid task over the vocabulary, in census order: one per
+    triple of its language's :func:`enumerate_task_masks` stream."""
     lang = build_language(vocab)
-    members = tuple(s.members for s in lang.statements)
-    shaped = spec is not None and spec.require_classification_shaped
-    for i_mask, ei in enumerate(_input_extensions(lang)):
-        blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
-        for o_mask in _outputs(ei, blocks):
-            yield _task_from_masks(lang, i_mask, o_mask, ei)
+    for i_mask, o_mask, ei in enumerate_task_masks(lang, spec):
+        yield Task(lang, i_mask, o_mask, ei)
 
 
 @dataclass
@@ -331,7 +315,7 @@ def _census_partition(
     exemplars: list[tuple[tuple[int, int, int], Task]] = []
     # keyed by statement masks; it lives for one call, so a later census
     # in the same process starts afresh
-    memo: dict[tuple[int, ...], tuple[int, int, int, list[tuple[int, int, int]]]] = {}
+    memo: dict[tuple[int, ...], tuple[tuple[int, int, int], list[tuple[int, int, int]]]] = {}
     for ordinal, vocab in enumerate(enumerate_vocabularies(spec)):
         if ordinal % n_parts != part:
             continue
@@ -346,34 +330,32 @@ def _census_partition(
         missing = spec.exemplar_limit - len(exemplars)
         key = tuple(s.members for s in lang.statements)
         if key not in memo:
-            # ``missing`` never grows, so the triples stored here cover
-            # every later vocabulary with this language
-            memo[key] = _census_language(spec, lang, missing)
-        enumerated, valid, solvable, triples = memo[key]
+            # the first triples no selection E_p ∩ E_I matches; ``missing``
+            # never grows, so they cover every later vocabulary with this language
+            ext = lang.extension_masks()
+            unsolvable = (
+                (i_mask, o_mask, ei) for i_mask, o_mask, ei in enumerate_task_masks(lang, spec)
+                if all(e & ei != o_mask for e in ext)
+            )
+            memo[key] = _census_language(spec, lang), list(itertools.islice(unsolvable, missing))
+        (enumerated, valid, solvable), triples = memo[key]
         totals.enumerated += enumerated
         totals.valid += valid
         totals.solvable += solvable
         for i_mask, o_mask, ei in triples[:missing]:
-            exemplars.append(
-                ((ordinal, i_mask, o_mask), _task_from_masks(lang, i_mask, o_mask, ei))
-            )
+            exemplars.append(((ordinal, i_mask, o_mask), Task(lang, i_mask, o_mask, ei)))
     return totals, exemplars
 
 
-def _census_language(
-    spec: SearchSpec, lang: Language, exemplar_limit: int
-) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
     """Census of one language: its enumerated, valid and solvable task
-    counts, and the (input mask, output mask, input-extension mask)
-    triples of its first ``exemplar_limit`` unsolvable tasks."""
-    ei_table = _input_extensions(lang)
+    counts, from the per-input formulas alone."""
     ext = lang.extension_masks()
     members = tuple(s.members for s in lang.statements)
     shaped = spec.require_classification_shaped
     enumerated = valid_total = solvable = 0
-    triples: list[tuple[int, int, int]] = []
     # entry 0 (no inputs) has no outputs and falls through to the next mask
-    for i_mask, ei in enumerate(ei_table):
+    for i_mask, ei in enumerate(_input_extensions(lang)):
         n_outputs = (1 << ei.bit_count()) - 2
         if n_outputs <= 0:
             continue
@@ -401,14 +383,7 @@ def _census_language(
                 if not sel & ~union and all(sel & block for block in blocks)
             }
         solvable += len(selections)
-        if len(triples) < exemplar_limit:
-            for o_mask in _outputs(ei, blocks):
-                if o_mask in selections:
-                    continue
-                triples.append((i_mask, o_mask, ei))
-                if len(triples) >= exemplar_limit:
-                    break
-    return enumerated, valid_total, solvable, triples
+    return enumerated, valid_total, solvable
 
 
 def census(spec: SearchSpec, workers: int = 1) -> CensusReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .core import (
@@ -34,22 +35,33 @@ SEARCH_MODES = ("exhaustive", "pruned")
 
 @dataclass(frozen=True)
 class Task:
-    """A validated input/output pair over a language.
+    """A validated input/output pair over a language, held as masks over
+    its statement indices with read-only frozenset views. Build through
+    :func:`validate_task`, which checks the invariants, or from a census
+    task-stream triple."""
 
-    Construct through :func:`validate_task`, which enforces the invariants
-    and caches the input extension.
-    """
-
-    inputs: frozenset[Statement]
-    outputs: frozenset[Statement]
     language: Language
-    input_extension: frozenset[Statement]
+    input_mask: int
+    output_mask: int
+    extension_mask: int
+
+    @cached_property
+    def inputs(self) -> frozenset[Statement]:
+        return frozenset(self.sorted_inputs())
+
+    @cached_property
+    def outputs(self) -> frozenset[Statement]:
+        return frozenset(self.sorted_outputs())
+
+    @cached_property
+    def input_extension(self) -> frozenset[Statement]:
+        return frozenset(self.language.statements_of(self.extension_mask))
 
     def sorted_inputs(self) -> tuple[Statement, ...]:
-        return tuple(sorted(self.inputs, key=statement_key))
+        return self.language.statements_of(self.input_mask)
 
     def sorted_outputs(self) -> tuple[Statement, ...]:
-        return tuple(sorted(self.outputs, key=statement_key))
+        return self.language.statements_of(self.output_mask)
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,7 @@ class PolicySearchResult:
 def validate_task(
     inputs: Iterable[Statement], outputs: Iterable[Statement], lang: Language
 ) -> Task:
-    """Check the task invariants and return the task with its input
-    extension cached.
+    """Check the task invariants and return the task, held as masks.
 
     Checks run in a fixed order (emptiness, then input membership and
     properness, then output membership and properness), so a candidate
@@ -126,7 +137,7 @@ def validate_task(
             "output-equals-extension",
             "the outputs must be a proper subset of the inputs' extension",
         )
-    return Task(inputs, outputs, lang, input_extension)
+    return Task(lang, *map(lang.mask_of, (inputs, outputs, input_extension)))
 
 
 def selection(pi: Statement, task: Task) -> frozenset[Statement]:
@@ -170,7 +181,8 @@ def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchR
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
     lang = task.language
-    selected = _superset_sums(lang, {y.members: 1 for y in task.input_extension})
+    extension = lang.statements_of(task.extension_mask)
+    selected = _superset_sums(lang, {y.members: 1 for y in extension})
     common = lang.vocabulary.member_mask
     for o in task.outputs:
         common &= o.members
@@ -274,10 +286,7 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             for j, (bit, sel) in enumerate(admissible[start:], start + 1):
                 stack.append((j, subset | bit, joint | sel))
     correct_masks.sort(key=lambda s: (s.bit_count(), s))
-    correct = tuple(
-        SetPolicy(frozenset(lang.statements[i] for i in Statement(mask).indices()))
-        for mask in correct_masks
-    )
+    correct = tuple(SetPolicy(frozenset(lang.statements_of(m))) for m in correct_masks)
     mode = "set-full" if cap is None else f"set-cap-{cap}"
     return PolicySearchResult(
         task=task,
@@ -306,7 +315,7 @@ def decompose_binary(task: Task) -> BinaryDecomposition:
     """
     subtasks: list[Task] = []
     failures: list[tuple[Statement, str]] = []
-    for i in sorted(task.inputs, key=statement_key):
+    for i in task.sorted_inputs():
         extending = frozenset(o for o in task.outputs if i.issubset(o))
         try:
             subtasks.append(validate_task([i], extending, task.language))

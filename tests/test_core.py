@@ -180,6 +180,8 @@ def test_language_index_and_membership():
     assert Statement(0b11) not in lang
     with pytest.raises(DomainError):
         lang.index_of(Statement(0b11))
+    with pytest.raises(DomainError):
+        lang.mask_of([Statement(0b01), Statement(0b11)])
 
 
 # -- extensions --------------------------------------------------------------
@@ -313,6 +315,15 @@ def test_extension_masks_match_subset_definition(vocab):
         sum(1 << j for j, t in enumerate(lang.statements) if s.issubset(t))
         for s in lang.statements
     )
+
+
+@given(vocabularies(), st.randoms(use_true_random=False))
+def test_statements_of_and_mask_of_are_inverse(vocab, rng):
+    lang = build_language(vocab)
+    mask = rng.getrandbits(len(lang))
+    chosen = lang.statements_of(mask)
+    assert chosen == tuple(s for j, s in enumerate(lang.statements) if mask >> j & 1)
+    assert lang.mask_of(chosen) == mask
 
 
 @given(vocabularies())

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from vtask import dsl, encoder
 from vtask.core import Program, StateSpace, Statement, build_language
 from vtask.dsl import (
-    LanguageListing,
     PolicyCheckReport,
     TaskDocument,
     parse_program_literal,
@@ -272,11 +271,11 @@ def test_render_statement_name_and_bitstring_forms(ref_task, ref_index):
 
 
 def test_language_listing_empty_statement_first(ref_task):
-    listing = LanguageListing(ref_task.language, ("f4", "f3", "f2", "f1"))
-    lines = serialize_language(listing, "text").decode().splitlines()
+    names = ("f4", "f3", "f2", "f1")
+    lines = serialize_language(ref_task.language, names, "text").decode().splitlines()
     assert lines[0] == "language: 16 statements over 4 programs"
     assert lines[1] == "{}"
-    tree = json.loads(serialize_language(listing, "structured"))
+    tree = json.loads(serialize_language(ref_task.language, names, "structured"))
     assert tree["count"] == 16
     assert tree["statements"][0] == []
     assert tree["programs"]["f1"] == "01111"

@@ -1,0 +1,87 @@
+"""Golden CLI outputs: the SHA-256 of stdout and the exit code of a fixed
+list of ``cli.main`` commands, pinned so that refactors prove they leave
+every byte of output unchanged.
+
+To re-pin after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and paste its output over
+``GOLDEN``.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from vtask import cli
+
+from conftest import COLORED_BOX_FILE, TWO_CLASS_FILE
+
+_CENSUS_FLAGS = {
+    "plain": [],
+    "shaped": ["--classification-shaped", "--structured", "--exemplars", "10"],
+    "dedup": ["--dedup", "--exemplars", "10"],
+}
+_FILE_COMMANDS = {
+    "lang": ["lang"],
+    "check-empty": ["check", "--empty"],
+    "search-set-all": ["search", "--set-policies", "all", "--structured"],
+    "encode": ["encode"],
+}
+_FILES = {"box": COLORED_BOX_FILE, "two-class": TWO_CLASS_FILE}
+
+
+def _commands() -> dict[str, list[str]]:
+    commands = {}
+    for n, k in ((3, 3), (4, 3)):
+        for flag, extra in _CENSUS_FLAGS.items():
+            commands[f"census-{n}-{k}-{flag}"] = [
+                "census", "--n-states", str(n), "--vocab-size", str(k), *extra
+            ]
+    for name, (command, *extra) in _FILE_COMMANDS.items():
+        for label, path in _FILES.items():
+            commands[f"{name}-{label}"] = [command, str(path), *extra]
+    commands["verify-paper"] = ["verify-paper"]
+    return commands
+
+
+COMMANDS = _commands()
+
+# name -> (exit code, SHA-256 of stdout)
+GOLDEN = {
+    "census-3-3-dedup": (0, "bed4c3595327294918633e6e99d593c793d61ee37ca580112c585de20c1537a5"),
+    "census-3-3-plain": (0, "6c04cc8524136302861be115c8ba41cb04c57b710f174d14c78f5cd99ba5f861"),
+    "census-3-3-shaped": (0, "9f513c8ad0a8426af26be22fd8732b9a5158d975a4f1aeed926df39b3af74009"),
+    "census-4-3-dedup": (0, "19a595d4a5e3db4023f656f2ed994751dc6510988133b4765210d965ac77fa7a"),
+    "census-4-3-plain": (0, "790b5f1a2177f656f40f20c55f0d611dd7a48705db76c72267a508ab3eeed2d2"),
+    "census-4-3-shaped": (0, "59d51fa786fffae055be35f7a747cdca49fc2e15660a246339b3936f78e601a9"),
+    "check-empty-box": (1, "b2b0e7a587e0caedfac0994f5bfd61425144e41bc0721f19e914d86a27313ae9"),
+    "check-empty-two-class": (1, "98258905d5b2d4734d2ce7db48f26203a684a70ead18304ef13f9998bba97a30"),
+    "encode-box": (0, "1a7b4e5a14c4617365c96bfd5bcec1c6ff6604d1bbd8b9d64861402ae7f7977b"),
+    "encode-two-class": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "lang-box": (0, "a0454a84a83da5267e02e5c636656a1c08201936b155ff3d79ebc14f41f7595a"),
+    "lang-two-class": (0, "fb399bd2d74d280f2d7b9b6cfd20819db0dd30dc1abae66439320034ba661615"),
+    "search-set-all-box": (1, "8e54cbaede179e9e0c54af1d59516152165c4f319b9a2c82b647d2df11f6443a"),
+    "search-set-all-two-class": (1, "1635abc3e80e7e2ac65cd0a7ee8134a48ea1932fd9def40d6535afd9ee8b64d2"),
+    "verify-paper": (0, "59e6019c1e0dd17adb1cb32e9c5af878c95892b22921612d0d7f113e899b0c30"),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    stdout.flush()
+    return code, hashlib.sha256(buffer.getvalue()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden_digest(name):
+    assert _run(COMMANDS[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(COMMANDS):
+        code, digest = _run(COMMANDS[name])
+        print(f'    "{name}": ({code}, "{digest}"),')

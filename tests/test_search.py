@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtask import search
-from vtask.core import Program, StateSpace, Statement, Vocabulary, build_language
+from vtask.core import (
+    Program,
+    StateSpace,
+    Statement,
+    Vocabulary,
+    build_language,
+    extension_of_set,
+    statement_key,
+)
 from vtask.errors import CapacityError
 from vtask.search import (
     SearchSpec,
@@ -160,6 +168,31 @@ def test_enumerate_tasks_matches_validate_task():
             assert rebuilt == task
 
 
+def _assert_views_match_masks(task):
+    lang = task.language
+    assert validate_task(task.inputs, task.outputs, lang) == task
+    assert task.sorted_inputs() == tuple(sorted(task.inputs, key=statement_key))
+    assert task.sorted_outputs() == tuple(sorted(task.outputs, key=statement_key))
+    assert task.input_extension == extension_of_set(task.inputs, lang)
+
+
+def test_task_views_match_masks_on_random_tasks():
+    rng = random.Random(8)
+    for _ in range(300):
+        _assert_views_match_masks(random_task(rng))
+
+
+@pytest.mark.parametrize("n_states,vocab_size,shaped", [(2, 2, False), (3, 2, False), (3, 2, True)])
+def test_task_views_match_masks_on_census_exemplars(n_states, vocab_size, shaped):
+    spec = SearchSpec(
+        n_states, vocab_size, require_classification_shaped=shaped, exemplar_limit=10**6
+    )
+    exemplars = census(spec).exemplars
+    assert exemplars
+    for task in exemplars:
+        _assert_views_match_masks(task)
+
+
 def test_enumerate_task_masks_order_is_ascending():
     vocab = Vocabulary.build([Program(0b01, 2), Program(0b11, 2)], StateSpace(2))
     lang = build_language(vocab)
@@ -288,8 +321,8 @@ def test_shaped_census_matches_brute_force(n_states, vocab_size):
 
 @pytest.mark.parametrize(
     "n_states,vocab_size,shaped,n_unsolvable",
-    [(3, 2, False, 1_384), (2, 3, False, 2_197), (4, 2, False, 7_275),
-     (3, 2, True, 51), (4, 2, True, 265)],
+    [(2, 2, False, 189), (3, 2, False, 1_384), (2, 3, False, 2_197), (4, 2, False, 7_275),
+     (2, 2, True, 7), (3, 2, True, 51), (4, 2, True, 265)],
 )
 def test_census_exemplars_across_repeated_languages(n_states, vocab_size, shaped, n_unsolvable):
     # every unsolvable task is an exemplar, so each one drawn from a
