@@ -94,11 +94,13 @@ class Vocabulary:
     """An ordered set of distinct programs; the index of a program is its
     identity inside statements.
 
-    Order is canonical (ascending by the underlying bit value) so that
-    everything derived from a vocabulary is deterministic.
+    ``bits`` holds the programs' state masks in ascending order, the
+    canonical order that keeps everything derived from a vocabulary
+    deterministic; ``programs`` views them as :class:`Program` objects.
+    Build from programs through :meth:`build`, which checks them.
     """
 
-    programs: tuple[Program, ...]
+    bits: tuple[int, ...]
     space: StateSpace
 
     @classmethod
@@ -124,10 +126,14 @@ class Vocabulary:
                 cap_name="max_vocab",
                 cap_value=MAX_VOCAB,
             )
-        return cls(programs, space)
+        return cls(tuple(p.bits for p in programs), space)
+
+    @cached_property
+    def programs(self) -> tuple[Program, ...]:
+        return tuple(Program(b, self.space.n_states) for b in self.bits)
 
     def __len__(self) -> int:
-        return len(self.programs)
+        return len(self.bits)
 
     def __iter__(self) -> Iterator[Program]:
         return iter(self.programs)
@@ -143,7 +149,7 @@ class Vocabulary:
     @property
     def member_mask(self) -> int:
         """Bitmask selecting every vocabulary index."""
-        return (1 << len(self.programs)) - 1
+        return (1 << len(self.bits)) - 1
 
 
 @dataclass(frozen=True)
@@ -290,21 +296,21 @@ def is_statement(members: Iterable[int], vocab: Vocabulary) -> bool:
             raise MalformedInputError(
                 f"vocabulary index {i} outside 0..{len(vocab) - 1}"
             )
-        acc &= vocab.programs[i].bits
+        acc &= vocab.bits[i]
     return acc != 0
 
 
-def build_language(vocab: Vocabulary) -> Language:
-    """Materialize every admissible subset of the vocabulary.
+def statement_masks(vocab: Vocabulary) -> tuple[int, ...]:
+    """The member masks of every admissible subset of the vocabulary, in
+    canonical (``statement_key``) order: the statements of its language.
 
     Walks all 2^len(vocab) subsets with an incremental-intersection table,
     so each subset costs one AND. The vocabulary cap bounds the walk.
     """
     k = len(vocab)
-    full = vocab.space.full_mask
-    inter = [full] * (1 << k)
+    inter = [vocab.space.full_mask] * (1 << k)
     kept: list[int] = [0]
-    program_bits = [p.bits for p in vocab.programs]
+    program_bits = vocab.bits
     for mask in range(1, 1 << k):
         low = mask & -mask
         value = inter[mask ^ low] & program_bits[low.bit_length() - 1]
@@ -312,7 +318,12 @@ def build_language(vocab: Vocabulary) -> Language:
         if value:
             kept.append(mask)
     kept.sort(key=lambda m: (m.bit_count(), m))
-    return Language(vocab, tuple(Statement(m) for m in kept))
+    return tuple(kept)
+
+
+def build_language(vocab: Vocabulary) -> Language:
+    """Materialize every admissible subset of the vocabulary."""
+    return Language(vocab, tuple(map(Statement, statement_masks(vocab))))
 
 
 def extension_of_statement(x: Statement, lang: Language) -> frozenset[Statement]:

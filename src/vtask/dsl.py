@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import Language, Program, StateSpace, Statement, Vocabulary, build_language
 from .encoder import ClassificationSpec, encode_classification
@@ -460,7 +460,7 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
     declared = doc.declared()
     vocab = Vocabulary.build(declared.values(), space)
     by_value = {program.bits: name for name, program in declared.items()}
-    names = tuple(by_value[p.bits] for p in vocab.programs)
+    names = tuple(by_value[b] for b in vocab.bits)
 
     classification = None
     task = None
@@ -637,37 +637,41 @@ def _census_text(report: CensusReport) -> bytes:
         f"truncated: {str(report.truncated).lower()}",
         f"exemplars: {len(report.exemplars)}",
     ]
-    for task in report.exemplars:
-        vocab = task.language.vocabulary
-        lines.append(
-            "  vocabulary [" + " ".join(p.to_bitstring() for p in vocab.programs) + "]"
-        )
-        lines.append(
-            "    inputs: "
-            + " ".join(render_statement(s, vocab) for s in task.sorted_inputs())
-        )
-        lines.append(
-            "    outputs: "
-            + " ".join(render_statement(s, vocab) for s in task.sorted_outputs())
-        )
+    for programs, inputs, outputs in _census_exemplars(report):
+        lines.append("  vocabulary [" + " ".join(programs) + "]")
+        lines.append("    inputs: " + " ".join("{" + " ".join(s) + "}" for s in inputs))
+        lines.append("    outputs: " + " ".join("{" + " ".join(s) + "}" for s in outputs))
     return _to_bytes(lines)
 
 
-def _census_structured(report: CensusReport) -> bytes:
-    exemplars = []
+def _census_exemplars(
+    report: CensusReport,
+) -> Iterator[tuple[list[str], list[list[str]], list[list[str]]]]:
+    """Each exemplar's program bitstrings and its sorted inputs and
+    outputs, each statement as its members' bitstrings in index order.
+    A vocabulary and its statements are rendered once, however many
+    exemplars share it."""
+    rendered: dict[Vocabulary, tuple[list[str], dict[int, list[str]]]] = {}
     for task in report.exemplars:
         vocab = task.language.vocabulary
-        exemplars.append(
-            {
-                "programs": [p.to_bitstring() for p in vocab.programs],
-                "inputs": [
-                    _statement_names(s, vocab, None) for s in task.sorted_inputs()
-                ],
-                "outputs": [
-                    _statement_names(s, vocab, None) for s in task.sorted_outputs()
-                ],
+        if vocab not in rendered:
+            programs = [p.to_bitstring() for p in vocab.programs]
+            rendered[vocab] = programs, {
+                s.members: [programs[i] for i in s.indices()] for s in task.language
             }
+        programs, statements = rendered[vocab]
+        yield (
+            programs,
+            [statements[s.members] for s in task.sorted_inputs()],
+            [statements[s.members] for s in task.sorted_outputs()],
         )
+
+
+def _census_structured(report: CensusReport) -> bytes:
+    exemplars = [
+        {"programs": programs, "inputs": inputs, "outputs": outputs}
+        for programs, inputs, outputs in _census_exemplars(report)
+    ]
     tree = dict(_census_spec_fields(report))
     tree.update(
         {

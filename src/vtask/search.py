@@ -25,9 +25,12 @@ stream, and only until the limit is reached.
 
 A language's census depends only on its statement masks, and most
 vocabularies share their language with an earlier one (5/3 has 4,960
-vocabularies and 11 distinct languages). So each partition counts each
-distinct language once and keeps its exemplar triples with the counts;
-exemplar tasks are built over the vocabulary being counted.
+vocabularies and 11 distinct languages). So each partition keys its memo
+by the statement masks (:func:`vtask.core.statement_masks`), counts each
+distinct language once and keeps its exemplar triples with the counts.
+A ``Language`` is built only when it is used: to count a language the
+memo has not seen, or to build exemplar tasks over the vocabulary being
+counted.
 
 Partitions are vocabulary residue classes, so census totals are
 independent of worker count; merge is associative. The time budget and
@@ -53,6 +56,7 @@ from .core import (
     Statement,
     Vocabulary,
     build_language,
+    statement_masks,
 )
 from .errors import CapacityError, DomainError
 from .tasks import Task, validate_task
@@ -102,6 +106,11 @@ class SearchSpec:
             )
         if self.exemplar_limit < 0:
             raise ValueError("exemplar_limit must be >= 0")
+        if self.max_tasks is not None and self.max_tasks < 0:
+            raise ValueError("max_tasks must be >= 0")
+        # written so that NaN fails too
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError("time_budget must be a nonnegative number of seconds")
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,8 @@ def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
             if key in seen:
                 continue
             seen.add(key)
-        yield Vocabulary.build((Program(b, spec.n_states) for b in combo), space)
+        # ascending, distinct and within the vocabulary cap: nothing to check
+        yield Vocabulary(combo, space)
 
 
 def _input_extensions(lang: Language) -> array:
@@ -326,10 +336,11 @@ def _census_partition(
             totals.truncated = True
             break
         totals.vocabularies += 1
-        lang = build_language(vocab)
         missing = spec.exemplar_limit - len(exemplars)
-        key = tuple(s.members for s in lang.statements)
+        key = statement_masks(vocab)
+        lang = None
         if key not in memo:
+            lang = build_language(vocab)
             # the first triples no selection E_p ∩ E_I matches; ``missing``
             # never grows, so they cover every later vocabulary with this language
             ext = lang.extension_masks()
@@ -342,7 +353,10 @@ def _census_partition(
         totals.enumerated += enumerated
         totals.valid += valid
         totals.solvable += solvable
-        for i_mask, o_mask, ei in triples[:missing]:
+        triples = triples[:missing]
+        if triples and lang is None:
+            lang = build_language(vocab)
+        for i_mask, o_mask, ei in triples:
             exemplars.append(((ordinal, i_mask, o_mask), Task(lang, i_mask, o_mask, ei)))
     return totals, exemplars
 
@@ -467,7 +481,7 @@ def canonicalize_task(task: Task) -> CanonicalTask:
         )
     n = vocab.space.n_states
     parts = (
-        _state_columns([p.bits for p in vocab.programs], n),
+        _state_columns(vocab.bits, n),
         [s.members for s in task.inputs],
         [s.members for s in task.outputs],
     )
@@ -490,7 +504,7 @@ def _task_over_programs(
     vocab = Vocabulary.build(
         (Program(b, n_states) for b in program_bits), StateSpace(n_states)
     )
-    position = [vocab.index_of(Program(b, n_states)) for b in program_bits]
+    position = [vocab.bits.index(b) for b in program_bits]
     lang = build_language(vocab)
     return validate_task(
         [Statement(_permute_program_bits(m, position)) for m in inputs],
@@ -506,7 +520,7 @@ def permute_task(task: Task, perm: tuple[int, ...]) -> Task:
     if sorted(perm) != list(range(n)):
         raise DomainError(f"{perm} is not a permutation of 0..{n - 1}")
     return _task_over_programs(
-        [_permute_program_bits(p.bits, perm) for p in task.language.vocabulary.programs],
+        [_permute_program_bits(b, perm) for b in task.language.vocabulary.bits],
         n,
         [s.members for s in task.inputs],
         [s.members for s in task.outputs],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from vtask.core import (
     intersect_programs,
     is_statement,
     statement_key,
+    statement_masks,
 )
 from vtask.errors import CapacityError, DomainError, MalformedInputError
 
@@ -172,6 +174,24 @@ def test_language_canonical_statement_order():
     lang = build_language(vocab_of("01111", "10111", "11011", "11101"))
     keys = [statement_key(s) for s in lang]
     assert keys == sorted(keys)
+
+
+def test_statement_masks_are_the_sharing_subsets_in_key_order():
+    rng = random.Random(2024)
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, min(8, 1 << n))
+        values = rng.sample(range(1 << n), k)
+        if trial % 2 and k and 0 not in values:
+            values[0] = 0  # the empty program
+        vocab = Vocabulary.build((Program(v, n) for v in values), StateSpace(n))
+        expected = sorted(
+            (Statement(m) for m in range(1 << k) if is_statement(Statement(m).indices(), vocab)),
+            key=statement_key,
+        )
+        masks = statement_masks(vocab)
+        assert masks == tuple(s.members for s in expected)
+        assert build_language(vocab).statements == tuple(expected)
 
 
 def test_language_index_and_membership():

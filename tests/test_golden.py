@@ -29,6 +29,16 @@ _FILE_COMMANDS = {
     "encode": ["encode"],
 }
 _FILES = {"box": COLORED_BOX_FILE, "two-class": TWO_CLASS_FILE}
+# census paths the sweep above misses; no ``--workers``, which the CLI caps
+# at the machine's CPU count
+_CENSUS_EXTRA = {
+    "census-3-3-truncated": ["--n-states", "3", "--vocab-size", "3",
+                             "--max-tasks", "1000", "--exemplars", "5"],
+    "census-4-3-structured": ["--n-states", "4", "--vocab-size", "3",
+                              "--structured", "--exemplars", "10"],
+    "census-5-2-time-budget-0": ["--n-states", "5", "--vocab-size", "2",
+                                 "--time-budget", "0"],
+}
 
 
 def _commands() -> dict[str, list[str]]:
@@ -41,6 +51,8 @@ def _commands() -> dict[str, list[str]]:
     for name, (command, *extra) in _FILE_COMMANDS.items():
         for label, path in _FILES.items():
             commands[f"{name}-{label}"] = [command, str(path), *extra]
+    for name, extra in _CENSUS_EXTRA.items():
+        commands[name] = ["census", *extra]
     commands["verify-paper"] = ["verify-paper"]
     return commands
 
@@ -52,9 +64,12 @@ GOLDEN = {
     "census-3-3-dedup": (0, "bed4c3595327294918633e6e99d593c793d61ee37ca580112c585de20c1537a5"),
     "census-3-3-plain": (0, "6c04cc8524136302861be115c8ba41cb04c57b710f174d14c78f5cd99ba5f861"),
     "census-3-3-shaped": (0, "9f513c8ad0a8426af26be22fd8732b9a5158d975a4f1aeed926df39b3af74009"),
+    "census-3-3-truncated": (0, "8dd032962584f81ddda823ae1da73947116baceb6040178a6ed864532b5b374f"),
     "census-4-3-dedup": (0, "19a595d4a5e3db4023f656f2ed994751dc6510988133b4765210d965ac77fa7a"),
     "census-4-3-plain": (0, "790b5f1a2177f656f40f20c55f0d611dd7a48705db76c72267a508ab3eeed2d2"),
     "census-4-3-shaped": (0, "59d51fa786fffae055be35f7a747cdca49fc2e15660a246339b3936f78e601a9"),
+    "census-4-3-structured": (0, "f7b090fb4ea59c11e84568909c3b3713edc426bfefeadc98f91b05f3fce47c1c"),
+    "census-5-2-time-budget-0": (0, "36ff1f3c5f6bc44fe8a8313cc76ab58bdb846b2b950037a1e2c18de7b64fa5c6"),
     "check-empty-box": (1, "b2b0e7a587e0caedfac0994f5bfd61425144e41bc0721f19e914d86a27313ae9"),
     "check-empty-two-class": (1, "98258905d5b2d4734d2ce7db48f26203a684a70ead18304ef13f9998bba97a30"),
     "encode-box": (0, "1a7b4e5a14c4617365c96bfd5bcec1c6ff6604d1bbd8b9d64861402ae7f7977b"),

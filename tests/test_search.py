@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 import random
 import time
 
@@ -15,6 +16,7 @@ from vtask.core import (
     build_language,
     extension_of_set,
     statement_key,
+    statement_masks,
 )
 from vtask.errors import CapacityError
 from vtask.search import (
@@ -54,6 +56,24 @@ def test_enumeration_contains_reference_vocabulary():
     task, _, _ = reference_task()
     target = task.language.vocabulary
     assert any(v == target for v in enumerate_vocabularies(spec))
+
+
+@pytest.mark.parametrize(
+    "n_states, vocab_size, dedup",
+    [(n, k, dedup) for n in range(1, 5) for k in range(4) for dedup in (False, True)]
+    + [(5, 2, False), (5, 2, True)],
+)
+def test_enumerated_vocabularies_are_built_vocabularies(n_states, vocab_size, dedup):
+    # the census constructs vocabularies from their bits, skipping ``build``'s checks
+    spec = SearchSpec(n_states, vocab_size, dedup=dedup)
+    for vocab in enumerate_vocabularies(spec):
+        built = Vocabulary.build(vocab.programs, StateSpace(n_states))
+        assert vocab == built and hash(vocab) == hash(built)
+        assert [p.width for p in vocab.programs] == [n_states] * vocab_size
+        assert tuple(p.bits for p in vocab.programs) == vocab.bits
+        assert list(vocab.bits) == sorted(set(vocab.bits))
+        copy = pickle.loads(pickle.dumps(vocab))
+        assert copy == vocab and copy.programs == vocab.programs
 
 
 def test_dedup_counts_pinned():
@@ -139,6 +159,14 @@ def test_spec_caps():
         SearchSpec(n_states=2, vocab_size=7)
     with pytest.raises(ValueError):
         SearchSpec(n_states=0, vocab_size=1)
+
+
+@pytest.mark.parametrize(
+    "limits", [{"max_tasks": -1}, {"time_budget": -1.0}, {"time_budget": float("nan")}]
+)
+def test_spec_rejects_negative_or_nan_limits(limits):
+    with pytest.raises(ValueError):
+        SearchSpec(n_states=2, vocab_size=2, **limits)
 
 
 # -- task enumeration --------------------------------------------------------
@@ -485,6 +513,32 @@ def test_census_memo_is_per_run(monkeypatch):
     assert dataclasses.replace(second, elapsed_seconds=0.0) == dataclasses.replace(
         first, elapsed_seconds=0.0
     )
+
+
+def test_census_builds_languages_only_when_used(monkeypatch):
+    # a language is built for each distinct language and for each exemplar
+    # vocabulary, never merely to read its statement masks
+    built = []
+    original = search.build_language
+
+    def counted(vocab):
+        built.append(vocab)
+        return original(vocab)
+
+    monkeypatch.setattr(search, "build_language", counted)
+    spec = SearchSpec(n_states=5, vocab_size=3, exemplar_limit=0)
+    assert census(spec).vocabularies == 4_960
+    assert len(built) == 11
+    assert len({statement_masks(v) for v in built}) == 11
+
+    built.clear()
+    report = census(dataclasses.replace(spec, exemplar_limit=3))
+    first_of_language = {}
+    for vocab in enumerate_vocabularies(spec):
+        first_of_language.setdefault(statement_masks(vocab), vocab)
+    exemplar_vocabs = {t.language.vocabulary for t in report.exemplars}
+    assert len(built) == len(set(built))
+    assert set(built) == set(first_of_language.values()) | exemplar_vocabs
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():
