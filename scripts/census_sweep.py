@@ -2,7 +2,8 @@
 """Sweep small censuses and tabulate how rare solvable tasks are.
 
 Edit SWEEP to taste; every run is a full enumeration (no sampling), so
-keep the dimensions desk-scale. With --classification the census is
+keep the dimensions desk-scale. A point that hits an engineering cap
+prints a row naming the cap. With --classification the census is
 restricted to tasks shaped like encoded classification problems.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from vtask.errors import CapacityError
 from vtask.search import SearchSpec, census
 
 
@@ -34,6 +36,7 @@ SWEEP = [
     SweepPoint(3, 2),
     SweepPoint(3, 3),
     SweepPoint(3, 4),
+    SweepPoint(3, 5),
     SweepPoint(4, 3),
     SweepPoint(4, 4),
 ]
@@ -51,7 +54,7 @@ def main() -> int:
     if not 1 <= args.workers <= cpus:
         parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
 
-    header = f"{'states':>6} {'vocab':>5} {'valid':>12} {'solvable':>9} {'unsolvable':>12} {'share':>7} {'secs':>6}"
+    header = f"{'states':>6} {'vocab':>5} {'valid':>15} {'solvable':>10} {'unsolvable':>15} {'share':>7} {'secs':>6}"
     print(header)
     print("-" * len(header))
     for point in SWEEP:
@@ -61,13 +64,17 @@ def main() -> int:
             require_classification_shaped=args.classification,
             dedup=args.dedup,
         )
-        report = census(spec, workers=args.workers)
+        try:
+            report = census(spec, workers=args.workers)
+        except CapacityError as err:
+            print(f"{point.n_states:>6} {point.vocab_size:>5} capped: {err.cap_name}={err.cap_value}")
+            continue
         share = (
             report.tasks_solvable / report.tasks_valid if report.tasks_valid else 0.0
         )
         print(
-            f"{point.n_states:>6} {point.vocab_size:>5} {report.tasks_valid:>12} "
-            f"{report.tasks_solvable:>9} {report.tasks_unsolvable:>12} "
+            f"{point.n_states:>6} {point.vocab_size:>5} {report.tasks_valid:>15} "
+            f"{report.tasks_solvable:>10} {report.tasks_unsolvable:>15} "
             f"{share:>7.4f} {report.elapsed_seconds:>6.2f}"
         )
     return 0

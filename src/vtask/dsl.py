@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Language, Program, StateSpace, Statement, Vocabulary, build_language
 from .encoder import ClassificationSpec, encode_classification
@@ -506,44 +506,89 @@ def render_statement(
 ) -> str:
     """"{f1 f3}" with names, "{01111 11011}" without; "{}" for the empty
     statement."""
-    return "{" + " ".join(_statement_names(statement, vocabulary, names)) + "}"
+    return _braced(_statement_namer(vocabulary, names)(statement))
 
 
-def _statement_names(
-    statement: Statement, vocabulary: Vocabulary, names: Sequence[str] | None
-) -> list[str]:
-    if names is not None:
-        return sorted(names[i] for i in statement.indices())
-    return [vocabulary.programs[i].to_bitstring() for i in statement.indices()]
+def _statement_namer(
+    vocabulary: Vocabulary, names: Sequence[str] | None
+) -> Callable[[Statement], list[str]]:
+    """Renders a statement as its members' names in sorted order, or
+    without names as their bitstrings in index order. The member order
+    and the bitstrings are fixed once per vocabulary, not per statement."""
+    if names is None:
+        labels = [p.to_bitstring() for p in vocabulary.programs]
+        order = range(len(labels))
+    else:
+        labels = list(names)
+        order = sorted(range(len(vocabulary)), key=labels.__getitem__)
+    pairs = [(1 << i, labels[i]) for i in order]
+    return lambda statement: [label for bit, label in pairs if statement.members & bit]
 
 
-def _render_policy(
-    policy: Policy | SetPolicy, vocabulary: Vocabulary, names: Sequence[str] | None
-) -> str:
+def _braced(names: list[str]) -> str:
+    return "{" + " ".join(names) + "}"
+
+
+def _render_policy(policy: Policy | SetPolicy, names_of: Callable[[Statement], list[str]]) -> str:
     if isinstance(policy, Policy):
-        return render_statement(policy.statement, vocabulary, names)
-    inner = " ".join(
-        render_statement(s, vocabulary, names) for s in policy.sorted_statements()
-    )
-    return "[" + inner + "]"
+        return _braced(names_of(policy.statement))
+    return "[" + " ".join(_braced(names_of(s)) for s in policy.sorted_statements()) + "]"
 
 
-def _policy_names(
-    policy: Policy | SetPolicy, vocabulary: Vocabulary, names: Sequence[str] | None
-):
+def _policy_names(policy: Policy | SetPolicy, names_of: Callable[[Statement], list[str]]):
     if isinstance(policy, Policy):
-        return _statement_names(policy.statement, vocabulary, names)
-    return [
-        _statement_names(s, vocabulary, names) for s in policy.sorted_statements()
-    ]
+        return names_of(policy.statement)
+    return [names_of(s) for s in policy.sorted_statements()]
 
 
 def _to_bytes(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _json_bytes(tree) -> bytes:
-    return (json.dumps(tree, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(tree, sort_keys=True, indent=2)`` plus a
+    newline, for trees of dicts with string keys, lists, tuples, strings,
+    ints, floats, bools and None. ``indent`` sends ``json.dumps`` to its
+    pure-Python encoder; this writer joins a list of strings in one call."""
+    out: list[str] = []
+    _write_json(tree, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None or isinstance(value, bool):
+        out.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(json.dumps(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = newline + "  "
+        if isinstance(value, dict):
+            separator = "{" + inner
+            for key, item in sorted(value.items()):
+                out.append(separator + _json_string(key) + ": ")
+                _write_json(item, inner, out)
+                separator = "," + inner
+            out.append(newline + "}")
+        elif all(isinstance(item, str) for item in value):
+            out.append("[" + inner + ("," + inner).join(map(_json_string, value)) + newline + "]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                out.append(separator)
+                _write_json(item, inner, out)
+                separator = "," + inner
+            out.append(newline + "]")
 
 
 def serialize_report(
@@ -571,37 +616,37 @@ def serialize_report(
 
 def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
-    vocab = task.language.vocabulary
+    names_of = _statement_namer(task.language.vocabulary, names)
     lines = [
-        "inputs: " + " ".join(render_statement(s, vocab, names) for s in task.sorted_inputs()),
-        "outputs: " + " ".join(render_statement(s, vocab, names) for s in task.sorted_outputs()),
+        "inputs: " + " ".join(_braced(names_of(s)) for s in task.sorted_inputs()),
+        "outputs: " + " ".join(_braced(names_of(s)) for s in task.sorted_outputs()),
         f"language: {len(task.language)} statements",
         f"mode: {report.mode}",
         f"checked: {report.checked}",
         f"correct policies: {len(report.correct)}",
     ]
     for policy in report.correct:
-        lines.append("  " + _render_policy(policy, vocab, names))
+        lines.append("  " + _render_policy(policy, names_of))
     if report.per_policy_selection_counts:
         lines.append("selection counts:")
         for policy, count in report.per_policy_selection_counts.items():
-            lines.append(f"  {_render_policy(policy, vocab, names)}: {count}")
+            lines.append(f"  {_render_policy(policy, names_of)}: {count}")
     return _to_bytes(lines)
 
 
 def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
-    vocab = task.language.vocabulary
+    names_of = _statement_namer(task.language.vocabulary, names)
     tree = {
-        "inputs": [_statement_names(s, vocab, names) for s in task.sorted_inputs()],
-        "outputs": [_statement_names(s, vocab, names) for s in task.sorted_outputs()],
+        "inputs": [names_of(s) for s in task.sorted_inputs()],
+        "outputs": [names_of(s) for s in task.sorted_outputs()],
         "language_size": len(task.language),
         "mode": report.mode,
         "checked": report.checked,
         "correct_count": len(report.correct),
-        "correct": [_policy_names(p, vocab, names) for p in report.correct],
+        "correct": [_policy_names(p, names_of) for p in report.correct],
         "selection_counts": [
-            {"policy": _policy_names(p, vocab, names), "selected": count}
+            {"policy": _policy_names(p, names_of), "selected": count}
             for p, count in report.per_policy_selection_counts.items()
         ],
     }
@@ -689,9 +734,10 @@ def _census_structured(report: CensusReport) -> bytes:
 
 def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = "text") -> bytes:
     vocab = lang.vocabulary
+    names_of = _statement_namer(vocab, names)
     if mode == "text":
         lines = [f"language: {len(lang)} statements over {len(vocab)} programs"]
-        lines += [render_statement(s, vocab, names) for s in lang]
+        lines += [_braced(names_of(s)) for s in lang]
         return _to_bytes(lines)
     if mode == "structured":
         programs: dict[str, str] = {}
@@ -701,7 +747,7 @@ def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = 
         tree = {
             "count": len(lang),
             "programs": programs,
-            "statements": [_statement_names(s, vocab, names) for s in lang],
+            "statements": [names_of(s) for s in lang],
         }
         return _json_bytes(tree)
     raise ValueError(f"unknown serialization mode {mode!r}")
@@ -721,27 +767,23 @@ def serialize_check(
     report: PolicyCheckReport, mode: str = "text", names: Sequence[str] | None = None
 ) -> bytes:
     task = report.task
-    vocab = task.language.vocabulary
+    names_of = _statement_namer(task.language.vocabulary, names)
     if mode == "text":
         lines = [
-            "policy: " + _render_policy(report.policy, vocab, names),
+            "policy: " + _render_policy(report.policy, names_of),
             f"selected {len(report.selected)} statements "
             "(the inputs' extension filtered by the policy):",
         ]
-        lines += ["  " + render_statement(s, vocab, names) for s in report.selected]
+        lines += ["  " + _braced(names_of(s)) for s in report.selected]
         lines.append(f"outputs ({len(task.outputs)}):")
-        lines += [
-            "  " + render_statement(s, vocab, names) for s in task.sorted_outputs()
-        ]
+        lines += ["  " + _braced(names_of(s)) for s in task.sorted_outputs()]
         lines.append("verdict: " + ("CORRECT" if report.correct else "INCORRECT"))
         return _to_bytes(lines)
     if mode == "structured":
         tree = {
-            "policy": _policy_names(report.policy, vocab, names),
-            "selected": [_statement_names(s, vocab, names) for s in report.selected],
-            "outputs": [
-                _statement_names(s, vocab, names) for s in task.sorted_outputs()
-            ],
+            "policy": _policy_names(report.policy, names_of),
+            "selected": [names_of(s) for s in report.selected],
+            "outputs": [names_of(s) for s in task.sorted_outputs()],
             "correct": report.correct,
         }
         return _json_bytes(tree)

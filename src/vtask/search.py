@@ -21,7 +21,18 @@ input i, holding the statements i ∪ {p} for each program p outside the
 inputs' feature union. So there are Π(2^|C_i| − 1) − [∪C_i = E_I] valid
 outputs, and the solvable ones are the distinct selections
 ``E_policy ∩ E_I`` that are valid outputs. Only exemplars walk the
-stream, and only until the limit is reached.
+stream, and only until the limit is reached: the E_I table grows as the
+walk draws it.
+
+Without a filter the per-input work collapses again. E_I is the up-set
+U = up(I), and the inputs with up(I) = U are the sets between min U and
+U, 2^(|U| − |min U|) of them (one fewer when U is the whole language,
+which is no input). So the unfiltered census (and ``--dedup``) counts
+once per up-set of the language, 168 for the 16-statement language
+against 65,536 input masks, and admits languages of up to 32 statements,
+every language of five programs. The shape filter gives each input its
+own blocks, so the shaped census still walks every input mask, and its
+cap stays at 16 statements.
 
 A language's census depends only on its statement masks, and most
 vocabularies share their language with an earlier one (5/3 has 4,960
@@ -64,6 +75,7 @@ from .tasks import Task, validate_task
 CENSUS_MAX_STATES = 10
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
+CENSUS_UPSET_CAP = 32
 CANON_MAX_PROGRAMS = 8
 
 
@@ -193,26 +205,59 @@ def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
         yield Vocabulary(combo, space)
 
 
-def _input_extensions(lang: Language) -> array:
-    """The input-extension table: entry ``i_mask`` is the mask of E_I, the
-    statements that extend some input of ``i_mask``, over language indices.
-    It covers every input mask but the whole language; entry 0 is empty.
-    The language cap keeps every mask within the table's 16-bit entries."""
+def _language_cap(lang: Language, cap: int, cap_name: str, why: str) -> None:
+    """Raise a :class:`CapacityError` when the language exceeds ``cap``
+    statements."""
     m = len(lang)
-    if m > CENSUS_LANGUAGE_CAP:
+    if m > cap:
         raise CapacityError(
-            f"language of {m} statements exceeds the "
-            f"{CENSUS_LANGUAGE_CAP}-statement census cap (input enumeration "
-            "is 2^|language|); reduce n_states or vocab_size",
-            cap_name="census_language_cap",
-            cap_value=CENSUS_LANGUAGE_CAP,
+            f"language of {m} statements exceeds the {cap}-statement census "
+            f"cap ({why}); reduce n_states or vocab_size",
+            cap_name=cap_name,
+            cap_value=cap,
         )
-    # the input masks whose highest statement is j: each lower mask plus j
-    table = array("H", [0])
-    for ext in lang.extension_masks():
-        table.extend(array("H", (ei | ext for ei in table)))
-    table.pop()
-    return table
+
+
+def _input_extensions(lang: Language) -> Iterator[int]:
+    """The input-extension walk: for each input mask ``i_mask`` in ascending
+    order but the whole language, the mask of E_I, the statements that
+    extend some input of ``i_mask``, over language indices. Entry 0 is
+    empty. The input masks whose highest statement is j are each lower
+    mask plus j, so the table doubles per statement; it grows only as far
+    as the walk is drawn. Its 64-bit entries hold every language that the
+    census caps admit."""
+    ext = lang.extension_masks()
+    table = array("Q", [0])
+    yield 0
+    for j, e in enumerate(ext):
+        if j == len(ext) - 1:
+            # the whole language is not an input
+            for i in range(len(table) - 1):
+                yield table[i] | e
+            return
+        for i in range(len(table)):
+            ei = table[i] | e
+            table.append(ei)
+            yield ei
+
+
+def _up_sets(ext: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every up-set U of a language's statements under inclusion, with the
+    mask of its non-minimal members, given each statement's extension mask.
+    Statements are decided largest first, since extensions only ever hold
+    larger indices, and one may join U only when all of its strict
+    extensions are in U already."""
+    strict = [e & ~(1 << j) for j, e in enumerate(ext)]
+    stack = [(len(strict), 0, 0)]
+    while stack:
+        j, up, covered = stack.pop()
+        if not j:
+            yield up, covered
+            continue
+        j -= 1
+        stack.append((j, up, covered))
+        if not strict[j] & ~up:
+            stack.append((j, up | 1 << j, covered | strict[j]))
 
 
 def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int) -> list[int]:
@@ -261,6 +306,17 @@ def enumerate_task_masks(
     """The language's task stream: (input mask, output mask,
     input-extension mask) triples over language indices, one per valid
     task, in census order. Applies the spec's task filter when given."""
+    _language_cap(
+        lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
+        "the stream walks 2^|language| input sets",
+    )
+    return _task_masks(lang, spec)
+
+
+def _task_masks(
+    lang: Language, spec: SearchSpec | None
+) -> Iterator[tuple[int, int, int]]:
+    """:func:`enumerate_task_masks` without its cap, for walks that stop early."""
     members = tuple(s.members for s in lang.statements)
     shaped = spec is not None and spec.require_classification_shaped
     for i_mask, ei in enumerate(_input_extensions(lang)):
@@ -341,14 +397,9 @@ def _census_partition(
         lang = None
         if key not in memo:
             lang = build_language(vocab)
-            # the first triples no selection E_p ∩ E_I matches; ``missing``
-            # never grows, so they cover every later vocabulary with this language
-            ext = lang.extension_masks()
-            unsolvable = (
-                (i_mask, o_mask, ei) for i_mask, o_mask, ei in enumerate_task_masks(lang, spec)
-                if all(e & ei != o_mask for e in ext)
-            )
-            memo[key] = _census_language(spec, lang), list(itertools.islice(unsolvable, missing))
+            # ``missing`` never grows, so these triples cover every later
+            # vocabulary with this language
+            memo[key] = _census_language(spec, lang), _unsolvable_triples(lang, spec, missing)
         (enumerated, valid, solvable), triples = memo[key]
         totals.enumerated += enumerated
         totals.valid += valid
@@ -361,12 +412,59 @@ def _census_partition(
     return totals, exemplars
 
 
+def _unsolvable_triples(
+    lang: Language, spec: SearchSpec, limit: int
+) -> list[tuple[int, int, int]]:
+    """The first ``limit`` triples of the language's task stream that no
+    selection E_p ∩ E_I matches. The stream is drawn lazily, so the walk
+    stops when the limit fills, however large the language."""
+    ext = lang.extension_masks()
+    unsolvable = (
+        (i_mask, o_mask, ei) for i_mask, o_mask, ei in _task_masks(lang, spec)
+        if all(e & ei != o_mask for e in ext)
+    )
+    return list(itertools.islice(unsolvable, limit))
+
+
 def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
     """Census of one language: its enumerated, valid and solvable task
-    counts, from the per-input formulas alone."""
+    counts, from closed-form counts per up-set of its statements (per
+    input set under the shape filter). No output set is walked."""
+    if spec.require_classification_shaped:
+        return _census_shaped(lang)
+    _language_cap(
+        lang, CENSUS_UPSET_CAP, "census_upset_cap",
+        "the count walks the language's up-sets, whose number grows "
+        "doubly exponentially with the programs",
+    )
+    # E_I depends only on U = up(I), and the inputs with up(I) = U are the
+    # sets between min U and U; I = L is not an input
+    ext = lang.extension_masks()
+    full = (1 << len(ext)) - 1
+    enumerated = solvable = 0
+    for up, covered in _up_sets(ext):
+        size = up.bit_count()
+        if size < 2:
+            continue
+        inputs = (1 << covered.bit_count()) - (up == full)
+        enumerated += inputs * ((1 << size) - 2)
+        selections = {e & up for e in ext}
+        selections.discard(0)
+        selections.discard(up)
+        solvable += inputs * len(selections)
+    return enumerated, enumerated, solvable
+
+
+def _census_shaped(lang: Language) -> tuple[int, int, int]:
+    """:func:`_census_language` under the classification-shape filter. Each
+    input has its own output blocks, so this walks every input mask."""
+    _language_cap(
+        lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
+        "the shape filter still walks 2^|language| input sets, because each "
+        "input has its own output blocks",
+    )
     ext = lang.extension_masks()
     members = tuple(s.members for s in lang.statements)
-    shaped = spec.require_classification_shaped
     enumerated = valid_total = solvable = 0
     # entry 0 (no inputs) has no outputs and falls through to the next mask
     for i_mask, ei in enumerate(_input_extensions(lang)):
@@ -376,7 +474,7 @@ def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
         enumerated += n_outputs
         # the blocks are disjoint: an output extending two inputs would
         # make each input a subset of the other
-        blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
+        blocks = _output_blocks(members, i_mask, ei)
         union = 0
         valid = 1
         for block in blocks:
@@ -386,17 +484,12 @@ def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
         if not valid:
             continue
         valid_total += valid
-        selections = set()
-        for e in ext:
-            selections.add(e & ei)
+        selections = {e & ei for e in ext}
         selections.discard(0)
         selections.discard(ei)
-        if shaped:
-            selections = {
-                sel for sel in selections
-                if not sel & ~union and all(sel & block for block in blocks)
-            }
-        solvable += len(selections)
+        solvable += sum(
+            1 for sel in selections if not sel & ~union and all(sel & block for block in blocks)
+        )
     return enumerated, valid_total, solvable
 
 

@@ -209,6 +209,16 @@ def test_census_cli_capacity():
     assert result.returncode == 3
 
 
+def test_shaped_five_program_census_exits_at_its_cap():
+    result = run_cli(
+        "census", "--n-states", "3", "--vocab-size", "5", "--classification-shaped"
+    )
+    assert result.returncode == 3
+    assert b"16-statement census cap" in result.stderr
+    assert b"the shape filter still walks" in result.stderr
+    assert b"Traceback" not in result.stderr
+
+
 def test_encode_colored_box_round_trips(ref_task):
     result = run_cli("encode", BOX)
     assert result.returncode == 0

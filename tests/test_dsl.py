@@ -262,6 +262,45 @@ def test_serialize_unknown_mode_rejected(ref_task):
         serialize_report(object())  # type: ignore[arg-type]
 
 
+_JSON_CHARS = "ab Z09\"\\/\n\t\x00\x1f\x7fé€\u2028\U0001f600"
+
+
+def _random_json_string(rng):
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(5)))
+
+
+def _random_json_tree(rng, depth):
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randint(-(10**30), 10**30)
+    if kind == 2:
+        return rng.choice(
+            [0.0, -0.0, 1.5, 1e300, 1e-7, float("inf"), float("-inf"), float("nan"), rng.uniform(-1e6, 1e6)]
+        )
+    if kind in (3, 4):
+        return _random_json_string(rng)
+    if kind == 5:
+        return [_random_json_string(rng) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return tuple(_random_json_tree(rng, depth - 1) for _ in range(rng.randrange(4)))
+    if kind == 7:
+        return [_random_json_tree(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return {
+        _random_json_string(rng): _random_json_tree(rng, depth - 1)
+        for _ in range(rng.randrange(4))
+    }
+
+
+def test_json_writer_matches_json_dumps_on_random_trees():
+    rng = random.Random(10)
+    for _ in range(2000):
+        tree = _random_json_tree(rng, rng.randrange(5))
+        expected = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        assert dsl._json_bytes(tree) == expected.encode("utf-8")
+
+
 def test_render_statement_name_and_bitstring_forms(ref_task, ref_index):
     vocab = ref_task.language.vocabulary
     s = Statement.from_indices([ref_index["f1"], ref_index["f3"]])

@@ -3,9 +3,10 @@ import itertools
 import pickle
 import random
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vtask import search
 from vtask.core import (
@@ -30,7 +31,7 @@ from vtask.search import (
     permute_task,
     task_from_canonical,
 )
-from vtask.tasks import find_correct_policies, validate_task
+from vtask.tasks import Task, find_correct_policies, validate_task
 from vtask.verify import reference_task
 
 from conftest import random_task
@@ -402,6 +403,133 @@ def test_full_census_4_4_pinned():
         681_127_310_008,
         299_767_983,
     )
+
+
+def test_full_census_4_5_pinned():
+    # five-program languages have up to 32 statements: past the input walk's
+    # 16-statement cap, within the up-set count's 32
+    report = census(SearchSpec(n_states=4, vocab_size=5))
+    assert not report.truncated
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
+        4_368,
+        2_260_208_443_042_467_713_644,
+        30_331_760_665_925,
+    )
+    assert report.tasks_enumerated == report.tasks_valid
+
+
+def _input_mask_census(lang):
+    """The unfiltered census of one language, summed over its
+    input-extension table: one term per input mask."""
+    ext = lang.extension_masks()
+    enumerated = solvable = 0
+    for ei in search._input_extensions(lang):
+        if ei.bit_count() < 2:
+            continue
+        enumerated += (1 << ei.bit_count()) - 2
+        solvable += len({e & ei for e in ext} - {0, ei})
+    return enumerated, enumerated, solvable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_up_set_census_matches_input_mask_oracle(n_states, data):
+    values = data.draw(
+        st.lists(st.integers(0, (1 << n_states) - 1), max_size=5, unique=True)
+    )
+    vocab = Vocabulary.build((Program(v, n_states) for v in values), StateSpace(n_states))
+    lang = build_language(vocab)
+    assume(len(lang) <= 16)
+    spec = SearchSpec(n_states, len(values))
+    assert search._census_language(spec, lang) == _input_mask_census(lang)
+
+
+def test_up_set_census_matches_input_mask_oracle_up_to_4_4():
+    languages = {}
+    for n_states, vocab_size in itertools.product(range(1, 5), range(5)):
+        for vocab in enumerate_vocabularies(SearchSpec(n_states, vocab_size)):
+            languages.setdefault(statement_masks(vocab), vocab)
+    assert len(languages) == 104
+    for vocab in languages.values():
+        lang = build_language(vocab)
+        spec = SearchSpec(vocab.space.n_states, len(vocab))
+        assert search._census_language(spec, lang) == _input_mask_census(lang)
+
+
+def _five_program_vocabulary(n_statements):
+    """Five programs over four states with a language of ``n_statements``:
+    24, where states 0 and 1 each hold four programs, or 32, where state 0
+    holds all five."""
+    bits = [0b0111, 0b1011, 0b0011, 0b0001, 0b0010]
+    if n_statements == 32:
+        bits[-1] = 0b0001 | 0b1100
+    vocab = Vocabulary.build([Program(b, 4) for b in bits], StateSpace(4))
+    assert len(build_language(vocab)) == n_statements
+    return vocab
+
+
+def test_input_extensions_grow_only_as_drawn():
+    lang = build_language(_five_program_vocabulary(24))
+    ext = lang.extension_masks()
+    tracemalloc.start()
+    try:
+        prefix = list(itertools.islice(search._input_extensions(lang), 4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole table would hold 2^24 entries
+    assert peak < 1 << 20
+    for i_mask, ei in enumerate(prefix):
+        expected = 0
+        for j in range(i_mask.bit_length()):
+            if i_mask >> j & 1:
+                expected |= ext[j]
+        assert ei == expected
+
+
+def test_input_extensions_end_before_the_whole_language():
+    lang = build_language(Vocabulary.build([Program(0b01, 2), Program(0b11, 2)], StateSpace(2)))
+    table = list(search._input_extensions(lang))
+    assert len(table) == (1 << len(lang)) - 1
+    assert table[0] == 0
+
+
+def test_exemplar_walk_past_the_input_walk_cap_stops_when_filled(monkeypatch):
+    drawn = 0
+    original = search._input_extensions
+
+    def counted(lang):
+        nonlocal drawn
+        for ei in original(lang):
+            drawn += 1
+            yield ei
+
+    monkeypatch.setattr(search, "_input_extensions", counted)
+    lang = build_language(_five_program_vocabulary(32))
+    spec = SearchSpec(n_states=4, vocab_size=5)
+    triples = search._unsolvable_triples(lang, spec, 5)
+    # the inputs {} (mask 1) alone have 2^32 - 2 outputs
+    assert drawn == 2
+    assert [i_mask for i_mask, _, _ in triples] == [1] * 5
+    for i_mask, o_mask, ei in triples:
+        assert find_correct_policies(Task(lang, i_mask, o_mask, ei)).correct == ()
+    drawn = 0
+    assert search._unsolvable_triples(lang, spec, 0) == []
+    assert drawn == 0
+
+
+def test_census_cap_errors_name_their_caps(monkeypatch):
+    with pytest.raises(CapacityError) as info:
+        census(SearchSpec(n_states=3, vocab_size=5, require_classification_shaped=True))
+    assert (info.value.cap_name, info.value.cap_value) == ("census_language_cap", 16)
+    assert "16-statement" in str(info.value)
+    assert "the shape filter still walks" in str(info.value)
+    monkeypatch.setattr(search, "CENSUS_UPSET_CAP", 4)
+    with pytest.raises(CapacityError) as info:
+        census(SearchSpec(n_states=3, vocab_size=3))
+    assert (info.value.cap_name, info.value.cap_value) == ("census_upset_cap", 4)
+    assert "4-statement census cap" in str(info.value)
+    assert "up-sets" in str(info.value)
 
 
 def test_census_vocab_size_zero_is_empty():
