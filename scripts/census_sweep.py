@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Sweep small censuses and tabulate how rare solvable tasks are.
 
-Edit SWEEP to taste; every run is a full enumeration (no sampling), so
-keep the dimensions desk-scale. A point that hits an engineering cap
+Edit SWEEP to taste; every run is exact (no sampling). Up to five
+programs the totals are a sum over classes of languages, so even 10/5
+takes seconds; --dedup still walks every vocabulary, so it skips points
+with more than WALK_LIMIT of them. A point that hits an engineering cap
 prints a row naming the cap. With --classification the census is
 restricted to tasks shaped like encoded classification problems.
 """
@@ -10,6 +12,7 @@ restricted to tasks shaped like encoded classification problems.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -39,7 +42,14 @@ SWEEP = [
     SweepPoint(3, 5),
     SweepPoint(4, 3),
     SweepPoint(4, 4),
+    SweepPoint(6, 4),
+    SweepPoint(4, 5),
+    SweepPoint(5, 5),
+    SweepPoint(10, 4),
+    SweepPoint(10, 5),
 ]
+# vocabularies a --dedup point may walk
+WALK_LIMIT = 10**6
 
 
 def main() -> int:
@@ -54,10 +64,20 @@ def main() -> int:
     if not 1 <= args.workers <= cpus:
         parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
 
-    header = f"{'states':>6} {'vocab':>5} {'valid':>15} {'solvable':>10} {'unsolvable':>15} {'share':>7} {'secs':>6}"
+    header = (
+        f"{'states':>6} {'vocab':>5} {'valid':>32} {'solvable':>24} "
+        f"{'unsolvable':>32} {'share':>7} {'secs':>6}"
+    )
     print(header)
     print("-" * len(header))
     for point in SWEEP:
+        vocabularies = math.comb(1 << point.n_states, point.vocab_size)
+        if args.dedup and vocabularies > WALK_LIMIT:
+            print(
+                f"{point.n_states:>6} {point.vocab_size:>5} "
+                f"skipped: dedup walks {vocabularies} vocabularies"
+            )
+            continue
         spec = SearchSpec(
             n_states=point.n_states,
             vocab_size=point.vocab_size,
@@ -73,8 +93,8 @@ def main() -> int:
             report.tasks_solvable / report.tasks_valid if report.tasks_valid else 0.0
         )
         print(
-            f"{point.n_states:>6} {point.vocab_size:>5} {report.tasks_valid:>15} "
-            f"{report.tasks_solvable:>10} {report.tasks_unsolvable:>15} "
+            f"{point.n_states:>6} {point.vocab_size:>5} {report.tasks_valid:>32} "
+            f"{report.tasks_solvable:>24} {report.tasks_unsolvable:>32} "
             f"{share:>7.4f} {report.elapsed_seconds:>6.2f}"
         )
     return 0

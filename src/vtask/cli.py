@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes, at most the number of CPUs",
+        help="worker processes for the runs that walk every vocabulary "
+        "(--dedup, --max-tasks, --time-budget, six programs), at most the "
+        "number of CPUs; other runs sum over classes of languages in one process",
     )
     p_census.add_argument(
         "--exemplars",

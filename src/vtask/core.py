@@ -304,20 +304,16 @@ def statement_masks(vocab: Vocabulary) -> tuple[int, ...]:
     """The member masks of every admissible subset of the vocabulary, in
     canonical (``statement_key``) order: the statements of its language.
 
-    Walks all 2^len(vocab) subsets with an incremental-intersection table,
-    so each subset costs one AND. The vocabulary cap bounds the walk.
+    Walks all 2^len(vocab) subsets with an incremental-intersection table
+    that doubles per program, so each subset costs one AND. The vocabulary
+    cap bounds the walk.
     """
-    k = len(vocab)
-    inter = [vocab.space.full_mask] * (1 << k)
-    kept: list[int] = [0]
-    program_bits = vocab.bits
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        value = inter[mask ^ low] & program_bits[low.bit_length() - 1]
-        inter[mask] = value
-        if value:
-            kept.append(mask)
-    kept.sort(key=lambda m: (m.bit_count(), m))
+    inter = [vocab.space.full_mask]
+    for bits in vocab.bits:
+        inter += [value & bits for value in inter]
+    kept = [mask for mask, value in enumerate(inter) if value]
+    # a stable sort of ascending masks by member count orders them by key
+    kept.sort(key=int.bit_count)
     return tuple(kept)
 
 

@@ -2,7 +2,7 @@
 which tasks admit correct policies.
 
 The task space is doubly exponential (subsets of a language of subsets),
-so everything here is capped and the caps fail loudly. The census walks
+so everything here is capped and the caps fail loudly. A census covers
 every vocabulary of a given size, every nonempty proper subset of each
 language as inputs, and every nonempty proper subset of the input
 extension as outputs, in a fixed order:
@@ -32,18 +32,32 @@ once per up-set of the language, 168 for the 16-statement language
 against 65,536 input masks, and admits languages of up to 32 statements,
 every language of five programs. The shape filter gives each input its
 own blocks, so the shaped census still walks every input mask, and its
-cap stays at 16 statements.
+cap stays at 16 statements. It skips at once the inputs whose features
+cover every program, which leave every block empty; in the
+16-statement language that is most of them.
 
-A language's census depends only on its statement masks, and most
-vocabularies share their language with an earlier one (5/3 has 4,960
-vocabularies and 11 distinct languages). So each partition keys its memo
-by the statement masks (:func:`vtask.core.statement_masks`), counts each
-distinct language once and keeps its exemplar triples with the counts.
-A ``Language`` is built only when it is used: to count a language the
-memo has not seen, or to build exemplar tasks over the vocabulary being
-counted.
+A language's census depends only on its statement masks, and it is the
+same for every relabeling of the programs. A language over k programs is
+a simplicial complex on the k program positions, so an untruncated census
+of at most five programs without dedup is a weighted sum over the classes
+of complexes under relabeling (:mod:`vtask.complexes`): each class with
+nonzero weight is censused once, over a ``Language`` built from a
+realization of the class, and ``vocabularies`` is C(2^n, k). No vocabulary
+is walked for the totals, so full 10/5 (9.3·10^12 vocabularies, 200
+classes) takes seconds.
 
-Partitions are vocabulary residue classes, so census totals are
+Exemplars still come from the vocabulary walk in census order. It keys
+each language by its statement masks (:func:`vtask.core.statement_masks`),
+draws each distinct language's unsolvable triples once, and stops as soon
+as it holds the ``exemplar_limit`` first unsolvable tasks, or all of them
+when there are fewer. So ``exemplar_limit=0`` walks nothing.
+
+Three kinds of run still count by walking every vocabulary: ``--dedup``
+(it counts orbits of vocabularies), truncated runs (``max_tasks`` and
+``time_budget`` stop before the next vocabulary) and six-program runs
+(about 7.8·10^6 labeled complexes, too many to list). The walk keys a
+memo by statement masks too, so it counts each distinct language once
+per partition. Partitions are vocabulary residue classes, so its totals are
 independent of worker count; merge is associative. The time budget and
 the task limit are checked before each vocabulary, so a truncated report
 counts whole languages (with one worker, those of the first
@@ -55,11 +69,13 @@ partitioning; only untruncated reports are byte-stable.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .complexes import COMPLEX_MAX_VERTICES, class_weights
 from .core import (
     Language,
     Program,
@@ -248,16 +264,16 @@ def _up_sets(ext: Sequence[int]) -> Iterator[tuple[int, int]]:
     larger indices, and one may join U only when all of its strict
     extensions are in U already."""
     strict = [e & ~(1 << j) for j, e in enumerate(ext)]
+    # each entry leaves out every statement below j that it does not push
+    # an inclusion for, so it yields one up-set
     stack = [(len(strict), 0, 0)]
     while stack:
         j, up, covered = stack.pop()
-        if not j:
-            yield up, covered
-            continue
-        j -= 1
-        stack.append((j, up, covered))
-        if not strict[j] & ~up:
-            stack.append((j, up | 1 << j, covered | strict[j]))
+        while j:
+            j -= 1
+            if not strict[j] & ~up:
+                stack.append((j, up | 1 << j, covered | strict[j]))
+        yield up, covered
 
 
 def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int) -> list[int]:
@@ -457,7 +473,9 @@ def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
 
 def _census_shaped(lang: Language) -> tuple[int, int, int]:
     """:func:`_census_language` under the classification-shape filter. Each
-    input has its own output blocks, so this walks every input mask."""
+    input has its own output blocks, so this walks every input mask, but
+    it builds the blocks only for inputs with a program outside their
+    feature union."""
     _language_cap(
         lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
         "the shape filter still walks 2^|language| input sets, because each "
@@ -465,13 +483,25 @@ def _census_shaped(lang: Language) -> tuple[int, int, int]:
     )
     ext = lang.extension_masks()
     members = tuple(s.members for s in lang.statements)
+    programs = 0
+    for m in members:
+        programs |= m
+    # the inputs' feature union for each input mask so far: the union for
+    # the mask less its top statement, plus that statement
+    unions = array("Q", [0])
     enumerated = valid_total = solvable = 0
     # entry 0 (no inputs) has no outputs and falls through to the next mask
     for i_mask, ei in enumerate(_input_extensions(lang)):
+        if i_mask:
+            top = i_mask.bit_length() - 1
+            unions.append(unions[i_mask ^ 1 << top] | members[top])
         n_outputs = (1 << ei.bit_count()) - 2
         if n_outputs <= 0:
             continue
         enumerated += n_outputs
+        if unions[i_mask] == programs:
+            # no program lies outside the inputs, so every block is empty
+            continue
         # the blocks are disjoint: an output extending two inputs would
         # make each input a subset of the other
         blocks = _output_blocks(members, i_mask, ei)
@@ -493,18 +523,72 @@ def _census_shaped(lang: Language) -> tuple[int, int, int]:
     return enumerated, valid_total, solvable
 
 
-def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
-    """Run the census, optionally partitioned across worker processes.
+def _walks_vocabularies(spec: SearchSpec) -> bool:
+    """True for the runs that the class sum does not serve: ``--dedup``
+    counts orbits, a truncated run stops before the next vocabulary, and
+    six programs have too many complexes to list."""
+    return (
+        spec.dedup
+        or spec.max_tasks is not None
+        or spec.time_budget is not None
+        or spec.vocab_size > COMPLEX_MAX_VERTICES
+    )
 
-    Totals and exemplars of an untruncated run are identical for any
-    worker count.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    # the monotonic clock is system-wide (CLOCK_MONOTONIC on Linux), so
-    # worker processes compare their readings with this same deadline
-    start = time.monotonic()
-    deadline = start + spec.time_budget if spec.time_budget is not None else None
+
+def _census_classes(spec: SearchSpec) -> _Partial:
+    """Untruncated totals as a sum over the classes of complexes: each
+    class is censused once, over the language of its realization, and
+    weighed by the program tuples whose language lies in it; a
+    vocabulary is k! such tuples."""
+    totals = _Partial(vocabularies=math.comb(1 << spec.n_states, spec.vocab_size))
+    # largest first, so that a class over a census cap fails before any count
+    weighted = sorted(
+        class_weights(spec.n_states, spec.vocab_size), key=lambda cw: -cw[0].faces.bit_count()
+    )
+    for cls, weight in weighted:
+        enumerated, valid, solvable = _census_language(spec, build_language(cls.realization))
+        totals.enumerated += weight * enumerated
+        totals.valid += weight * valid
+        totals.solvable += weight * solvable
+    tuples_per_vocabulary = math.factorial(spec.vocab_size)
+    totals.enumerated //= tuples_per_vocabulary
+    totals.valid //= tuples_per_vocabulary
+    totals.solvable //= tuples_per_vocabulary
+    return totals
+
+
+def _exemplars(spec: SearchSpec, limit: int) -> list[Task]:
+    """The first ``limit`` unsolvable tasks in census order. The walk over
+    vocabularies stops as soon as it holds them, and draws each language's
+    triples once, keyed by its statement masks; a ``Language`` is built
+    only to draw them or to hold an exemplar."""
+    exemplars: list[Task] = []
+    if not limit:
+        return exemplars
+    memo: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for vocab in enumerate_vocabularies(spec):
+        missing = limit - len(exemplars)
+        key = statement_masks(vocab)
+        lang = None
+        if key not in memo:
+            lang = build_language(vocab)
+            # ``missing`` never grows, so these triples cover every later
+            # vocabulary with this language
+            memo[key] = _unsolvable_triples(lang, spec, missing)
+        triples = memo[key][:missing]
+        if triples and lang is None:
+            lang = build_language(vocab)
+        exemplars.extend(Task(lang, i_mask, o_mask, ei) for i_mask, o_mask, ei in triples)
+        if len(exemplars) == limit:
+            break
+    return exemplars
+
+
+def _census_walk(
+    spec: SearchSpec, workers: int, deadline: float | None
+) -> tuple[_Partial, list[Task]]:
+    """Totals and exemplars from the vocabulary walk, optionally
+    partitioned across worker processes."""
     if workers == 1:
         parts = [_census_partition(spec, 0, 1, deadline)]
     else:
@@ -528,6 +612,31 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
         totals.merge(partial)
         keyed_exemplars.extend(exemplars)
     keyed_exemplars.sort(key=lambda kv: kv[0])
+    return totals, [t for _, t in keyed_exemplars[: spec.exemplar_limit]]
+
+
+def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
+    """Run the census. An untruncated run of at most five programs
+    without dedup sums over the classes of complexes and walks
+    vocabularies only for its exemplars; ``workers`` serve the other
+    runs, which walk every vocabulary.
+
+    Totals and exemplars of an untruncated run are identical for any
+    worker count.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # the monotonic clock is system-wide (CLOCK_MONOTONIC on Linux), so
+    # worker processes compare their readings with this same deadline
+    start = time.monotonic()
+    if _walks_vocabularies(spec):
+        deadline = start + spec.time_budget if spec.time_budget is not None else None
+        totals, exemplars = _census_walk(spec, workers, deadline)
+    else:
+        totals = _census_classes(spec)
+        exemplars = _exemplars(
+            spec, min(spec.exemplar_limit, totals.valid - totals.solvable)
+        )
     elapsed = time.monotonic() - start
     return CensusReport(
         spec=spec,
@@ -536,7 +645,7 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
         tasks_valid=totals.valid,
         tasks_solvable=totals.solvable,
         tasks_unsolvable=totals.valid - totals.solvable,
-        exemplars=tuple(t for _, t in keyed_exemplars[: spec.exemplar_limit]),
+        exemplars=tuple(exemplars),
         truncated=totals.truncated,
         elapsed_seconds=elapsed,
     )

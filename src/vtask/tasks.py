@@ -13,8 +13,9 @@ what the counts mean.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Union
 
 from .core import (
@@ -218,10 +219,25 @@ def is_correct_set_policy(policy: SetPolicy, task: Task) -> bool:
     return set_selection(policy, task) == task.outputs
 
 
-def _set_policy_candidate_count(n_statements: int, cap: int | None) -> int:
-    if cap is None:
-        return 1 << n_statements
-    return sum(math.comb(n_statements, k) for k in range(min(cap, n_statements) + 1))
+@lru_cache(maxsize=1)
+def _largest_printable(digits: int) -> int | float:
+    """The largest int that ``str`` converts within ``digits`` decimal
+    digits; no bound when ``digits`` is 0, Python's setting for none."""
+    return 10**digits - 1 if digits else math.inf
+
+
+def _subset_count(n_items: int, cap: int | None, ceiling: int | float) -> int:
+    """The subsets of at most ``cap`` of ``n_items`` items (of any size
+    with ``cap=None``). The sum stops once it passes ``ceiling``, so a
+    count over the ceiling comes back as some number over it."""
+    if cap is None or cap >= n_items:
+        return 1 << n_items
+    total = 0
+    for size in range(cap + 1):
+        total += math.comb(n_items, size)
+        if total > ceiling:
+            break
+    return total
 
 
 def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearchResult:
@@ -241,17 +257,23 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
 
     ``checked`` counts the candidates by definition: the subsets of the
     language of at most ``cap`` statements (2^len(language) with
-    ``cap=None``). A count over ``SET_POLICY_CANDIDATE_CAP``, or more than
-    ``SET_POLICY_TABLE_BITS`` selection bits (statements times outputs),
-    raises a capacity error before any work.
+    ``cap=None``). Capacity errors come before the work they guard: more
+    than ``SET_POLICY_TABLE_BITS`` selection bits (statements times
+    outputs) before the superset-sum pass, more than
+    ``SET_POLICY_CANDIDATE_CAP`` subsets of the admissible statements
+    before they are built, and a ``checked`` count with more decimal digits
+    than Python converts to text (``sys.get_int_max_str_digits()``), which
+    no report could print.
     """
     lang = task.language
-    n_candidates = _set_policy_candidate_count(len(lang), cap)
-    if n_candidates > SET_POLICY_CANDIDATE_CAP:
+    digits = sys.get_int_max_str_digits()
+    printable = _largest_printable(digits)
+    n_candidates = _subset_count(len(lang), cap, printable)
+    if n_candidates > printable:
         raise CapacityError(
-            f"set-policy search over {n_candidates} candidate subsets exceeds "
-            f"the {SET_POLICY_CANDIDATE_CAP}-candidate cap; pass a smaller "
-            "subset-size cap",
+            f"set-policy search over {len(lang)} statements would report a "
+            f"candidate count of more than {digits} decimal digits, the most "
+            "Python converts to text; pass a smaller subset-size cap",
             cap_name="set_policy_candidates",
             cap_value=SET_POLICY_CANDIDATE_CAP,
         )
@@ -274,6 +296,14 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
         for i, s in enumerate(lang.statements)
         if selected[s.members] <= o_bits
     ]
+    if _subset_count(len(admissible), cap, SET_POLICY_CANDIDATE_CAP) > SET_POLICY_CANDIDATE_CAP:
+        raise CapacityError(
+            f"set-policy search over {len(admissible)} admissible statements "
+            f"would build more than {SET_POLICY_CANDIDATE_CAP} subsets of them; "
+            "pass a smaller subset-size cap",
+            cap_name="set_policy_candidates",
+            cap_value=SET_POLICY_CANDIDATE_CAP,
+        )
     limit = len(admissible) if cap is None else cap
     correct_masks: list[int] = []
     # depth first: (next admissible position, language mask, selection mask)

@@ -134,6 +134,33 @@ def test_search_set_policies_cap():
     assert "mode: set-cap-1" in result.stdout.decode()
 
 
+def _reference_family_file(tmp_path, k):
+    """The reference task's inputs and outputs over k programs that each
+    miss one state of k + 1."""
+    lines = [f"states {k + 1}"]
+    for i in range(k):
+        lines.append(f"program f{i + 1} " + "".join("0" if s == i else "1" for s in range(k + 1)))
+    lines += ["input f1", "input f2", "output f1 f3", "output f2 f4"]
+    path = tmp_path / f"family{k}.pvt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_search_set_policies_count_admissible_subsets(tmp_path):
+    # 32 statements, none admissible: one subset to build, not 2^32
+    result = run_cli("search", _reference_family_file(tmp_path, 5), "--set-policies", "all")
+    assert result.returncode == 1
+    assert f"checked: {1 << 32}" in result.stdout.decode()
+
+
+def test_search_set_policies_unprintable_count_is_capped(tmp_path):
+    # 2^16384 candidates: more decimal digits than Python converts to text
+    result = run_cli("search", _reference_family_file(tmp_path, 14), "--set-policies", "all")
+    assert result.returncode == 3
+    assert b"decimal digits" in result.stderr
+    assert b"Traceback" not in result.stderr
+
+
 def test_search_set_policies_bad_value():
     result = run_cli("search", ALPHA, "--set-policies", "many")
     assert result.returncode == 2

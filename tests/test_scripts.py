@@ -22,6 +22,7 @@ def test_census_sweep_classification_rows():
     assert result.returncode == 0, result.stderr
     rows = {tuple(line.split()[:2]): line.split()[2:4] for line in result.stdout.splitlines()}
     assert rows[("3", "3")] == ["1580", "417"]
+    assert rows[("10", "4")] == ["74819048989594", "2640082603988"]
     # five-program languages exceed the shaped census's input-walk cap
     assert rows[("3", "5")] == ["capped:", "census_language_cap=16"]
     assert "Traceback" not in result.stderr

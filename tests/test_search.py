@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vtask import search
+from vtask.complexes import class_weights
 from vtask.core import (
     Program,
     StateSpace,
@@ -235,8 +236,10 @@ def test_enumerate_tasks_language_cap():
         [Program(0b10000 | (1 << i), 5) for i in range(4)] + [Program(0b10000, 5)],
         StateSpace(5),
     )
+    # the first draw raises: with the cap gone, it would yield the first of
+    # the 32-statement language's tasks instead
     with pytest.raises(CapacityError) as info:
-        list(enumerate_tasks(vocab))
+        next(enumerate_tasks(vocab))
     assert info.value.cap_name == "census_language_cap"
 
 
@@ -619,9 +622,9 @@ def test_census_truncates_between_vocabularies():
 
 
 def test_census_memo_is_per_run(monkeypatch):
-    # 5/3 has 4,960 vocabularies but 11 distinct languages; each census
-    # computes each language once, and a second census in the same
-    # process computes them all again
+    # 5/3 has 4,960 vocabularies, 11 distinct languages and 7 classes of
+    # languages with nonzero weight; each census computes each class once,
+    # and a second census in the same process computes them all again
     calls = 0
     original = search._census_language
 
@@ -634,18 +637,19 @@ def test_census_memo_is_per_run(monkeypatch):
     spec = SearchSpec(n_states=5, vocab_size=3)
     first = census(spec)
     assert first.vocabularies == 4_960
-    assert calls == 11
+    assert calls == len(class_weights(5, 3)) == 7
     calls = 0
     second = census(spec)
-    assert calls == 11
+    assert calls == 7
     assert dataclasses.replace(second, elapsed_seconds=0.0) == dataclasses.replace(
         first, elapsed_seconds=0.0
     )
 
 
 def test_census_builds_languages_only_when_used(monkeypatch):
-    # a language is built for each distinct language and for each exemplar
-    # vocabulary, never merely to read its statement masks
+    # a language is built for each class with nonzero weight, over its
+    # realization, and for each vocabulary the exemplar walk draws from,
+    # never more; without exemplars no vocabulary is walked at all
     built = []
     original = search.build_language
 
@@ -653,20 +657,105 @@ def test_census_builds_languages_only_when_used(monkeypatch):
         built.append(vocab)
         return original(vocab)
 
+    def no_walk(spec):
+        raise AssertionError("a census without exemplars walks no vocabulary")
+
     monkeypatch.setattr(search, "build_language", counted)
     spec = SearchSpec(n_states=5, vocab_size=3, exemplar_limit=0)
-    assert census(spec).vocabularies == 4_960
-    assert len(built) == 11
-    assert len({statement_masks(v) for v in built}) == 11
+    realizations = [cls.realization for cls, _ in class_weights(5, 3)]
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "enumerate_vocabularies", no_walk)
+        assert census(spec).vocabularies == 4_960
+    assert len(built) == len(set(built)) == 7
+    assert set(built) == set(realizations)
 
     built.clear()
     report = census(dataclasses.replace(spec, exemplar_limit=3))
+    exemplar_vocabs = [t.language.vocabulary for t in report.exemplars]
+    assert set(built[: len(realizations)]) == set(realizations)
+    walked = built[len(realizations):]
+    # the walk builds the first vocabulary of each language it meets and
+    # each exemplar's, and stops at the vocabulary of the last exemplar
     first_of_language = {}
     for vocab in enumerate_vocabularies(spec):
         first_of_language.setdefault(statement_masks(vocab), vocab)
-    exemplar_vocabs = {t.language.vocabulary for t in report.exemplars}
-    assert len(built) == len(set(built))
-    assert set(built) == set(first_of_language.values()) | exemplar_vocabs
+        if vocab == exemplar_vocabs[-1]:
+            break
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(first_of_language.values()) | set(exemplar_vocabs)
+    assert walked[-1] == exemplar_vocabs[-1]
+
+
+ORACLE_POINTS = (
+    [(n, k, shaped) for n in range(1, 5) for k in range(5) for shaped in (False, True)]
+    + [(5, 3, False), (6, 2, False), (6, 3, False)]
+)
+
+
+@pytest.mark.parametrize("n_states, vocab_size, shaped", ORACLE_POINTS)
+def test_class_sum_matches_the_vocabulary_walk(n_states, vocab_size, shaped):
+    spec = SearchSpec(
+        n_states, vocab_size, require_classification_shaped=shaped, exemplar_limit=5
+    )
+    walked, keyed_exemplars = search._census_partition(spec, 0, 1, None)
+    report = census(spec)
+    assert not report.truncated
+    assert (
+        report.vocabularies, report.tasks_enumerated, report.tasks_valid, report.tasks_solvable
+    ) == (walked.vocabularies, walked.enumerated, walked.valid, walked.solvable)
+    assert report.exemplars == tuple(task for _, task in keyed_exemplars)
+
+
+@pytest.mark.parametrize(
+    "n_states, vocab_size, shaped, totals",
+    [
+        (10, 4, False, (45_545_029_376, 54_441_538_247_156_139_238, 23_549_934_641_915_322)),
+        (
+            10, 5, False,
+            (
+                9_291_185_992_704,
+                25_423_344_703_205_948_690_674_206_212_386,
+                347_656_871_410_844_646_336_236,
+            ),
+        ),
+        (10, 4, True, (45_545_029_376, 74_819_048_989_594, 2_640_082_603_988)),
+    ],
+)
+def test_class_sum_reaches_ten_states(n_states, vocab_size, shaped, totals):
+    report = census(SearchSpec(n_states, vocab_size, require_classification_shaped=shaped))
+    assert not report.truncated
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == totals
+    if shaped:
+        # the shape filter keeps a share of every task of the full census
+        assert report.tasks_enumerated == 54_441_538_247_156_139_238
+    else:
+        assert report.tasks_enumerated == report.tasks_valid
+    assert len(report.exemplars) == 3
+
+
+def test_six_programs_still_walk_vocabularies(monkeypatch):
+    def no_classes(*args):
+        raise AssertionError("six-program complexes are not listed")
+
+    monkeypatch.setattr(search, "class_weights", no_classes)
+    report = census(SearchSpec(n_states=3, vocab_size=6))
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
+        28, 1_845_129_742_360_500_004, 94_345_163_871,
+    )
+    assert not report.truncated
+
+
+@pytest.mark.parametrize(
+    "limits", [{"dedup": True}, {"max_tasks": 10**9}, {"time_budget": 60.0}]
+)
+def test_dedup_and_truncatable_runs_walk_vocabularies(monkeypatch, limits):
+    def no_classes(*args):
+        raise AssertionError("this run walks vocabularies")
+
+    monkeypatch.setattr(search, "class_weights", no_classes)
+    report = census(SearchSpec(n_states=3, vocab_size=3, **limits))
+    assert not report.truncated
+    assert report.tasks_valid == (134_770 if "dedup" in limits else 509_154)
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():

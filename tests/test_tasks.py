@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -403,7 +404,9 @@ def test_set_policy_selection_table_cap(monkeypatch, ref_task):
 
 
 def test_set_policy_capacity_error():
-    # five programs sharing a state: 32 statements, 2^32 subsets
+    # five programs sharing a state: 32 statements. With the empty
+    # statement as input and every other statement as output, all 31 of
+    # those are admissible: 2^31 subsets to build
     vocab = Vocabulary.build(
         [Program(0b10000 | (1 << i), 5) for i in range(4)]
         + [Program(0b10000, 5)],
@@ -411,14 +414,40 @@ def test_set_policy_capacity_error():
     )
     lang = build_language(vocab)
     assert len(lang) == 32
-    a = lang.statements[1]
-    task = validate_task([a], [a], lang)
+    task = validate_task([lang.statements[0]], lang.statements[1:], lang)
+    for cap in (None, 20):
+        with pytest.raises(CapacityError) as info:
+            find_correct_set_policies(task, cap=cap)
+        assert info.value.cap_name == "set_policy_candidates"
+        assert "31 admissible statements" in str(info.value)
+    # 1 + 31 + 465 + 4,495 subsets of at most three statements
+    result = find_correct_set_policies(task, cap=3)
+    assert result.checked == sum(math.comb(32, i) for i in range(4))
+    assert result.correct == ()
+
+
+def test_set_policy_cap_counts_admissible_subsets():
+    # the reference family at five programs: 32 statements, 2^32 subsets
+    # by definition, but none of them admissible, so one subset is built
+    task = _reference_family_task(5)
+    assert len(task.language) == 32
+    result = find_correct_set_policies(task, cap=None)
+    assert (result.checked, result.correct) == (1 << 32, ())
+
+
+def test_set_policy_count_past_the_printable_digits_is_capped(monkeypatch):
+    # 16,384 statements: 2^16384 candidates has 4,933 decimal digits, more
+    # than the 4,300 that Python converts to text by default
+    task = _reference_family_task(14)
+    monkeypatch.setattr(tasks.sys, "get_int_max_str_digits", lambda: 4300)
     with pytest.raises(CapacityError) as info:
         find_correct_set_policies(task, cap=None)
     assert info.value.cap_name == "set_policy_candidates"
-
-
-# -- binary decomposition ----------------------------------------------------
+    assert "4300 decimal digits" in str(info.value)
+    # with no digit limit the count is reported whole
+    monkeypatch.setattr(tasks.sys, "get_int_max_str_digits", lambda: 0)
+    result = find_correct_set_policies(task, cap=None)
+    assert (result.checked, result.correct) == (1 << 16384, ())
 
 
 def test_decompose_reference_task(ref_task, ref_index):
