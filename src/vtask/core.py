@@ -15,8 +15,11 @@ across threads or worker processes.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapacityError, DomainError, MalformedInputError
@@ -211,6 +214,11 @@ class Language:
         return statement.members in self._positions
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The statements' member masks, in language order."""
+        return tuple(s.members for s in self.statements)
+
+    @cached_property
     def _positions(self) -> dict[int, int]:
         return {s.members: i for i, s in enumerate(self.statements)}
 
@@ -228,7 +236,7 @@ class Language:
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         """The statements at a mask's set bits, in language order."""
-        return tuple(s for s, bit in zip(self.statements, bin(mask)[:1:-1]) if bit == "1")
+        return tuple(compress(self.statements, bit_flags(mask)))
 
     def mask_of(self, statements: Iterable[Statement]) -> int:
         """The mask over language indices of the given statements."""
@@ -251,6 +259,21 @@ class Language:
         return tuple(sums[s.members] for s in self.statements)
 
 
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first: 1 where it is set, 0
+    where it is clear, up to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
+
+def flags_mask(flags: bytes) -> int:
+    """The inverse of :func:`bit_flags`: bit j is set where ``flags[j]`` is 1."""
+    return int(b"0" + flags.translate(_DIGITS)[::-1], 2)
+
+
 def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]:
     """For each statement mask of the language, the sum of ``weights``
     (keyed by statement mask, absent meaning 0) over its supersets.
@@ -260,9 +283,10 @@ def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]
     A language is closed under subsets, so that smaller mask is a statement
     too, and no superset of a non-statement is one; the pass therefore stays
     inside the language and costs O(k·|L|) additions for k programs, never
-    O(2^k).
+    O(2^k). Its sums may be masks of any width; counts go through
+    :func:`superset_counts`.
     """
-    masks = [s.members for s in lang.statements]
+    masks = lang.masks
     sums = dict.fromkeys(masks, 0)
     sums.update(weights)
     for i in range(len(lang.vocabulary)):
@@ -271,6 +295,34 @@ def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]
             if m & bit:
                 sums[m ^ bit] += sums[m]
     return sums
+
+
+def superset_counts(n_bits: int, members: Iterable[int]) -> array:
+    """For every mask below ``2**n_bits``, the number of ``members`` (distinct
+    masks) that are its supersets, indexed by mask.
+
+    The superset-sum (zeta) transform of the members' indicator, run
+    word-parallel on one int that holds a fixed-width field per mask of the
+    cube, mask m at field m: for each bit, shift the fields that hold it
+    down onto the fields without it, keep those, and add, so one pass
+    costs a few operations on a 2^n_bits-field int. A field never exceeds
+    the number of members, so 2-byte fields hold fewer than 2^16 members
+    and 4-byte fields hold the 2^MAX_VOCAB of any language.
+    """
+    members = list(members)
+    width = 2 if len(members) < 1 << 16 else 4
+    cells = bytearray(width << n_bits)
+    for m in members:
+        cells[m * width] = 1  # the low byte of field m
+    acc = int.from_bytes(cells, "little")
+    for i in range(n_bits):
+        run = width << i  # bytes in each block of masks with bit i clear
+        low = int.from_bytes((b"\xff" * run + bytes(run)) * (1 << (n_bits - 1 - i)), "little")
+        acc += acc >> 8 * run & low
+    counts = array("H" if width == 2 else "I", acc.to_bytes(len(cells), "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return counts
 
 
 def intersect_programs(programs: Iterable[Program], space: StateSpace) -> Program:

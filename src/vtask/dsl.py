@@ -35,7 +35,7 @@ from .core import Language, Program, StateSpace, Statement, Vocabulary, build_la
 from .encoder import ClassificationSpec, encode_classification
 from .errors import ParseDiagnostic, ParseError, TaskFileError
 from .search import CensusReport
-from .tasks import Policy, PolicySearchResult, SetPolicy, Task, validate_task
+from .tasks import SEARCH_MODES, Policy, PolicySearchResult, SetPolicy, Task, validate_task
 from .verify import VerifyReport
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -515,14 +515,46 @@ def _statement_namer(
     """Renders a statement as its members' names in sorted order, or
     without names as their bitstrings in index order. The member order
     and the bitstrings are fixed once per vocabulary, not per statement."""
+    pairs = _ordered_labels(vocabulary, names)
+    return lambda statement: [label for bit, label in pairs if statement.members & bit]
+
+
+def _ordered_labels(vocabulary: Vocabulary, names: Sequence[str] | None) -> list[tuple[int, str]]:
+    """(member bit, label) for each program, in the order a statement
+    lists its members."""
     if names is None:
         labels = [p.to_bitstring() for p in vocabulary.programs]
         order = range(len(labels))
     else:
         labels = list(names)
         order = sorted(range(len(vocabulary)), key=labels.__getitem__)
-    pairs = [(1 << i, labels[i]) for i in order]
-    return lambda statement: [label for bit, label in pairs if statement.members & bit]
+    return [(1 << i, labels[i]) for i in order]
+
+
+def _names_joiner(
+    vocabulary: Vocabulary,
+    names: Sequence[str] | None,
+    sep: str,
+    quote: Callable[[str], str] = str,
+) -> Callable[[int], str]:
+    """Renders a member mask as its quoted labels, in statement order,
+    joined by ``sep``. The order is split in two halves, each with a table
+    of every subset's text, so a statement costs two lookups rather than a
+    pass over the vocabulary."""
+    pairs = [(bit, quote(label)) for bit, label in _ordered_labels(vocabulary, names)]
+    halves = []
+    for part in (pairs[: len(pairs) // 2], pairs[len(pairs) // 2 :]):
+        table = {0: ""}
+        for bit, label in part:
+            table.update({m | bit: text + sep + label if m else label for m, text in table.items()})
+        halves.append((sum(bit for bit, _ in part), table))
+    (low_bits, low), (high_bits, high) = halves
+
+    def join(members: int) -> str:
+        first, second = low[members & low_bits], high[members & high_bits]
+        return first + sep + second if first and second else first or second
+
+    return join
 
 
 def _braced(names: list[str]) -> str:
@@ -549,11 +581,17 @@ _json_string = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
+class _Written(str):
+    """JSON text already written at its place in the tree, which
+    :func:`_write_json` copies as it is."""
+
+
 def _json_bytes(tree) -> bytes:
     """The bytes of ``json.dumps(tree, sort_keys=True, indent=2)`` plus a
     newline, for trees of dicts with string keys, lists, tuples, strings,
-    ints, floats, bools and None. ``indent`` sends ``json.dumps`` to its
-    pure-Python encoder; this writer joins a list of strings in one call."""
+    ints, floats, bools, None and :class:`_Written` text. ``indent`` sends
+    ``json.dumps`` to its pure-Python encoder; this writer joins a list of
+    strings in one call."""
     out: list[str] = []
     _write_json(tree, "\n", out)
     out.append("\n")
@@ -561,7 +599,9 @@ def _json_bytes(tree) -> bytes:
 
 
 def _write_json(value, newline: str, out: list[str]) -> None:
-    if isinstance(value, str):
+    if isinstance(value, _Written):
+        out.append(value)
+    elif isinstance(value, str):
         out.append(_json_string(value))
     elif value is None or isinstance(value, bool):
         out.append(_JSON_CONSTANTS[value])
@@ -627,7 +667,14 @@ def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> byt
     ]
     for policy in report.correct:
         lines.append("  " + _render_policy(policy, names_of))
-    if report.per_policy_selection_counts:
+    if report.mode in SEARCH_MODES:
+        # one row per candidate, written from its language position
+        joined = _names_joiner(task.language.vocabulary, names, " ")
+        lines.append("selection counts:")
+        lines += [
+            "  {" + joined(m) + "}: " + str(n) for m, n in zip(task.language.masks, report.counts)
+        ]
+    elif report.per_policy_selection_counts:
         lines.append("selection counts:")
         for policy, count in report.per_policy_selection_counts.items():
             lines.append(f"  {_render_policy(policy, names_of)}: {count}")
@@ -637,6 +684,13 @@ def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> byt
 def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
     names_of = _statement_namer(task.language.vocabulary, names)
+    if report.mode in SEARCH_MODES:
+        rows = _Written(_selection_rows_json(report, names))
+    else:
+        rows = [
+            {"policy": _policy_names(p, names_of), "selected": count}
+            for p, count in report.per_policy_selection_counts.items()
+        ]
     tree = {
         "inputs": [names_of(s) for s in task.sorted_inputs()],
         "outputs": [names_of(s) for s in task.sorted_outputs()],
@@ -645,12 +699,26 @@ def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) 
         "checked": report.checked,
         "correct_count": len(report.correct),
         "correct": [_policy_names(p, names_of) for p in report.correct],
-        "selection_counts": [
-            {"policy": _policy_names(p, names_of), "selected": count}
-            for p, count in report.per_policy_selection_counts.items()
-        ],
+        "selection_counts": rows,
     }
     return _json_bytes(tree)
+
+
+# the indentation of a selection-count row, of its keys and of its names
+_ROW, _KEY, _NAME = "\n    ", "\n      ", "\n        "
+
+
+def _selection_rows_json(report: PolicySearchResult, names: Sequence[str] | None) -> str:
+    """The ``selection_counts`` list of a single-statement search, laid out
+    as :func:`_json_bytes` lays out the tree of dicts it stands for, but
+    written one row per candidate from its language position."""
+    joined = _names_joiner(report.task.language.vocabulary, names, "," + _NAME, _json_string)
+    rows = []
+    for members, count in zip(report.task.language.masks, report.counts):
+        quoted = joined(members)
+        policy = "[" + _NAME + quoted + _KEY + "]" if quoted else "[]"
+        rows.append(f'{{{_KEY}"policy": {policy},{_KEY}"selected": {count}{_ROW}}}')
+    return "[" + _ROW + ("," + _ROW).join(rows) + "\n  ]"
 
 
 def _census_spec_fields(report: CensusReport) -> list[tuple[str, object]]:

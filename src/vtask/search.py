@@ -333,7 +333,7 @@ def _task_masks(
     lang: Language, spec: SearchSpec | None
 ) -> Iterator[tuple[int, int, int]]:
     """:func:`enumerate_task_masks` without its cap, for walks that stop early."""
-    members = tuple(s.members for s in lang.statements)
+    members = lang.masks
     shaped = spec is not None and spec.require_classification_shaped
     for i_mask, ei in enumerate(_input_extensions(lang)):
         blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
@@ -482,7 +482,7 @@ def _census_shaped(lang: Language) -> tuple[int, int, int]:
         "input has its own output blocks",
     )
     ext = lang.extension_masks()
-    members = tuple(s.members for s in lang.statements)
+    members = lang.masks
     programs = 0
     for m in members:
         programs |= m

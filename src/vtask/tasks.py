@@ -14,17 +14,23 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
+from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
 from .core import (
     Language,
     Statement,
     _superset_sums,
+    bit_flags,
     extension_of_set,
     extension_of_statement,
+    flags_mask,
     statement_key,
+    superset_counts,
 )
 from .errors import CapacityError, DomainError, TaskValidationError
 
@@ -88,14 +94,33 @@ AnyPolicy = Union[Policy, SetPolicy]
 
 @dataclass(frozen=True)
 class PolicySearchResult:
-    """Outcome of a policy search: candidates examined, the correct ones in
-    canonical order, and the selection size for each reported policy."""
+    """Outcome of a policy search: candidates examined and the correct ones
+    in canonical order.
+
+    A single-statement search (``mode`` in :data:`SEARCH_MODES`) examines a
+    prefix of the language, since pruning drops only its longest
+    statements; ``counts`` holds the selection count of each of those
+    ``checked`` statements by language position. A set-policy search leaves
+    ``counts`` empty.
+    """
 
     task: Task
     mode: str
     checked: int
     correct: tuple[AnyPolicy, ...]
-    per_policy_selection_counts: Mapping[AnyPolicy, int] = field(default_factory=dict)
+    counts: tuple[int, ...] = ()
+
+    @cached_property
+    def per_policy_selection_counts(self) -> Mapping[AnyPolicy, int]:
+        """A read-only view of the selection size of each reported policy,
+        built on first use: every candidate of a single-statement search,
+        and each correct policy of a set-policy search."""
+        if self.mode in SEARCH_MODES:
+            statements = self.task.language.statements
+            table = {Policy(s): n for s, n in zip(statements, self.counts)}
+        else:
+            table = dict.fromkeys(self.correct, len(self.task.outputs))
+        return MappingProxyType(table)
 
 
 def validate_task(
@@ -105,40 +130,56 @@ def validate_task(
 
     Checks run in a fixed order (emptiness, then input membership and
     properness, then output membership and properness), so a candidate
-    violating several invariants reports the same code every time.
+    violating several invariants reports the same code every time. The
+    input extension E_I is computed over language positions, one pass over
+    the statement masks per input.
     """
-    inputs = frozenset(inputs)
-    outputs = frozenset(outputs)
-    if not inputs:
+    input_masks = sorted({x.members for x in inputs}, key=_mask_key)
+    output_masks = sorted({o.members for o in outputs}, key=_mask_key)
+    if not input_masks:
         raise TaskValidationError("empty-inputs", "a task needs at least one input")
-    if not outputs:
+    if not output_masks:
         raise TaskValidationError("empty-outputs", "a task needs at least one output")
-    for x in sorted(inputs, key=statement_key):
-        if x not in lang:
+    positions = lang._positions
+    for x in input_masks:
+        if x not in positions:
             raise TaskValidationError(
                 "input-not-statement",
-                f"input with member mask {x.members:#x} is not a statement "
-                "of the language",
+                f"input with member mask {x:#x} is not a statement of the language",
             )
-    if len(inputs) == len(lang):
+    if len(input_masks) == len(lang):
         raise TaskValidationError(
             "input-equals-language",
             "the inputs must be a proper subset of the language",
         )
-    input_extension = extension_of_set(inputs, lang)
-    for o in sorted(outputs, key=statement_key):
-        if o not in input_extension:
+    # one byte per language position: 1 where the statement is in E_I
+    completes = 0
+    for x in input_masks:
+        completes |= int.from_bytes(bytes(m & x == x for m in lang.masks), "little")
+    in_extension = completes.to_bytes(len(lang), "little")
+    output_flags = bytearray(len(lang))
+    for o in output_masks:
+        j = positions.get(o, -1)
+        if j < 0 or not in_extension[j]:
             raise TaskValidationError(
                 "output-outside-extension",
-                f"output with member mask {o.members:#x} is not in the "
-                "extension of the inputs",
+                f"output with member mask {o:#x} is not in the extension of the inputs",
             )
-    if outputs == input_extension:
+        output_flags[j] = 1
+    if output_flags == in_extension:
         raise TaskValidationError(
             "output-equals-extension",
             "the outputs must be a proper subset of the inputs' extension",
         )
-    return Task(lang, *map(lang.mask_of, (inputs, outputs, input_extension)))
+    input_flags = bytearray(len(lang))
+    for x in input_masks:
+        input_flags[positions[x]] = 1
+    return Task(lang, *map(flags_mask, (input_flags, output_flags, in_extension)))
+
+
+def _mask_key(mask: int) -> tuple[int, int]:
+    """:func:`statement_key` of the statement with this member mask."""
+    return mask.bit_count(), mask
 
 
 def selection(pi: Statement, task: Task) -> frozenset[Statement]:
@@ -162,7 +203,8 @@ def max_policy_length_bound(task: Task) -> int:
     Every output must complete the policy, so the policy is a subset of
     each output; the shortest output bounds the policy's size.
     """
-    return min(len(o) for o in task.outputs)
+    outputs = compress(task.language.masks, bit_flags(task.output_mask))
+    return min(map(int.bit_count, outputs))
 
 
 def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchResult:
@@ -170,42 +212,35 @@ def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchR
 
     ``exhaustive`` checks all statements including the empty one;
     ``pruned`` skips statements longer than :func:`max_policy_length_bound`.
-    Both modes find the same correct set; ``checked`` counts the candidates
-    actually examined.
+    The language is sorted by member count, so the candidates are a prefix
+    of it. Both modes find the same correct set; ``checked`` counts the
+    candidates actually examined, and ``counts`` holds their selection
+    counts by language position.
 
     Every candidate's selection count #{y ∈ E_inputs : p ⊆ y} is its
-    superset sum with weight 1 on each member of the input extension. A
-    candidate is correct exactly when it is a subset of every output, so it
-    selects all of them, and its count equals the number of outputs, so it
-    selects nothing else.
+    superset sum with weight 1 on each member of the input extension, read
+    from one packed pass over the cube of member masks
+    (:func:`superset_counts`). A candidate is correct exactly when it is a
+    subset of every output, so it selects all of them, and its count equals
+    the number of outputs, so it selects nothing else. Only the correct
+    candidates become :class:`Policy` objects.
     """
     if mode not in SEARCH_MODES:
         raise ValueError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
     lang = task.language
-    extension = lang.statements_of(task.extension_mask)
-    selected = _superset_sums(lang, {y.members: 1 for y in extension})
+    masks = lang.masks
+    extension = compress(masks, bit_flags(task.extension_mask))
+    selected = superset_counts(len(lang.vocabulary), extension)
     common = lang.vocabulary.member_mask
-    for o in task.outputs:
-        common &= o.members
-    n_outputs = len(task.outputs)
-    bound = max_policy_length_bound(task) if mode == "pruned" else None
-    counts: dict[AnyPolicy, int] = {}
-    correct: list[Policy] = []
-    for candidate in lang:
-        if bound is not None and len(candidate) > bound:
-            continue
-        n = selected[candidate.members]
-        policy = Policy(candidate)
-        counts[policy] = n
-        if n == n_outputs and candidate.members & common == candidate.members:
-            correct.append(policy)
-    return PolicySearchResult(
-        task=task,
-        mode=mode,
-        checked=len(counts),
-        correct=tuple(correct),
-        per_policy_selection_counts=counts,
-    )
+    for o in compress(masks, bit_flags(task.output_mask)):
+        common &= o
+    checked = len(lang)
+    if mode == "pruned":
+        checked = bisect_right(masks, max_policy_length_bound(task), key=int.bit_count)
+    counts = tuple(map(selected.__getitem__, masks[:checked]))
+    hits = compress(range(checked), map(task.output_mask.bit_count().__eq__, counts))
+    correct = tuple(Policy(lang.statements[j]) for j in hits if masks[j] & common == masks[j])
+    return PolicySearchResult(task=task, mode=mode, checked=checked, correct=correct, counts=counts)
 
 
 def set_selection(policy: SetPolicy, task: Task) -> frozenset[Statement]:
@@ -277,7 +312,7 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             cap_name="set_policy_candidates",
             cap_value=SET_POLICY_CANDIDATE_CAP,
         )
-    n_outputs = len(task.outputs)
+    n_outputs = task.output_mask.bit_count()
     if len(lang) * n_outputs > SET_POLICY_TABLE_BITS:
         raise CapacityError(
             f"set-policy search over {len(lang)} statements and {n_outputs} "
@@ -286,7 +321,8 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             cap_name="set_policy_table_bits",
             cap_value=SET_POLICY_TABLE_BITS,
         )
-    weights = dict.fromkeys((y.members for y in task.input_extension), 1 << n_outputs)
+    extension = compress(lang.masks, bit_flags(task.extension_mask))
+    weights = dict.fromkeys(extension, 1 << n_outputs)
     for j, o in enumerate(task.sorted_outputs()):
         weights[o.members] = 1 << j
     selected = _superset_sums(lang, weights)
@@ -318,13 +354,7 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
     correct_masks.sort(key=lambda s: (s.bit_count(), s))
     correct = tuple(SetPolicy(frozenset(lang.statements_of(m))) for m in correct_masks)
     mode = "set-full" if cap is None else f"set-cap-{cap}"
-    return PolicySearchResult(
-        task=task,
-        mode=mode,
-        checked=n_candidates,
-        correct=correct,
-        per_policy_selection_counts=dict.fromkeys(correct, len(task.outputs)),
-    )
+    return PolicySearchResult(task=task, mode=mode, checked=n_candidates, correct=correct)
 
 
 @dataclass(frozen=True)

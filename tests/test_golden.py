@@ -15,7 +15,7 @@ import pytest
 
 from vtask import cli
 
-from conftest import COLORED_BOX_FILE, TWO_CLASS_FILE
+from conftest import COLORED_BOX_FILE, REFERENCE_FAMILY_FILE, TWO_CLASS_FILE
 
 _CENSUS_FLAGS = {
     "plain": [],
@@ -29,6 +29,15 @@ _FILE_COMMANDS = {
     "encode": ["encode"],
 }
 _FILES = {"box": COLORED_BOX_FILE, "two-class": TWO_CLASS_FILE}
+# policy search over a dense language (all 2^10 statements): every
+# selection-count row in both modes and both formats
+_DENSE_SEARCH = {
+    f"search-dense10-{mode}{suffix}": [
+        "search", str(REFERENCE_FAMILY_FILE), "--mode", mode, *extra
+    ]
+    for mode in ("exhaustive", "pruned")
+    for suffix, extra in (("", []), ("-structured", ["--structured"]))
+}
 # census paths the sweep above misses; no ``--workers``, which the CLI caps
 # at the machine's CPU count
 _CENSUS_EXTRA = {
@@ -53,6 +62,7 @@ def _commands() -> dict[str, list[str]]:
             commands[f"{name}-{label}"] = [command, str(path), *extra]
     for name, extra in _CENSUS_EXTRA.items():
         commands[name] = ["census", *extra]
+    commands.update(_DENSE_SEARCH)
     commands["verify-paper"] = ["verify-paper"]
     return commands
 
@@ -76,6 +86,10 @@ GOLDEN = {
     "encode-two-class": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lang-box": (0, "a0454a84a83da5267e02e5c636656a1c08201936b155ff3d79ebc14f41f7595a"),
     "lang-two-class": (0, "fb399bd2d74d280f2d7b9b6cfd20819db0dd30dc1abae66439320034ba661615"),
+    "search-dense10-exhaustive": (0, "35a9b298df9f1424214e7c5282fba6a1a8cc8899a29dd99166f61de9be141b4a"),
+    "search-dense10-exhaustive-structured": (0, "f722442eee6a5e7ade73cd18c995e14d80c5af8017fe6184bd9eb4d688882035"),
+    "search-dense10-pruned": (0, "eb5d49cc1597f405f4f8afa5109087c64fc9224f0056ac410167d3fbc56b28fe"),
+    "search-dense10-pruned-structured": (0, "1d0459dcb8529118c7fc61973ea8bfaae0d782e22d92fc1654465ae76b0039fe"),
     "search-set-all-box": (1, "8e54cbaede179e9e0c54af1d59516152165c4f319b9a2c82b647d2df11f6443a"),
     "search-set-all-two-class": (1, "1635abc3e80e7e2ac65cd0a7ee8134a48ea1932fd9def40d6535afd9ee8b64d2"),
     "verify-paper": (0, "59e6019c1e0dd17adb1cb32e9c5af878c95892b22921612d0d7f113e899b0c30"),

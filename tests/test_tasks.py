@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vtask import tasks
 from vtask.core import (
@@ -193,16 +193,18 @@ def test_pruned_equals_exhaustive_on_random_tasks(seed):
     assert pruned.checked <= exhaustive.checked
 
 
-def _oracle_task(rng: random.Random, dense: bool):
-    """A task over k <= 8 programs. Dense: the reference family, each
+def _oracle_task(rng: random.Random, kind: str):
+    """A task over k <= 12 programs. Dense: the reference family, each
     program false in exactly one state, so every subset is a statement.
     Sparse: random programs, so the language usually misses some of the
-    2^k subsets. Half
-    the tasks take their outputs from one policy's selection, so correct
-    policies turn up often."""
+    2^k subsets. Half the tasks take their outputs from one policy's
+    selection, so correct policies turn up often. Wide: the dense language
+    of 16 programs with the empty statement as the only input, so E_I is
+    all 2^16 statements and the empty statement's count needs a field
+    wider than 16 bits."""
     while True:
-        k = rng.randint(1, 8)
-        if dense:
+        k = 16 if kind == "wide" else rng.randint(1, 12)
+        if kind != "sparse":
             n = k + 1
             bits = [((1 << n) - 1) & ~(1 << i) for i in range(k)]
         else:
@@ -213,9 +215,12 @@ def _oracle_task(rng: random.Random, dense: bool):
         lang = build_language(Vocabulary.build((Program(b, n) for b in bits), StateSpace(n)))
         if len(lang) < 3:
             continue
-        inputs = rng.sample(lang.statements, rng.randint(1, min(3, len(lang) - 1)))
+        if kind == "wide":
+            inputs = [EMPTY_STATEMENT]
+        else:
+            inputs = rng.sample(lang.statements, rng.randint(1, min(3, len(lang) - 1)))
         extension = sorted(extension_of_set(inputs, lang), key=statement_key)
-        if rng.random() < 0.5:
+        if kind == "wide" or rng.random() < 0.5:
             planted = rng.choice(lang.statements)
             outputs = [y for y in extension if planted.issubset(y)]
         else:
@@ -224,21 +229,38 @@ def _oracle_task(rng: random.Random, dense: bool):
             return validate_task(inputs, outputs, lang)
 
 
+# selection tests the oracle runs per search; past this, it tests a sample
+ORACLE_TESTS = 1 << 18
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10_000), st.booleans())
-def test_policy_search_matches_selection_oracle(seed, dense):
-    task = _oracle_task(random.Random(seed), dense)
+@given(st.integers(0, 10_000), st.sampled_from(["dense", "sparse"]))
+@example(seed=0, kind="wide")
+def test_policy_search_matches_selection_oracle(seed, kind):
+    rng = random.Random(seed)
+    task = _oracle_task(rng, kind)
     bound = max_policy_length_bound(task)
+    n_extension = len(task.input_extension)
     for mode in ("exhaustive", "pruned"):
         result = find_correct_policies(task, mode=mode)
         examined = [
             Policy(s) for s in task.language if mode == "exhaustive" or len(s) <= bound
         ]
-        assert list(result.per_policy_selection_counts) == examined
-        assert result.checked == len(examined)
-        for policy, count in result.per_policy_selection_counts.items():
-            assert count == len(selection(policy.statement, task))
-        assert list(result.correct) == [p for p in examined if is_correct_policy(p, task)]
+        counts = result.per_policy_selection_counts
+        assert list(counts) == examined
+        assert result.checked == len(result.counts) == len(examined)
+        # every candidate while that stays cheap; else the empty statement,
+        # whose count is |E_I|, and a seeded sample
+        tested = examined
+        if len(examined) * n_extension > ORACLE_TESTS:
+            tested = [examined[0], *rng.sample(examined, ORACLE_TESTS // n_extension)]
+        correct = set(result.correct)
+        for policy in tested:
+            selected = selection(policy.statement, task)
+            assert counts[policy] == len(selected)
+            assert (policy in correct) == (selected == task.outputs)
+        assert all(is_correct_policy(p, task) for p in result.correct)
+        assert list(result.correct) == [p for p in examined if p in correct]
 
 
 # -- set policies ------------------------------------------------------------
