@@ -3,17 +3,15 @@
 
 Edit SWEEP to taste; every run is exact (no sampling). Up to five
 programs the totals are a sum over classes of languages, so even 10/5
-takes seconds; --dedup still walks every vocabulary, so it skips points
-with more than WALK_LIMIT of them. A point that hits an engineering cap
-prints a row naming the cap. With --classification the census is
-restricted to tasks shaped like encoded classification problems.
+takes seconds; --dedup still walks every vocabulary, so points past the
+census walk cap are capped. A point that hits an engineering cap prints
+a row naming the cap. With --classification the census is restricted to
+tasks shaped like encoded classification problems.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,21 +46,13 @@ SWEEP = [
     SweepPoint(10, 4),
     SweepPoint(10, 5),
 ]
-# vocabularies a --dedup point may walk
-WALK_LIMIT = 10**6
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--classification", action="store_true")
     parser.add_argument("--dedup", action="store_true")
-    parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes, at most the number of CPUs"
-    )
     args = parser.parse_args()
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
 
     header = (
         f"{'states':>6} {'vocab':>5} {'valid':>32} {'solvable':>24} "
@@ -71,13 +61,6 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for point in SWEEP:
-        vocabularies = math.comb(1 << point.n_states, point.vocab_size)
-        if args.dedup and vocabularies > WALK_LIMIT:
-            print(
-                f"{point.n_states:>6} {point.vocab_size:>5} "
-                f"skipped: dedup walks {vocabularies} vocabularies"
-            )
-            continue
         spec = SearchSpec(
             n_states=point.n_states,
             vocab_size=point.vocab_size,
@@ -85,7 +68,7 @@ def main() -> int:
             dedup=args.dedup,
         )
         try:
-            report = census(spec, workers=args.workers)
+            report = census(spec)
         except CapacityError as err:
             print(f"{point.n_states:>6} {point.vocab_size:>5} capped: {err.cap_name}={err.cap_value}")
             continue

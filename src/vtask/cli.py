@@ -120,7 +120,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         time_budget=args.time_budget,
         exemplar_limit=args.exemplars,
     )
-    report = census(spec, workers=args.workers)
+    report = census(spec)
     _emit(dsl.serialize_report(report, _output_mode(args)))
     return EXIT_OK
 
@@ -242,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for the runs that walk every vocabulary "
-        "(--dedup, --max-tasks, --time-budget, six programs), at most the "
-        "number of CPUs; other runs sum over classes of languages in one process",
+        help="no effect: the census runs in one process; accepted, at most "
+        "the number of CPUs, so that existing command lines keep working",
     )
     p_census.add_argument(
         "--exemplars",

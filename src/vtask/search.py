@@ -46,24 +46,24 @@ realization of the class, and ``vocabularies`` is C(2^n, k). No vocabulary
 is walked for the totals, so full 10/5 (9.3·10^12 vocabularies, 200
 classes) takes seconds.
 
-Exemplars still come from the vocabulary walk in census order. It keys
-each language by its statement masks (:func:`vtask.core.statement_masks`),
-draws each distinct language's unsolvable triples once, and stops as soon
-as it holds the ``exemplar_limit`` first unsolvable tasks, or all of them
-when there are fewer. So ``exemplar_limit=0`` walks nothing.
-
 Three kinds of run still count by walking every vocabulary: ``--dedup``
 (it counts orbits of vocabularies), truncated runs (``max_tasks`` and
 ``time_budget`` stop before the next vocabulary) and six-program runs
 (about 7.8·10^6 labeled complexes, too many to list). The walk keys a
-memo by statement masks too, so it counts each distinct language once
-per partition. Partitions are vocabulary residue classes, so its totals are
-independent of worker count; merge is associative. The time budget and
-the task limit are checked before each vocabulary, so a truncated report
-counts whole languages (with one worker, those of the first
-``vocabularies`` vocabularies) and may overshoot ``max_tasks`` by one
-language's tasks per partition. Truncated totals may depend on the
-partitioning; only untruncated reports are byte-stable.
+memo by statement masks (:func:`vtask.core.statement_masks`), so it
+counts each distinct language once. The time budget and the task limit
+are checked before each vocabulary, so a truncated report counts whole
+languages, those of its first ``vocabularies`` vocabularies, and may
+overshoot ``max_tasks`` by one language's tasks. An untruncated walk of
+more than ``CENSUS_WALK_CAP`` program combinations fails before it
+starts.
+
+Every run takes its exemplars from one more walk in census order. It
+draws each distinct language's unsolvable triples once, and stops as
+soon as it holds the ``exemplar_limit`` first unsolvable tasks, or all
+of them when there are fewer. The totals say how many there are, so it
+never walks past the last vocabulary that a truncated run counted, and
+``exemplar_limit=0`` walks nothing.
 """
 
 from __future__ import annotations
@@ -92,6 +92,10 @@ CENSUS_MAX_STATES = 10
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
 CENSUS_UPSET_CAP = 32
+# program combinations an untruncated walk may visit: on a shared 2-core
+# machine dedup walks about 30,000 four-program combinations a second (six
+# minutes for the cap) and 7,000 five-program ones (25 minutes)
+CENSUS_WALK_CAP = 10**7
 CANON_MAX_PROGRAMS = 8
 
 
@@ -375,57 +379,12 @@ def enumerate_tasks(vocab: Vocabulary, spec: SearchSpec | None = None) -> Iterat
 
 
 @dataclass
-class _Partial:
+class _Totals:
     vocabularies: int = 0
     enumerated: int = 0
     valid: int = 0
     solvable: int = 0
     truncated: bool = False
-
-    def merge(self, other: "_Partial") -> None:
-        self.vocabularies += other.vocabularies
-        self.enumerated += other.enumerated
-        self.valid += other.valid
-        self.solvable += other.solvable
-        self.truncated = self.truncated or other.truncated
-
-
-def _census_partition(
-    spec: SearchSpec, part: int, n_parts: int, deadline: float | None
-) -> tuple[_Partial, list[tuple[tuple[int, int, int], Task]]]:
-    totals = _Partial()
-    exemplars: list[tuple[tuple[int, int, int], Task]] = []
-    # keyed by statement masks; it lives for one call, so a later census
-    # in the same process starts afresh
-    memo: dict[tuple[int, ...], tuple[tuple[int, int, int], list[tuple[int, int, int]]]] = {}
-    for ordinal, vocab in enumerate(enumerate_vocabularies(spec)):
-        if ordinal % n_parts != part:
-            continue
-        if deadline is not None and time.monotonic() >= deadline:
-            totals.truncated = True
-            break
-        if spec.max_tasks is not None and totals.valid >= spec.max_tasks:
-            totals.truncated = True
-            break
-        totals.vocabularies += 1
-        missing = spec.exemplar_limit - len(exemplars)
-        key = statement_masks(vocab)
-        lang = None
-        if key not in memo:
-            lang = build_language(vocab)
-            # ``missing`` never grows, so these triples cover every later
-            # vocabulary with this language
-            memo[key] = _census_language(spec, lang), _unsolvable_triples(lang, spec, missing)
-        (enumerated, valid, solvable), triples = memo[key]
-        totals.enumerated += enumerated
-        totals.valid += valid
-        totals.solvable += solvable
-        triples = triples[:missing]
-        if triples and lang is None:
-            lang = build_language(vocab)
-        for i_mask, o_mask, ei in triples:
-            exemplars.append(((ordinal, i_mask, o_mask), Task(lang, i_mask, o_mask, ei)))
-    return totals, exemplars
 
 
 def _unsolvable_triples(
@@ -535,12 +494,12 @@ def _walks_vocabularies(spec: SearchSpec) -> bool:
     )
 
 
-def _census_classes(spec: SearchSpec) -> _Partial:
+def _census_classes(spec: SearchSpec) -> _Totals:
     """Untruncated totals as a sum over the classes of complexes: each
     class is censused once, over the language of its realization, and
     weighed by the program tuples whose language lies in it; a
     vocabulary is k! such tuples."""
-    totals = _Partial(vocabularies=math.comb(1 << spec.n_states, spec.vocab_size))
+    totals = _Totals(vocabularies=math.comb(1 << spec.n_states, spec.vocab_size))
     # largest first, so that a class over a census cap fails before any count
     weighted = sorted(
         class_weights(spec.n_states, spec.vocab_size), key=lambda cw: -cw[0].faces.bit_count()
@@ -584,59 +543,57 @@ def _exemplars(spec: SearchSpec, limit: int) -> list[Task]:
     return exemplars
 
 
-def _census_walk(
-    spec: SearchSpec, workers: int, deadline: float | None
-) -> tuple[_Partial, list[Task]]:
-    """Totals and exemplars from the vocabulary walk, optionally
-    partitioned across worker processes."""
-    if workers == 1:
-        parts = [_census_partition(spec, 0, 1, deadline)]
-    else:
-        # imported here: the process pool machinery costs about 1.7 MB of
-        # resident memory, which single-worker runs need not pay
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _census_partition,
-                    itertools.repeat(spec, workers),
-                    range(workers),
-                    itertools.repeat(workers, workers),
-                    itertools.repeat(deadline, workers),
-                )
+def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
+    """Totals from the vocabulary walk, each distinct language counted once.
+    The deadline and the task limit are checked before each vocabulary."""
+    if spec.max_tasks is None and deadline is None:
+        combinations = math.comb(1 << spec.n_states, spec.vocab_size)
+        if combinations > CENSUS_WALK_CAP:
+            raise CapacityError(
+                f"census walks all {combinations} program combinations, over "
+                f"the {CENSUS_WALK_CAP}-combination walk cap; set max_tasks or "
+                "time_budget to walk a prefix",
+                cap_name="census_walk_cap",
+                cap_value=CENSUS_WALK_CAP,
             )
-    totals = _Partial()
-    keyed_exemplars: list[tuple[tuple[int, int, int], Task]] = []
-    for partial, exemplars in parts:
-        totals.merge(partial)
-        keyed_exemplars.extend(exemplars)
-    keyed_exemplars.sort(key=lambda kv: kv[0])
-    return totals, [t for _, t in keyed_exemplars[: spec.exemplar_limit]]
+    totals = _Totals()
+    # keyed by statement masks; it lives for one call, so a later census
+    # in the same process starts afresh
+    memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for vocab in enumerate_vocabularies(spec):
+        if deadline is not None and time.monotonic() >= deadline:
+            totals.truncated = True
+            break
+        if spec.max_tasks is not None and totals.valid >= spec.max_tasks:
+            totals.truncated = True
+            break
+        totals.vocabularies += 1
+        key = statement_masks(vocab)
+        if key not in memo:
+            memo[key] = _census_language(spec, build_language(vocab))
+        enumerated, valid, solvable = memo[key]
+        totals.enumerated += enumerated
+        totals.valid += valid
+        totals.solvable += solvable
+    return totals
 
 
-def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
-    """Run the census. An untruncated run of at most five programs
-    without dedup sums over the classes of complexes and walks
-    vocabularies only for its exemplars; ``workers`` serve the other
-    runs, which walk every vocabulary.
-
-    Totals and exemplars of an untruncated run are identical for any
-    worker count.
+def census(spec: SearchSpec) -> CensusReport:
+    """Run the census in one process. An untruncated run of at most five
+    programs without dedup sums over the classes of complexes; the other
+    runs walk the vocabularies. Either way the exemplars come from
+    :func:`_exemplars`, which stops as soon as it holds them: a truncated
+    run counted a prefix of the vocabularies, so its first unsolvable
+    tasks all lie in that prefix.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    # the monotonic clock is system-wide (CLOCK_MONOTONIC on Linux), so
-    # worker processes compare their readings with this same deadline
     start = time.monotonic()
     if _walks_vocabularies(spec):
         deadline = start + spec.time_budget if spec.time_budget is not None else None
-        totals, exemplars = _census_walk(spec, workers, deadline)
+        totals = _census_walk(spec, deadline)
     else:
         totals = _census_classes(spec)
-        exemplars = _exemplars(
-            spec, min(spec.exemplar_limit, totals.valid - totals.solvable)
-        )
+    unsolvable = totals.valid - totals.solvable
+    exemplars = _exemplars(spec, min(spec.exemplar_limit, unsolvable))
     elapsed = time.monotonic() - start
     return CensusReport(
         spec=spec,
@@ -644,7 +601,7 @@ def census(spec: SearchSpec, workers: int = 1) -> CensusReport:
         tasks_enumerated=totals.enumerated,
         tasks_valid=totals.valid,
         tasks_solvable=totals.solvable,
-        tasks_unsolvable=totals.valid - totals.solvable,
+        tasks_unsolvable=unsolvable,
         exemplars=tuple(exemplars),
         truncated=totals.truncated,
         elapsed_seconds=elapsed,

@@ -234,8 +234,8 @@ def test_criterion_08_byte_determinism():
 
     spec = SearchSpec(n_states=2, vocab_size=2)
     census_runs = [
-        serialize_report(census(spec, workers=w), mode)
-        for w in (1, 4, 1, 4)
+        serialize_report(census(spec), mode)
+        for _ in range(2)
         for mode in ("text", "structured")
     ]
     assert len(set(census_runs)) == 2  # one text form, one structured form
@@ -246,7 +246,7 @@ def test_criterion_08_byte_determinism():
     report(
         8,
         "verify-paper, the reference search, and the fixed census are "
-        "byte-identical across runs and worker counts {1, 4}",
+        "byte-identical across runs",
     )
 
 
@@ -275,24 +275,13 @@ def test_criterion_09_dsl_round_trip_and_error_corpus():
 def test_criterion_10_census_performance_envelope():
     spec = SearchSpec(n_states=3, vocab_size=3)
     start = time.perf_counter()
-    single = census(spec, workers=1)
+    result = census(spec)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    split = census(spec, workers=2)
-    for field in (
-        "vocabularies",
-        "tasks_enumerated",
-        "tasks_valid",
-        "tasks_solvable",
-        "tasks_unsolvable",
-        "exemplars",
-        "truncated",
-    ):
-        assert getattr(single, field) == getattr(split, field)
-    assert single.tasks_valid == 509_154
-    assert single.tasks_solvable == 25_008
+    assert not result.truncated
+    assert result.tasks_valid == 509_154
+    assert result.tasks_solvable == 25_008
     report(
         10,
-        f"full 3-state/3-program census ({single.tasks_valid} tasks) in "
-        f"{elapsed:.2f} s with partition-independent totals",
+        f"full 3-state/3-program census ({result.tasks_valid} tasks) in {elapsed:.2f} s",
     )

@@ -223,6 +223,15 @@ def test_census_workers_bounded_by_cpu_count(cpus, monkeypatch, capsys):
     assert f"between 1 and {limit}" in capsys.readouterr().err
 
 
+def test_census_workers_flag_keeps_the_capacity_exit(monkeypatch, capsys):
+    # --workers has no effect, so a run over a census cap exits 3 with two
+    # workers as with one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = cli.main(["census", "--n-states", "4", "--vocab-size", "6", "--workers", "2"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("vtask: capacity:")
+
+
 def test_census_cli_zero_budget_truncates():
     result = run_cli(
         "census", "--n-states", "2", "--vocab-size", "2", "--time-budget", "0"
@@ -348,8 +357,7 @@ def _options(*pairs):
 _NUMBERS = ("-1", "0", "1", "2", "3", "nan", "x")
 _POLICY = (("--policy", ("f", "f,g", "g,h", "zz", "")), ("--empty", ()))
 # per subcommand: whether it takes a file, the fragments that lead its
-# options, and the rest. Every census size is at most 3/3 and --workers is
-# never above 1, so no worker pool starts.
+# options, and the rest. Every census size is at most 3/3.
 _COMMANDS = {
     "lang": (True, st.just([]), _options(("--structured", ()))),
     "check": (True, _options(*_POLICY), _options(*_POLICY, ("--structured", ()))),

@@ -38,8 +38,7 @@ _DENSE_SEARCH = {
     for mode in ("exhaustive", "pruned")
     for suffix, extra in (("", []), ("-structured", ["--structured"]))
 }
-# census paths the sweep above misses; no ``--workers``, which the CLI caps
-# at the machine's CPU count
+# census paths the sweep above misses
 _CENSUS_EXTRA = {
     "census-3-3-truncated": ["--n-states", "3", "--vocab-size", "3",
                              "--max-tasks", "1000", "--exemplars", "5"],

@@ -28,13 +28,6 @@ def test_census_sweep_classification_rows():
     assert "Traceback" not in result.stderr
 
 
-def test_census_sweep_rejects_zero_workers():
-    result = run_script("census_sweep.py", "--workers", "0")
-    assert result.returncode == 2
-    assert "--workers must be between 1 and" in result.stderr
-    assert "Traceback" not in result.stderr
-
-
 def test_search_reach_smoke():
     result = run_script("search_reach.py", "--min-k", "10", "--max-k", "10", "--budget", "60")
     assert result.returncode == 0, result.stderr

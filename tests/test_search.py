@@ -331,6 +331,19 @@ def _brute_force_census(spec, vocabs):
     return enumerated, valid, solvable, unsolvable
 
 
+def _brute_force_unsolvable(spec):
+    """The unsolvable tasks in census order, drawn lazily from
+    enumerate_vocabularies, enumerate_tasks, is_classification_shaped and
+    find_correct_policies."""
+    plain = SearchSpec(spec.n_states, spec.vocab_size)
+    for vocab in enumerate_vocabularies(spec):
+        for task in enumerate_tasks(vocab, plain):
+            if spec.require_classification_shaped and not is_classification_shaped(task):
+                continue
+            if not find_correct_policies(task).correct:
+                yield task
+
+
 @pytest.mark.parametrize("n_states,vocab_size", SHAPED_POINTS)
 def test_shaped_census_matches_brute_force(n_states, vocab_size):
     limit = 10
@@ -364,8 +377,7 @@ def test_census_exemplars_across_repeated_languages(n_states, vocab_size, shaped
     )
     *_, unsolvable = _brute_force_census(spec, enumerate_vocabularies(spec))
     assert len(unsolvable) == n_unsolvable
-    for workers in (1, 2):
-        assert census(spec, workers=workers).exemplars == tuple(unsolvable)
+    assert census(spec).exemplars == tuple(unsolvable)
 
 
 @pytest.mark.parametrize(
@@ -557,18 +569,6 @@ def test_census_matches_brute_force():
     assert report.tasks_unsolvable == total - solvable
 
 
-def test_census_totals_partition_independent():
-    spec = SearchSpec(n_states=2, vocab_size=2)
-    reports = [census(spec, workers=w) for w in (1, 2, 3)]
-    baseline = reports[0]
-    for other in reports[1:]:
-        assert other.tasks_enumerated == baseline.tasks_enumerated
-        assert other.tasks_valid == baseline.tasks_valid
-        assert other.tasks_solvable == baseline.tasks_solvable
-        assert other.tasks_unsolvable == baseline.tasks_unsolvable
-        assert other.exemplars == baseline.exemplars
-
-
 def test_census_exemplars_confirmed_unsolvable():
     report = census(SearchSpec(n_states=2, vocab_size=2, exemplar_limit=5))
     assert len(report.exemplars) == 5
@@ -604,21 +604,61 @@ def test_census_max_tasks_truncates():
     assert report.tasks_valid >= 10
 
 
-def test_census_truncates_between_vocabularies():
+_TRUNCATED_RUNS = {
+    "plain": {"max_tasks": 1000},
+    "shaped": {"require_classification_shaped": True, "max_tasks": 100},
+    "dedup": {"dedup": True, "max_tasks": 1000},
+}
+
+
+@pytest.mark.parametrize("exemplar_limit", [0, 3, 10**6])
+@pytest.mark.parametrize("kind", sorted(_TRUNCATED_RUNS))
+def test_census_truncates_between_vocabularies(kind, exemplar_limit):
     # the limit is checked before each vocabulary, so a truncated report
     # counts whole languages: exactly those of its first ``vocabularies``
-    # vocabularies
-    spec = SearchSpec(n_states=3, vocab_size=3, max_tasks=1000)
+    # vocabularies, which also hold its exemplars
+    spec = SearchSpec(
+        n_states=3, vocab_size=3, exemplar_limit=exemplar_limit, **_TRUNCATED_RUNS[kind]
+    )
     report = census(spec)
     assert report.truncated
-    assert 0 < report.vocabularies < 56
+    assert 0 < report.vocabularies < len(list(enumerate_vocabularies(spec)))
     vocabs = itertools.islice(enumerate_vocabularies(spec), report.vocabularies)
-    enumerated, valid, solvable, _ = _brute_force_census(spec, vocabs)
+    enumerated, valid, solvable, unsolvable = _brute_force_census(spec, vocabs)
     assert (report.tasks_enumerated, report.tasks_valid, report.tasks_solvable) == (
         enumerated,
         valid,
         solvable,
     )
+    # more than the smaller limits, fewer than the largest
+    assert 3 < len(unsolvable) < 10**6
+    assert report.exemplars == tuple(unsolvable[:exemplar_limit])
+
+
+def test_untruncated_walk_over_the_cap_fails_before_walking(monkeypatch):
+    def no_walk(spec):
+        raise AssertionError("a capped census walks no vocabulary")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "enumerate_vocabularies", no_walk)
+        # C(1024, 6) and C(1024, 3) program combinations
+        for spec in (SearchSpec(10, 6), SearchSpec(10, 3, dedup=True)):
+            with pytest.raises(CapacityError) as info:
+                census(spec)
+            assert (info.value.cap_name, info.value.cap_value) == (
+                "census_walk_cap", search.CENSUS_WALK_CAP,
+            )
+    # the cap counts every combination, not the orbits that dedup keeps
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 55)
+    with pytest.raises(CapacityError):
+        census(SearchSpec(3, 3, dedup=True))
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 56)
+    assert census(SearchSpec(3, 3, dedup=True)).vocabularies == 16
+    # a truncatable run walks a prefix, so the cap does not apply
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 0)
+    report = census(SearchSpec(10, 6, max_tasks=0))
+    assert (report.truncated, report.vocabularies) == (True, 0)
+    assert census(SearchSpec(3, 3, time_budget=60.0)).tasks_valid == 509_154
 
 
 def test_census_memo_is_per_run(monkeypatch):
@@ -697,13 +737,15 @@ def test_class_sum_matches_the_vocabulary_walk(n_states, vocab_size, shaped):
     spec = SearchSpec(
         n_states, vocab_size, require_classification_shaped=shaped, exemplar_limit=5
     )
-    walked, keyed_exemplars = search._census_partition(spec, 0, 1, None)
+    walked = search._census_walk(spec, None)
     report = census(spec)
     assert not report.truncated
     assert (
         report.vocabularies, report.tasks_enumerated, report.tasks_valid, report.tasks_solvable
     ) == (walked.vocabularies, walked.enumerated, walked.valid, walked.solvable)
-    assert report.exemplars == tuple(task for _, task in keyed_exemplars)
+    limit = min(spec.exemplar_limit, report.tasks_unsolvable)
+    expected = itertools.islice(_brute_force_unsolvable(spec), limit)
+    assert [_task_key(t) for t in report.exemplars] == [_task_key(t) for t in expected]
 
 
 @pytest.mark.parametrize(
