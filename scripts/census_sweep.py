@@ -2,11 +2,10 @@
 """Sweep small censuses and tabulate how rare solvable tasks are.
 
 Edit SWEEP to taste; every run is exact (no sampling). Up to five
-programs the totals are a sum over classes of languages, so even 10/5
-takes seconds; --dedup still walks every vocabulary, so points past the
-census walk cap are capped. A point that hits an engineering cap prints
-a row naming the cap. With --classification the census is restricted to
-tasks shaped like encoded classification problems.
+programs the totals are a sum over classes of languages, with or without
+--dedup, so even 10/5 takes seconds. A point that hits an engineering cap
+prints a row naming the cap. With --classification the census is
+restricted to tasks shaped like encoded classification problems.
 """
 
 from __future__ import annotations

@@ -29,6 +29,25 @@ vol. 1, §3.7). Isomorphic complexes have equal N, so a class of
 k! tuples, the census totals are (1/k!)·Σ orbit·N(K)·census(K) over the
 classes.
 
+A dedup census counts the orbits of vocabularies under state permutations.
+An orbit is a multiset of n columns whose programs are distinct, up to
+the k! relabelings, and the orbits whose language lies in K's class are
+the orbits of its automorphism group Aut K (the relabelings whose column
+map fixes K's face set) on the multisets whose language is exactly K. By
+Burnside's lemma, weighted with μ(π) as above (Harary and Palmer,
+Graphical Enumeration, 1973, ch. 2):
+
+    orbits(K) = (1/|Aut K|)·Σ_{τ ∈ Aut K} Σ_π μ(π)·c(τ, π)
+
+where c(τ, π) counts the multisets that τ fixes, whose columns lie in C_π
+and whose language is K. Let D be the union of the τ-cycles of columns
+that lie wholly in K ∩ C_π. A fixed multiset is constant on each cycle,
+so c = 0 unless F ⊆ D, and otherwise c is the coefficient of x^n in the
+product over the cycles O of D of x^|O|/(1 − x^|O|) for a cycle of facets
+and 1/(1 − x^|O|) for any other. Since |Aut K| = k!/orbit, a class weighs
+orbit·Σ_τ Σ_π μ(π)·c(τ, π), k! times its orbits, the same shape as
+orbit·N(K).
+
 Classes are listed for up to five programs: 19, 167 and 7,580 labeled
 complexes in 9, 29 and 209 classes for k = 3, 4 and 5. Six programs have
 about 7.8·10^6 labeled complexes, too many to list this way.
@@ -37,6 +56,7 @@ about 7.8·10^6 labeled complexes, too many to list this way.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,19 +192,109 @@ def _class_terms(k: int) -> tuple[tuple[ComplexClass, tuple[tuple[int, int], ...
     return tuple(out)
 
 
+def _relabeling_cycles(k: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Each relabeling τ of [k] as the cycles of its column map, each a
+    2^k-bit mask of columns, with the union of its cycles of each length."""
+    out = []
+    for perm in itertools.permutations(range(k)):
+        image = [sum(1 << perm[i] for i in range(k) if c >> i & 1) for c in range(1 << k)]
+        cycles: list[int] = []
+        by_length: dict[int, int] = {}
+        seen = 0
+        for c in range(1 << k):
+            if seen >> c & 1:
+                continue
+            cycle = 0
+            while not cycle >> c & 1:
+                cycle |= 1 << c
+                c = image[c]
+            seen |= cycle
+            cycles.append(cycle)
+            length = cycle.bit_count()
+            by_length[length] = by_length.get(length, 0) | cycle
+        out.append((cycles, sorted(by_length.items())))
+    return out
+
+
+# the cycles of a column map by length: (length, number of cycles) pairs
+CycleType = tuple[tuple[int, int], ...]
+
+
 @functools.cache
-def class_weights(n_states: int, k: int) -> tuple[tuple[ComplexClass, int], ...]:
+def _orbit_terms(k: int) -> tuple[tuple[ComplexClass, tuple[tuple[CycleType, int], ...]], ...]:
+    """Each class with the terms of Σ_τ Σ_π μ(π)·c(τ, π) that do not depend
+    on the states: for each cycle type of D, the sum of μ(π) over the pairs
+    (τ, π) with τ ∈ Aut K, F ⊆ D and that type. τ is in Aut K exactly when
+    K's face set is a union of τ's column cycles; then every τ-cycle lies
+    in K or outside it, so D = K ∩ T(τ, π), where T(τ, π) is the union of
+    the τ-cycles that lie wholly in C_π. Cached like :func:`_class_terms`."""
+    partitions = _set_partitions(k)
+    relabelings = [
+        (cycles, by_length, [
+            sum(cycle for cycle in cycles if not cycle & ~columns) for _, columns in partitions
+        ])
+        for cycles, by_length in _relabeling_cycles(k)
+    ]
+    out = []
+    for cls in complex_classes(k):
+        terms: dict[CycleType, int] = {}
+        for cycles, by_length, invariant in relabelings:
+            if any(cls.faces & cycle not in (0, cycle) for cycle in cycles):
+                continue
+            for (mu, _), within in zip(partitions, invariant):
+                d = cls.faces & within
+                if cls.facets & ~d:
+                    continue
+                cycle_type = tuple(
+                    (length, (d & mask).bit_count() // length)
+                    for length, mask in by_length if d & mask
+                )
+                terms[cycle_type] = terms.get(cycle_type, 0) + mu
+        out.append((cls, tuple((t, mu) for t, mu in terms.items() if mu)))
+    return tuple(out)
+
+
+def _multisets(cycle_type: CycleType, size: int) -> int:
+    """The coefficient of x^size in the product of 1/(1 − x^length) over
+    the cycles of the type: the multisets of ``size`` columns from the
+    cycles' union that hold each column of a cycle equally often."""
+    ways = [1] + [0] * size
+    for length, count in cycle_type:
+        for _ in range(count):
+            for s in range(length, size + 1):
+                ways[s] += ways[s - length]
+    return ways[size]
+
+
+@functools.cache
+def class_weights(
+    n_states: int, k: int, dedup: bool = False
+) -> tuple[tuple[ComplexClass, int], ...]:
     """Each class of complexes on [k] that is the language of some k-tuple
-    of distinct programs over ``n_states`` states, with its weight
-    orbit·N(K): the number of those tuples whose language lies in the
-    class. The weights sum to k!·C(2^n, k). A complex with more facets
-    than states is no language, so its sum is never taken."""
+    of distinct programs over ``n_states`` states, with its weight: orbit·N(K),
+    the number of those tuples whose language lies in the class, or with
+    ``dedup`` orbit·Σ_τ Σ_π μ(π)·c(τ, π), k! times the number of orbits of
+    vocabularies under state permutations whose language lies in it. The
+    weights sum to k!·C(2^n, k), or k! times the dedup vocabularies. A
+    complex with more facets than states is no language, so its sum is
+    never taken."""
+    out = []
+    if dedup:
+        for cls, terms in _orbit_terms(k):
+            # each facet is a column at least once, the x^|O| of its cycle:
+            # the other columns number n − |F|
+            spare = n_states - cls.facets.bit_count()
+            if spare < 0:
+                continue
+            orbits = sum(mu * _multisets(cycle_type, spare) for cycle_type, mu in terms)
+            if orbits:
+                out.append((cls, cls.orbit * orbits))
+        return tuple(out)
     # surj(n, m) for m = 0..n: the maps of the states onto m columns
     surj = [
         sum((-1) ** i * math.comb(m, i) * (m - i) ** n_states for i in range(m + 1))
         for m in range(n_states + 1)
     ]
-    out = []
     for cls, terms in _class_terms(k):
         used = cls.facets.bit_count()
         if used > n_states:

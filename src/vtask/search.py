@@ -39,24 +39,28 @@ cover every program, which leave every block empty; in the
 A language's census depends only on its statement masks, and it is the
 same for every relabeling of the programs. A language over k programs is
 a simplicial complex on the k program positions, so an untruncated census
-of at most five programs without dedup is a weighted sum over the classes
-of complexes under relabeling (:mod:`vtask.complexes`): each class with
-nonzero weight is censused once, over a ``Language`` built from a
-realization of the class, and ``vocabularies`` is C(2^n, k). No vocabulary
-is walked for the totals, so full 10/5 (9.3·10^12 vocabularies, 200
-classes) takes seconds.
+of at most five programs is a weighted sum over the classes of complexes
+under relabeling (:mod:`vtask.complexes`): each class with nonzero weight
+is censused once, over a ``Language`` built from a realization of the
+class. The weights count the program tuples whose language lies in the
+class, or with ``--dedup`` k! times the orbits of vocabularies under state
+permutations (Burnside's lemma over the class's automorphisms), and
+``vocabularies`` is their sum over k!: C(2^n, k), or the dedup orbits.
+No vocabulary is walked for the totals, so full 10/5 (9.3·10^12
+vocabularies, 200 classes) and dedup 10/5 (9.6·10^6 orbits) take seconds.
 
-Three kinds of run still count by walking every vocabulary: ``--dedup``
-(it counts orbits of vocabularies), truncated runs (``max_tasks`` and
-``time_budget`` stop before the next vocabulary) and six-program runs
-(about 7.8·10^6 labeled complexes, too many to list). The walk keys a
-memo by statement masks (:func:`vtask.core.statement_masks`), so it
-counts each distinct language once. The time budget and the task limit
-are checked before each vocabulary, so a truncated report counts whole
-languages, those of its first ``vocabularies`` vocabularies, and may
-overshoot ``max_tasks`` by one language's tasks. An untruncated walk of
-more than ``CENSUS_WALK_CAP`` program combinations fails before it
-starts.
+Two kinds of run still count by walking vocabularies: truncated runs
+(``max_tasks`` and ``time_budget`` stop before the next vocabulary) and
+six-program runs (about 7.8·10^6 labeled complexes, too many to list).
+The walk keys a memo by statement masks
+(:func:`vtask.core.statement_masks`), so it counts each distinct language
+once. The time budget and the task limit are checked before each
+vocabulary, so a truncated report counts whole languages, those of its
+first ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by
+one language's tasks. An untruncated walk of more than
+``CENSUS_WALK_CAP`` steps fails before it starts: a step is a program
+combination, or with dedup one relabeling of one, since the orbit key
+tries all k! of them.
 
 Every run takes its exemplars from one more walk in census order. It
 draws each distinct language's unsolvable triples once, and stops as
@@ -92,9 +96,10 @@ CENSUS_MAX_STATES = 10
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
 CENSUS_UPSET_CAP = 32
-# program combinations an untruncated walk may visit: on a shared 2-core
-# machine dedup walks about 30,000 four-program combinations a second (six
-# minutes for the cap) and 7,000 five-program ones (25 minutes)
+# steps an untruncated walk may take: a program combination, or with dedup
+# one of its k! relabelings. On a shared 2-core machine the walk keys about
+# 100,000 six-program combinations a second (under two minutes for the
+# cap), and dedup takes about 900,000 steps a second (about 11 seconds)
 CENSUS_WALK_CAP = 10**7
 CANON_MAX_PROGRAMS = 8
 
@@ -483,12 +488,11 @@ def _census_shaped(lang: Language) -> tuple[int, int, int]:
 
 
 def _walks_vocabularies(spec: SearchSpec) -> bool:
-    """True for the runs that the class sum does not serve: ``--dedup``
-    counts orbits, a truncated run stops before the next vocabulary, and
-    six programs have too many complexes to list."""
+    """True for the runs that the class sum does not serve: a truncated run
+    stops before the next vocabulary, and six programs have too many
+    complexes to list."""
     return (
-        spec.dedup
-        or spec.max_tasks is not None
+        spec.max_tasks is not None
         or spec.time_budget is not None
         or spec.vocab_size > COMPLEX_MAX_VERTICES
     )
@@ -497,19 +501,23 @@ def _walks_vocabularies(spec: SearchSpec) -> bool:
 def _census_classes(spec: SearchSpec) -> _Totals:
     """Untruncated totals as a sum over the classes of complexes: each
     class is censused once, over the language of its realization, and
-    weighed by the program tuples whose language lies in it; a
+    weighed by the program tuples whose language lies in it, or with dedup
+    by k! times the orbits of vocabularies whose language lies in it; a
     vocabulary is k! such tuples."""
-    totals = _Totals(vocabularies=math.comb(1 << spec.n_states, spec.vocab_size))
+    totals = _Totals()
     # largest first, so that a class over a census cap fails before any count
     weighted = sorted(
-        class_weights(spec.n_states, spec.vocab_size), key=lambda cw: -cw[0].faces.bit_count()
+        class_weights(spec.n_states, spec.vocab_size, spec.dedup),
+        key=lambda cw: -cw[0].faces.bit_count(),
     )
     for cls, weight in weighted:
         enumerated, valid, solvable = _census_language(spec, build_language(cls.realization))
+        totals.vocabularies += weight
         totals.enumerated += weight * enumerated
         totals.valid += weight * valid
         totals.solvable += weight * solvable
     tuples_per_vocabulary = math.factorial(spec.vocab_size)
+    totals.vocabularies //= tuples_per_vocabulary
     totals.enumerated //= tuples_per_vocabulary
     totals.valid //= tuples_per_vocabulary
     totals.solvable //= tuples_per_vocabulary
@@ -548,10 +556,12 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
     The deadline and the task limit are checked before each vocabulary."""
     if spec.max_tasks is None and deadline is None:
         combinations = math.comb(1 << spec.n_states, spec.vocab_size)
-        if combinations > CENSUS_WALK_CAP:
+        steps = combinations * math.factorial(spec.vocab_size) if spec.dedup else combinations
+        if steps > CENSUS_WALK_CAP:
+            per = f" times {spec.vocab_size}! relabelings" if spec.dedup else ""
             raise CapacityError(
-                f"census walks all {combinations} program combinations, over "
-                f"the {CENSUS_WALK_CAP}-combination walk cap; set max_tasks or "
+                f"census walks all {combinations} program combinations{per}, "
+                f"over the {CENSUS_WALK_CAP}-step walk cap; set max_tasks or "
                 "time_budget to walk a prefix",
                 cap_name="census_walk_cap",
                 cap_value=CENSUS_WALK_CAP,
@@ -580,8 +590,8 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
 
 def census(spec: SearchSpec) -> CensusReport:
     """Run the census in one process. An untruncated run of at most five
-    programs without dedup sums over the classes of complexes; the other
-    runs walk the vocabularies. Either way the exemplars come from
+    programs sums over the classes of complexes; the other runs walk the
+    vocabularies. Either way the exemplars come from
     :func:`_exemplars`, which stops as soon as it holds them: a truncated
     run counted a prefix of the vocabularies, so its first unsolvable
     tasks all lie in that prefix.

@@ -92,6 +92,58 @@ def test_weights_match_the_vocabulary_walk(n_states, k):
     assert {c.faces: w for c, w in class_weights(n_states, k)} == walked
 
 
+@pytest.mark.parametrize(
+    "n_states, k",
+    [(n, k) for n in range(1, 5) for k in range(5)] + [(5, 3)],
+)
+def test_dedup_weights_match_the_orbit_key_walk(n_states, k):
+    # each orbit representative that the dedup walk yields is k! weight in
+    # the class of its language, so the weights over k! sum to the
+    # vocabularies it yields
+    walked: dict[int, int] = {}
+    vocabularies = 0
+    for vocab in enumerate_vocabularies(SearchSpec(n_states, k, dedup=True)):
+        least = _least_image(_face_set(statement_masks(vocab)), k)
+        walked[least] = walked.get(least, 0) + math.factorial(k)
+        vocabularies += 1
+    weights = class_weights(n_states, k, dedup=True)
+    assert {c.faces: w for c, w in weights} == walked
+    assert sum(w for _, w in weights) == math.factorial(k) * vocabularies
+
+
+def _column_multiset_orbits(n_states: int, k: int) -> dict[int, int]:
+    """Orbits of vocabularies under state permutations, by class of their
+    language: the multisets of n state columns whose k programs are
+    distinct, up to the k! relabelings. A multiset's language is the
+    down-closure of its columns."""
+    relabelings = [
+        [sum(1 << perm[i] for i in range(k) if c >> i & 1) for c in range(1 << k)]
+        for perm in itertools.permutations(range(k))
+    ]
+    seen = set()
+    orbits: dict[int, int] = {}
+    for columns in itertools.combinations_with_replacement(range(1 << k), n_states):
+        rows = {sum((c >> i & 1) << s for s, c in enumerate(columns)) for i in range(k)}
+        if len(rows) < k:
+            continue
+        key = min(tuple(sorted(table[c] for c in columns)) for table in relabelings)
+        if key in seen:
+            continue
+        seen.add(key)
+        faces = _face_set(m for m in range(1 << k) if any(m & c == m for c in columns))
+        least = _least_image(faces, k)
+        orbits[least] = orbits.get(least, 0) + 1
+    return orbits
+
+
+@pytest.mark.parametrize("n_states, k", [(10, 3), (5, 4), (3, 5)])
+def test_dedup_weights_match_the_column_multiset_walk(n_states, k):
+    weights = class_weights(n_states, k, dedup=True)
+    assert {c.faces: w // math.factorial(k) for c, w in weights} == _column_multiset_orbits(
+        n_states, k
+    )
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_realization_has_the_class_as_language(k):
     for c in complex_classes(k):
@@ -107,8 +159,9 @@ def test_realization_has_the_class_as_language(k):
 def test_complexes_missing_two_vertices_weigh_nothing():
     for k in range(2, 6):
         for n_states in (1, 4, 10):
-            for c, _ in class_weights(n_states, k):
-                assert sum(c.faces >> (1 << i) & 1 for i in range(k)) >= k - 1
+            for dedup in (False, True):
+                for c, _ in class_weights(n_states, k, dedup):
+                    assert sum(c.faces >> (1 << i) & 1 for i in range(k)) >= k - 1
 
 
 def test_class_fields():

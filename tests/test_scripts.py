@@ -28,6 +28,17 @@ def test_census_sweep_classification_rows():
     assert "Traceback" not in result.stderr
 
 
+def test_census_sweep_dedup_rows():
+    result = run_script("census_sweep.py", "--dedup")
+    assert result.returncode == 0, result.stderr
+    rows = {tuple(line.split()[:2]): line.split()[2:4] for line in result.stdout.splitlines()}
+    assert rows[("3", "3")] == ["134770", "6813"]
+    # dedup totals are a sum over classes of languages, so no point is capped
+    assert rows[("10", "4")] == ["146126714471838", "63183960095"]
+    assert "capped:" not in result.stdout
+    assert "Traceback" not in result.stderr
+
+
 def test_search_reach_smoke():
     result = run_script("search_reach.py", "--min-k", "10", "--max-k", "10", "--budget", "60")
     assert result.returncode == 0, result.stderr

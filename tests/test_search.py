@@ -641,19 +641,25 @@ def test_untruncated_walk_over_the_cap_fails_before_walking(monkeypatch):
 
     with monkeypatch.context() as patched:
         patched.setattr(search, "enumerate_vocabularies", no_walk)
-        # C(1024, 6) and C(1024, 3) program combinations
-        for spec in (SearchSpec(10, 6), SearchSpec(10, 3, dedup=True)):
+        # C(1024, 6) program combinations, and C(32, 6) = 906,192 of them
+        # times the 6! relabelings that dedup's orbit key tries for each
+        for spec in (SearchSpec(10, 6), SearchSpec(5, 6, dedup=True)):
             with pytest.raises(CapacityError) as info:
                 census(spec)
             assert (info.value.cap_name, info.value.cap_value) == (
                 "census_walk_cap", search.CENSUS_WALK_CAP,
             )
-    # the cap counts every combination, not the orbits that dedup keeps
-    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 55)
+    # a dedup walk counts every combination times its relabelings, not the
+    # orbits it keeps: C(8, 6) = 28 combinations times 720
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28 * 720 - 1)
     with pytest.raises(CapacityError):
-        census(SearchSpec(3, 3, dedup=True))
-    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 56)
-    assert census(SearchSpec(3, 3, dedup=True)).vocabularies == 16
+        census(SearchSpec(3, 6, dedup=True))
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28 * 720)
+    # the complements of the nine orbits of program pairs
+    assert census(SearchSpec(3, 6, dedup=True)).vocabularies == 9
+    # and a plain walk its combinations alone
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28)
+    assert census(SearchSpec(3, 6)).vocabularies == 28
     # a truncatable run walks a prefix, so the cap does not apply
     monkeypatch.setattr(search, "CENSUS_WALK_CAP", 0)
     report = census(SearchSpec(10, 6, max_tasks=0))
@@ -732,11 +738,9 @@ ORACLE_POINTS = (
 )
 
 
-@pytest.mark.parametrize("n_states, vocab_size, shaped", ORACLE_POINTS)
-def test_class_sum_matches_the_vocabulary_walk(n_states, vocab_size, shaped):
-    spec = SearchSpec(
-        n_states, vocab_size, require_classification_shaped=shaped, exemplar_limit=5
-    )
+def _check_class_sum_against_the_walk(spec):
+    """Totals from the class sum equal the counting walk's, and exemplars
+    the first unsolvable tasks of the brute-force stream."""
     walked = search._census_walk(spec, None)
     report = census(spec)
     assert not report.truncated
@@ -746,6 +750,13 @@ def test_class_sum_matches_the_vocabulary_walk(n_states, vocab_size, shaped):
     limit = min(spec.exemplar_limit, report.tasks_unsolvable)
     expected = itertools.islice(_brute_force_unsolvable(spec), limit)
     assert [_task_key(t) for t in report.exemplars] == [_task_key(t) for t in expected]
+
+
+@pytest.mark.parametrize("n_states, vocab_size, shaped", ORACLE_POINTS)
+def test_class_sum_matches_the_vocabulary_walk(n_states, vocab_size, shaped):
+    _check_class_sum_against_the_walk(
+        SearchSpec(n_states, vocab_size, require_classification_shaped=shaped, exemplar_limit=5)
+    )
 
 
 @pytest.mark.parametrize(
@@ -775,6 +786,45 @@ def test_class_sum_reaches_ten_states(n_states, vocab_size, shaped, totals):
     assert len(report.exemplars) == 3
 
 
+DEDUP_ORACLE_POINTS = (
+    [(n, k, shaped) for n in range(1, 5) for k in range(5) for shaped in (False, True)]
+    + [(n, k, shaped) for n, k in ((5, 3), (6, 3), (5, 4)) for shaped in (False, True)]
+)
+
+
+@pytest.mark.parametrize("n_states, vocab_size, shaped", DEDUP_ORACLE_POINTS)
+def test_dedup_class_sum_matches_the_orbit_key_walk(n_states, vocab_size, shaped):
+    # the walk counts each orbit's least vocabulary, keyed by _orbit_key
+    _check_class_sum_against_the_walk(
+        SearchSpec(
+            n_states, vocab_size, require_classification_shaped=shaped, dedup=True,
+            exemplar_limit=5,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "n_states, vocab_size, totals",
+    [
+        (10, 3, (3_504, 84_164_044, 3_769_446)),
+        (10, 4, (144_873, 146_126_714_471_838, 63_183_960_095)),
+    ],
+)
+def test_dedup_class_sum_reaches_ten_states(monkeypatch, n_states, vocab_size, totals):
+    # these walks would take C(1024, k)·k! orbit-key steps. The totals were
+    # confirmed by a walk over the multisets of ten state columns, like the
+    # one in test_complexes (2.7 minutes at 10/4)
+    def no_walk(*args):
+        raise AssertionError("dedup totals walk no vocabulary")
+
+    monkeypatch.setattr(search, "_census_walk", no_walk)
+    report = census(SearchSpec(n_states, vocab_size, dedup=True))
+    assert not report.truncated
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == totals
+    assert report.tasks_enumerated == report.tasks_valid
+    assert len(report.exemplars) == 3
+
+
 def test_six_programs_still_walk_vocabularies(monkeypatch):
     def no_classes(*args):
         raise AssertionError("six-program complexes are not listed")
@@ -791,10 +841,14 @@ def test_six_programs_still_walk_vocabularies(monkeypatch):
     "limits", [{"dedup": True}, {"max_tasks": 10**9}, {"time_budget": 60.0}]
 )
 def test_dedup_and_truncatable_runs_walk_vocabularies(monkeypatch, limits):
-    def no_classes(*args):
-        raise AssertionError("this run walks vocabularies")
+    # a truncatable run walks vocabularies for its totals; a dedup run
+    # takes them from the class sum and walks vocabularies only for its
+    # exemplars
+    def no_sum(*args):
+        raise AssertionError("this run takes its totals the other way")
 
-    monkeypatch.setattr(search, "class_weights", no_classes)
+    no_sum_for = "_census_walk" if "dedup" in limits else "class_weights"
+    monkeypatch.setattr(search, no_sum_for, no_sum)
     report = census(SearchSpec(n_states=3, vocab_size=3, **limits))
     assert not report.truncated
     assert report.tasks_valid == (134_770 if "dedup" in limits else 509_154)
