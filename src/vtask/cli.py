@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument(
         "--time-budget",
         type=float,
-        help="stop before the next vocabulary once this many seconds have passed",
+        help="stop once this many seconds have passed, checked before the "
+        "class sum or before each vocabulary of a walk",
     )
     p_census.add_argument(
         "--workers",

@@ -238,13 +238,6 @@ class Language:
         """The statements at a mask's set bits, in language order."""
         return tuple(compress(self.statements, bit_flags(mask)))
 
-    def mask_of(self, statements: Iterable[Statement]) -> int:
-        """The mask over language indices of the given statements."""
-        digits = bytearray(b"0" * len(self))
-        for s in statements:
-            digits[~self.index_of(s)] = ord("1")
-        return int(digits, 2)
-
     def extension_masks(self) -> tuple[int, ...]:
         """For each statement, the bitmask (over language indices) of its
         extension. The table holds len^2 bits; the census in

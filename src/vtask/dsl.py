@@ -444,7 +444,6 @@ class RealizedDocument:
     defines one."""
 
     document: TaskDocument
-    space: StateSpace
     vocabulary: Vocabulary
     language: Language
     names: tuple[str, ...]
@@ -487,7 +486,6 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
             task = validate_task(input_statements, output_statements, language)
     return RealizedDocument(
         document=doc,
-        space=space,
         vocabulary=vocab,
         language=language,
         names=names,

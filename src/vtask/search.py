@@ -49,9 +49,11 @@ permutations (Burnside's lemma over the class's automorphisms), and
 No vocabulary is walked for the totals, so full 10/5 (9.3·10^12
 vocabularies, 200 classes) and dedup 10/5 (9.6·10^6 orbits) take seconds.
 
-Two kinds of run still count by walking vocabularies: truncated runs
-(``max_tasks`` and ``time_budget`` stop before the next vocabulary) and
+Two kinds of run still count by walking vocabularies: runs with
+``max_tasks``, whose limit marks a prefix of the vocabularies, and
 six-program runs (about 7.8·10^6 labeled complexes, too many to list).
+A ``time_budget`` only bounds a run: a run of at most five programs walks
+under it when it is spent at the start or the sum meets a census cap.
 The walk keys a memo by statement masks
 (:func:`vtask.core.statement_masks`), so it counts each distinct language
 once. The time budget and the task limit are checked before each
@@ -60,7 +62,8 @@ first ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by
 one language's tasks. An untruncated walk of more than
 ``CENSUS_WALK_CAP`` steps fails before it starts: a step is a program
 combination, or with dedup one relabeling of one, since the orbit key
-tries all k! of them.
+tries all k! of them; so does one that must meet six programs sharing
+a state, whose language of 64 statements is over both statement caps.
 
 Every run takes its exemplars from one more walk in census order. It
 draws each distinct language's unsolvable triples once, and stops as
@@ -112,8 +115,8 @@ class SearchSpec:
     ``require_classification_shaped`` additionally restricts the census to
     tasks shaped like encoded classification problems. ``max_tasks`` and
     ``time_budget`` truncate the run (flagged in the report); both are
-    checked before each vocabulary, so a truncated run counts whole
-    languages.
+    checked before each vocabulary of a walk, so a truncated run counts
+    whole languages, and the budget before the class sum too.
     """
 
     n_states: int
@@ -487,17 +490,6 @@ def _census_shaped(lang: Language) -> tuple[int, int, int]:
     return enumerated, valid_total, solvable
 
 
-def _walks_vocabularies(spec: SearchSpec) -> bool:
-    """True for the runs that the class sum does not serve: a truncated run
-    stops before the next vocabulary, and six programs have too many
-    complexes to list."""
-    return (
-        spec.max_tasks is not None
-        or spec.time_budget is not None
-        or spec.vocab_size > COMPLEX_MAX_VERTICES
-    )
-
-
 def _census_classes(spec: SearchSpec) -> _Totals:
     """Untruncated totals as a sum over the classes of complexes: each
     class is censused once, over the language of its realization, and
@@ -566,6 +558,11 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
                 cap_name="census_walk_cap",
                 cap_value=CENSUS_WALK_CAP,
             )
+        if 1 << (spec.n_states - 1) >= spec.vocab_size > COMPLEX_MAX_VERTICES:
+            # the walk must meet six programs that share a state, whose
+            # language of all 64 subsets is over both statement caps
+            shared = Vocabulary(tuple(range(1, 2 * spec.vocab_size, 2)), StateSpace(spec.n_states))
+            _census_language(spec, build_language(shared))
     totals = _Totals()
     # keyed by statement masks; it lives for one call, so a later census
     # in the same process starts afresh
@@ -589,19 +586,27 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
 
 
 def census(spec: SearchSpec) -> CensusReport:
-    """Run the census in one process. An untruncated run of at most five
-    programs sums over the classes of complexes; the other runs walk the
-    vocabularies. Either way the exemplars come from
-    :func:`_exemplars`, which stops as soon as it holds them: a truncated
-    run counted a prefix of the vocabularies, so its first unsolvable
-    tasks all lie in that prefix.
+    """Run the census in one process. A run of at most five programs
+    without ``max_tasks`` sums over the classes of complexes, unless its
+    budget is spent before the sum starts. The other runs walk the
+    vocabularies, and so does a budgeted run whose sum meets a census cap.
+    Either way the exemplars come from :func:`_exemplars`, which stops as
+    soon as it holds them: a truncated run counted a prefix of the
+    vocabularies, so its first unsolvable tasks all lie in that prefix.
     """
     start = time.monotonic()
-    if _walks_vocabularies(spec):
-        deadline = start + spec.time_budget if spec.time_budget is not None else None
+    deadline = start + spec.time_budget if spec.time_budget is not None else None
+    totals = None
+    sums = spec.max_tasks is None and spec.vocab_size <= COMPLEX_MAX_VERTICES
+    if sums and (deadline is None or time.monotonic() < deadline):
+        try:
+            totals = _census_classes(spec)
+        except CapacityError:
+            # the walk may reach its deadline before the language over the cap
+            if deadline is None:
+                raise
+    if totals is None:
         totals = _census_walk(spec, deadline)
-    else:
-        totals = _census_classes(spec)
     unsolvable = totals.valid - totals.solvable
     exemplars = _exemplars(spec, min(spec.exemplar_limit, unsolvable))
     elapsed = time.monotonic() - start

@@ -22,6 +22,7 @@ SAMPLE_DIR = ROOT / "sample_tasks"
 TWO_CLASS_FILE = SAMPLE_DIR / "two_class_single_feature.pvt"
 COLORED_BOX_FILE = SAMPLE_DIR / "colored_box.pvt"
 REFERENCE_FAMILY_FILE = SAMPLE_DIR / "reference_family_10.pvt"
+UP_CLOSED_FILE = SAMPLE_DIR / "up_closed_outputs.pvt"
 
 # curated invalid documents: (text, line of the expected diagnostic,
 # fragment of the expected message)

@@ -200,8 +200,6 @@ def test_language_index_and_membership():
     assert Statement(0b11) not in lang
     with pytest.raises(DomainError):
         lang.index_of(Statement(0b11))
-    with pytest.raises(DomainError):
-        lang.mask_of([Statement(0b01), Statement(0b11)])
 
 
 # -- extensions --------------------------------------------------------------
@@ -343,7 +341,6 @@ def test_statements_of_and_mask_of_are_inverse(vocab, rng):
     mask = rng.getrandbits(len(lang))
     chosen = lang.statements_of(mask)
     assert chosen == tuple(s for j, s in enumerate(lang.statements) if mask >> j & 1)
-    assert lang.mask_of(chosen) == mask
 
 
 @given(vocabularies())

@@ -15,7 +15,7 @@ import pytest
 
 from vtask import cli
 
-from conftest import COLORED_BOX_FILE, REFERENCE_FAMILY_FILE, TWO_CLASS_FILE
+from conftest import COLORED_BOX_FILE, REFERENCE_FAMILY_FILE, TWO_CLASS_FILE, UP_CLOSED_FILE
 
 _CENSUS_FLAGS = {
     "plain": [],
@@ -36,6 +36,14 @@ _DENSE_SEARCH = {
         "search", str(REFERENCE_FAMILY_FILE), "--mode", mode, *extra
     ]
     for mode in ("exhaustive", "pruned")
+    for suffix, extra in (("", []), ("-structured", ["--structured"]))
+}
+# set-policy search that finds correct set policies (and no single
+# policy), so that set-policy rows render in both formats
+_SET_SEARCH = {
+    f"search-set-2-up-closed{suffix}": [
+        "search", str(UP_CLOSED_FILE), "--set-policies", "2", *extra
+    ]
     for suffix, extra in (("", []), ("-structured", ["--structured"]))
 }
 # census paths the sweep above misses
@@ -62,6 +70,7 @@ def _commands() -> dict[str, list[str]]:
     for name, extra in _CENSUS_EXTRA.items():
         commands[name] = ["census", *extra]
     commands.update(_DENSE_SEARCH)
+    commands.update(_SET_SEARCH)
     commands["verify-paper"] = ["verify-paper"]
     return commands
 
@@ -89,6 +98,8 @@ GOLDEN = {
     "search-dense10-exhaustive-structured": (0, "f722442eee6a5e7ade73cd18c995e14d80c5af8017fe6184bd9eb4d688882035"),
     "search-dense10-pruned": (0, "eb5d49cc1597f405f4f8afa5109087c64fc9224f0056ac410167d3fbc56b28fe"),
     "search-dense10-pruned-structured": (0, "1d0459dcb8529118c7fc61973ea8bfaae0d782e22d92fc1654465ae76b0039fe"),
+    "search-set-2-up-closed": (0, "b969bd8950865a8cd63835282c583222f94f6891c39c05f005fc8210dddad64c"),
+    "search-set-2-up-closed-structured": (0, "8c7c147cf9e2d5ce9d57080ad9bd0bb2758b81a662af70a6dedfbc2c854ce4f6"),
     "search-set-all-box": (1, "8e54cbaede179e9e0c54af1d59516152165c4f319b9a2c82b647d2df11f6443a"),
     "search-set-all-two-class": (1, "1635abc3e80e7e2ac65cd0a7ee8134a48ea1932fd9def40d6535afd9ee8b64d2"),
     "verify-paper": (0, "59e6019c1e0dd17adb1cb32e9c5af878c95892b22921612d0d7f113e899b0c30"),

@@ -660,11 +660,41 @@ def test_untruncated_walk_over_the_cap_fails_before_walking(monkeypatch):
     # and a plain walk its combinations alone
     monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28)
     assert census(SearchSpec(3, 6)).vocabularies == 28
-    # a truncatable run walks a prefix, so the cap does not apply
+    # a walk with a task limit or a budget may stop early, so the cap does
+    # not apply; a budgeted run of at most five programs takes the class sum
     monkeypatch.setattr(search, "CENSUS_WALK_CAP", 0)
     report = census(SearchSpec(10, 6, max_tasks=0))
     assert (report.truncated, report.vocabularies) == (True, 0)
+    assert census(SearchSpec(3, 6, time_budget=60.0)).vocabularies == 28
     assert census(SearchSpec(3, 3, time_budget=60.0)).tasks_valid == 509_154
+
+
+def test_six_program_runs_over_a_statement_cap_fail_before_walking(monkeypatch):
+    # from four states on, six programs can share a state, and their
+    # language of all 64 subsets is over both statement caps; the walk cap
+    # is checked first
+    def no_walk(spec):
+        raise AssertionError("a capped census walks no vocabulary")
+
+    upset = ("census_upset_cap", search.CENSUS_UPSET_CAP)
+    runs = {
+        (4, "full"): upset,
+        (5, "full"): upset,
+        (4, "dedup"): upset,
+        (5, "dedup"): ("census_walk_cap", search.CENSUS_WALK_CAP),
+        (4, "shaped"): ("census_language_cap", search.CENSUS_LANGUAGE_CAP),
+        (5, "shaped"): ("census_language_cap", search.CENSUS_LANGUAGE_CAP),
+    }
+    flags = {"full": {}, "dedup": {"dedup": True}, "shaped": {"require_classification_shaped": True}}
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "enumerate_vocabularies", no_walk)
+        for (n_states, mode), cap in runs.items():
+            with pytest.raises(CapacityError) as info:
+                census(SearchSpec(n_states, 6, **flags[mode]))
+            assert (info.value.cap_name, info.value.cap_value) == cap
+    # three states hold at most four programs each, so 3/6 still walks
+    assert census(SearchSpec(3, 6)).vocabularies == 28
+    assert census(SearchSpec(3, 6, dedup=True)).vocabularies == 9
 
 
 def test_census_memo_is_per_run(monkeypatch):
@@ -841,17 +871,54 @@ def test_six_programs_still_walk_vocabularies(monkeypatch):
     "limits", [{"dedup": True}, {"max_tasks": 10**9}, {"time_budget": 60.0}]
 )
 def test_dedup_and_truncatable_runs_walk_vocabularies(monkeypatch, limits):
-    # a truncatable run walks vocabularies for its totals; a dedup run
-    # takes them from the class sum and walks vocabularies only for its
-    # exemplars
-    def no_sum(*args):
+    # only a task limit walks vocabularies for the totals: the limit marks a
+    # prefix of the vocabularies, which only the walk finds. A dedup run
+    # walks them only for its exemplars, and a time budget bounds the class
+    # sum without choosing the walk
+    def wrong_way(*args):
         raise AssertionError("this run takes its totals the other way")
 
-    no_sum_for = "_census_walk" if "dedup" in limits else "class_weights"
-    monkeypatch.setattr(search, no_sum_for, no_sum)
+    walks = "max_tasks" in limits
+    monkeypatch.setattr(search, "class_weights" if walks else "_census_walk", wrong_way)
     report = census(SearchSpec(n_states=3, vocab_size=3, **limits))
     assert not report.truncated
     assert report.tasks_valid == (134_770 if "dedup" in limits else 509_154)
+
+
+def test_a_task_limit_truncates_the_walk(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("a run with a task limit walks vocabularies")
+
+    monkeypatch.setattr(search, "class_weights", no_sum)
+    report = census(SearchSpec(n_states=3, vocab_size=3, max_tasks=1000))
+    assert report.truncated
+    assert report.tasks_valid < 509_154
+
+
+def test_budgeted_runs_walk_when_the_sum_cannot_serve(monkeypatch):
+    walked = []
+    original = search._census_walk
+
+    def recorded(spec, deadline):
+        walked.append(spec)
+        return original(spec, deadline)
+
+    monkeypatch.setattr(search, "_census_walk", recorded)
+    # a spent budget counts nothing, before any class is weighed
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "class_weights", lambda *args: pytest.fail("weighed"))
+        report = census(SearchSpec(n_states=3, vocab_size=3, time_budget=0.0))
+    assert (report.truncated, report.vocabularies, report.tasks_valid) == (True, 0, 0)
+    # a shaped five-program class is over the 16-statement cap; the walk
+    # could stop at its deadline first, so the sum hands the run to it,
+    # and here it meets that language
+    spec = SearchSpec(
+        n_states=3, vocab_size=5, require_classification_shaped=True, time_budget=60.0
+    )
+    with pytest.raises(CapacityError) as info:
+        census(spec)
+    assert info.value.cap_name == "census_language_cap"
+    assert walked == [SearchSpec(3, 3, time_budget=0.0), spec]
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():
