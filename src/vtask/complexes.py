@@ -15,38 +15,37 @@ weighed by the number of vocabularies whose language lies in it. That
 number has a closed form. An ordered k-tuple of programs over n states is
 a map from the states to columns, the set of programs that hold in each
 state, and its language is the down-closure of the columns it uses: K
-exactly when every column lies in K and every facet of K is used. Tuples
-of distinct programs come from Möbius inversion over the set partitions
-π of [k], with μ(π) = Π_B (−1)^(|B|−1)·(|B|−1)!:
+exactly when every column lies in K and every facet of K is used. A dedup
+census counts the orbits of vocabularies under state permutations
+instead: multisets of n columns, up to the k! relabelings. The orbits
+whose language lies in K's class are the orbits of K's automorphism group
+Aut K (the relabelings whose column map fixes K's face set) on the
+multisets whose language is exactly K.
 
-    N(K) = Σ_π μ(π)·[F ⊆ C_π]·Σ_j C(|K ∩ C_π| − |F|, j)·surj(n, |F| + j)
+Both are one sum over a group G of relabelings, {id} for the plain census
+and Aut K for dedup: Burnside's lemma over G, with Möbius inversion over
+the set partitions π of [k] to keep the programs distinct, where
+μ(π) = Π_B (−1)^(|B|−1)·(|B|−1)! (Harary and Palmer, Graphical
+Enumeration, 1973, ch. 2). A class of ``orbit`` labeled complexes weighs
 
-Here F is the set of facets of K, C_π the set of columns that hold each
-block of π whole or not at all, and surj(n, m) = m!·S(n, m) the number of
-maps of n states onto m columns (Stanley, Enumerative Combinatorics,
-vol. 1, §3.7). Isomorphic complexes have equal N, so a class of
-``orbit`` labeled complexes weighs orbit·N(K), and since a vocabulary is
-k! tuples, the census totals are (1/k!)·Σ orbit·N(K)·census(K) over the
-classes.
+    W(K) = orbit·Σ_{τ ∈ G} Σ_π μ(π)·c(τ, π)
 
-A dedup census counts the orbits of vocabularies under state permutations.
-An orbit is a multiset of n columns whose programs are distinct, up to
-the k! relabelings, and the orbits whose language lies in K's class are
-the orbits of its automorphism group Aut K (the relabelings whose column
-map fixes K's face set) on the multisets whose language is exactly K. By
-Burnside's lemma, weighted with μ(π) as above (Harary and Palmer,
-Graphical Enumeration, 1973, ch. 2):
+where c(τ, π) counts the maps, or with dedup the multisets, that τ fixes,
+whose columns lie in C_π, the columns that hold each block of π whole or
+not at all, and whose language is K. Let F be the set of facets of K and
+D the union of the τ-cycles of columns that lie wholly in K ∩ C_π. Then
+c = 0 unless F ⊆ D. Otherwise the plain c counts the maps of the n
+states into D that use all |F| facets,
 
-    orbits(K) = (1/|Aut K|)·Σ_{τ ∈ Aut K} Σ_π μ(π)·c(τ, π)
+    Σ_i (−1)^i·C(|F|, i)·(|D| − i)^n,
 
-where c(τ, π) counts the multisets that τ fixes, whose columns lie in C_π
-and whose language is K. Let D be the union of the τ-cycles of columns
-that lie wholly in K ∩ C_π. A fixed multiset is constant on each cycle,
-so c = 0 unless F ⊆ D, and otherwise c is the coefficient of x^n in the
-product over the cycles O of D of x^|O|/(1 − x^|O|) for a cycle of facets
-and 1/(1 − x^|O|) for any other. Since |Aut K| = k!/orbit, a class weighs
-orbit·Σ_τ Σ_π μ(π)·c(τ, π), k! times its orbits, the same shape as
-orbit·N(K).
+and the dedup c, since a fixed multiset is constant on each cycle, is the
+coefficient of x^n in the product over the cycles O of D of
+x^|O|/(1 − x^|O|) for a cycle of facets and 1/(1 − x^|O|) for any other.
+So W(K) counts the k-tuples of distinct programs whose language lies in
+K's class, or, since |Aut K| = k!/orbit, k! times the orbits. A
+vocabulary is k! tuples, so the census totals are (1/k!)·Σ W(K)·census(K)
+over the classes.
 
 Classes are listed for up to five programs: 19, 167 and 7,580 labeled
 complexes in 9, 29 and 209 classes for k = 3, 4 and 5. Six programs have
@@ -59,6 +58,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Program, StateSpace, Vocabulary
 from .errors import CapacityError
@@ -173,31 +173,23 @@ def _set_partitions(k: int) -> list[tuple[int, int]]:
     return out
 
 
-@functools.cache
-def _class_terms(k: int) -> tuple[tuple[ComplexClass, tuple[tuple[int, int], ...]], ...]:
-    """Each class with the terms of N(K) that do not depend on the states:
-    for each count f of free columns |K ∩ C_π| − |F|, the sum of μ(π) over
-    the partitions π with F ⊆ C_π and that count. Cached, with the
-    classes' realizations, for the life of the process: a handful of
-    tables, one per number of programs."""
-    partitions = _set_partitions(k)
-    out = []
-    for cls in complex_classes(k):
-        terms: dict[int, int] = {}
-        for mu, columns in partitions:
-            if not cls.facets & ~columns:
-                free = (cls.faces & columns).bit_count() - cls.facets.bit_count()
-                terms[free] = terms.get(free, 0) + mu
-        out.append((cls, tuple((free, mu) for free, mu in terms.items() if mu)))
-    return tuple(out)
+def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
+    out = 0
+    for old, new in enumerate(perm):
+        if bits >> old & 1:
+            out |= 1 << new
+    return out
 
 
-def _relabeling_cycles(k: int) -> list[tuple[list[int], list[tuple[int, int]]]]:
-    """Each relabeling τ of [k] as the cycles of its column map, each a
-    2^k-bit mask of columns, with the union of its cycles of each length."""
+def _relabeling_cycles(
+    k: int, perms: Iterable[tuple[int, ...]]
+) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Each relabeling τ of [k] in ``perms`` as the cycles of its column
+    map, each a 2^k-bit mask of columns, with the union of its cycles of
+    each length."""
     out = []
-    for perm in itertools.permutations(range(k)):
-        image = [sum(1 << perm[i] for i in range(k) if c >> i & 1) for c in range(1 << k)]
+    for perm in perms:
+        image = [_permute_program_bits(c, perm) for c in range(1 << k)]
         cycles: list[int] = []
         by_length: dict[int, int] = {}
         seen = 0
@@ -221,19 +213,26 @@ CycleType = tuple[tuple[int, int], ...]
 
 
 @functools.cache
-def _orbit_terms(k: int) -> tuple[tuple[ComplexClass, tuple[tuple[CycleType, int], ...]], ...]:
-    """Each class with the terms of Σ_τ Σ_π μ(π)·c(τ, π) that do not depend
-    on the states: for each cycle type of D, the sum of μ(π) over the pairs
-    (τ, π) with τ ∈ Aut K, F ⊆ D and that type. τ is in Aut K exactly when
-    K's face set is a union of τ's column cycles; then every τ-cycle lies
-    in K or outside it, so D = K ∩ T(τ, π), where T(τ, π) is the union of
-    the τ-cycles that lie wholly in C_π. Cached like :func:`_class_terms`."""
+def _class_terms(
+    k: int, dedup: bool
+) -> tuple[tuple[ComplexClass, tuple[tuple[CycleType, int], ...]], ...]:
+    """Each class with the terms of Σ_{τ ∈ G} Σ_π μ(π)·c(τ, π) that do not
+    depend on the states: for each cycle type of D, the sum of μ(π) over
+    the pairs (τ, π) with τ ∈ G, F ⊆ D and that type. G is Aut K with
+    ``dedup`` and the identity alone without, whose cycles are the single
+    columns. τ is in Aut K exactly when K's face set is a union of τ's
+    column cycles; then every τ-cycle lies in K or outside it, so
+    D = K ∩ T(τ, π), where T(τ, π) is the union of the τ-cycles that lie
+    wholly in C_π. Cached, with the classes' realizations, for the life of
+    the process: a handful of tables, one per number of programs and
+    mode."""
     partitions = _set_partitions(k)
+    perms = itertools.permutations(range(k)) if dedup else [tuple(range(k))]
     relabelings = [
         (cycles, by_length, [
             sum(cycle for cycle in cycles if not cycle & ~columns) for _, columns in partitions
         ])
-        for cycles, by_length in _relabeling_cycles(k)
+        for cycles, by_length in _relabeling_cycles(k, perms)
     ]
     out = []
     for cls in complex_classes(k):
@@ -266,46 +265,41 @@ def _multisets(cycle_type: CycleType, size: int) -> int:
     return ways[size]
 
 
+def _maps(cycle_type: CycleType, facets: int, n_states: int) -> int:
+    """The maps of the states into the cycles' union that use each of
+    ``facets`` of its columns, by inclusion–exclusion over the facets
+    left out."""
+    size = sum(length * count for length, count in cycle_type)
+    return sum(
+        (-1) ** i * math.comb(facets, i) * (size - i) ** n_states for i in range(facets + 1)
+    )
+
+
 @functools.cache
 def class_weights(
     n_states: int, k: int, dedup: bool = False
 ) -> tuple[tuple[ComplexClass, int], ...]:
     """Each class of complexes on [k] that is the language of some k-tuple
-    of distinct programs over ``n_states`` states, with its weight: orbit·N(K),
+    of distinct programs over ``n_states`` states, with its weight W(K):
     the number of those tuples whose language lies in the class, or with
-    ``dedup`` orbit·Σ_τ Σ_π μ(π)·c(τ, π), k! times the number of orbits of
-    vocabularies under state permutations whose language lies in it. The
-    weights sum to k!·C(2^n, k), or k! times the dedup vocabularies. A
-    complex with more facets than states is no language, so its sum is
-    never taken."""
+    ``dedup`` k! times the number of orbits of vocabularies under state
+    permutations whose language lies in it. The weights sum to
+    k!·C(2^n, k), or k! times the dedup vocabularies. A complex with more
+    facets than states is no language, so its sum is never taken."""
     out = []
-    if dedup:
-        for cls, terms in _orbit_terms(k):
-            # each facet is a column at least once, the x^|O| of its cycle:
-            # the other columns number n − |F|
-            spare = n_states - cls.facets.bit_count()
-            if spare < 0:
-                continue
-            orbits = sum(mu * _multisets(cycle_type, spare) for cycle_type, mu in terms)
-            if orbits:
-                out.append((cls, cls.orbit * orbits))
-        return tuple(out)
-    # surj(n, m) for m = 0..n: the maps of the states onto m columns
-    surj = [
-        sum((-1) ** i * math.comb(m, i) * (m - i) ** n_states for i in range(m + 1))
-        for m in range(n_states + 1)
-    ]
-    for cls, terms in _class_terms(k):
-        used = cls.facets.bit_count()
-        if used > n_states:
+    for cls, terms in _class_terms(k, dedup):
+        facets = cls.facets.bit_count()
+        if facets > n_states:
             continue
-        tuples = sum(
-            mu * sum(
-                math.comb(free, j) * surj[used + j]
-                for j in range(min(free, n_states - used) + 1)
+        # a dedup multiset holds each facet at least once, the x^|O| of its
+        # cycle: the other columns number n − |F|
+        weight = sum(
+            mu * (
+                _multisets(cycle_type, n_states - facets) if dedup
+                else _maps(cycle_type, facets, n_states)
             )
-            for free, mu in terms
+            for cycle_type, mu in terms
         )
-        if tuples:
-            out.append((cls, cls.orbit * tuples))
+        if weight:
+            out.append((cls, cls.orbit * weight))
     return tuple(out)

@@ -439,12 +439,11 @@ def serialize_document_tree(doc: TaskDocument) -> bytes:
 
 @dataclass(frozen=True)
 class RealizedDocument:
-    """Domain objects built from a document: the vocabulary and language,
-    names aligned to vocabulary indices, and the task, when the document
+    """Domain objects built from a document: the language, names aligned
+    to the indices of its vocabulary, and the task, when the document
     defines one."""
 
     document: TaskDocument
-    vocabulary: Vocabulary
     language: Language
     names: tuple[str, ...]
     task: Task | None
@@ -457,10 +456,6 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
     """
     space = StateSpace(doc.n_states)
     declared = doc.declared()
-    vocab = Vocabulary.build(declared.values(), space)
-    by_value = {program.bits: name for name, program in declared.items()}
-    names = tuple(by_value[b] for b in vocab.bits)
-
     classification = None
     task = None
     if doc.examples:
@@ -474,19 +469,20 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
         task = encode_classification(classification)
         language = task.language
     else:
-        language = build_language(vocab)
-        if doc.inputs or doc.outputs:
-            index = {name: vocab.index_of(program) for name, program in declared.items()}
-            input_statements = [
-                Statement.from_indices(index[n] for n in line) for line in doc.inputs
-            ]
-            output_statements = [
-                Statement.from_indices(index[n] for n in line) for line in doc.outputs
-            ]
-            task = validate_task(input_statements, output_statements, language)
+        language = build_language(Vocabulary.build(declared.values(), space))
+    by_value = {program.bits: name for name, program in declared.items()}
+    names = tuple(by_value[b] for b in language.vocabulary.bits)
+    if not doc.examples and (doc.inputs or doc.outputs):
+        index = {name: i for i, name in enumerate(names)}
+        input_statements = [
+            Statement.from_indices(index[n] for n in line) for line in doc.inputs
+        ]
+        output_statements = [
+            Statement.from_indices(index[n] for n in line) for line in doc.outputs
+        ]
+        task = validate_task(input_statements, output_statements, language)
     return RealizedDocument(
         document=doc,
-        vocabulary=vocab,
         language=language,
         names=names,
         task=task,
@@ -760,21 +756,19 @@ def _census_exemplars(
 ) -> Iterator[tuple[list[str], list[list[str]], list[list[str]]]]:
     """Each exemplar's program bitstrings and its sorted inputs and
     outputs, each statement as its members' bitstrings in index order.
-    A vocabulary and its statements are rendered once, however many
-    exemplars share it."""
-    rendered: dict[Vocabulary, tuple[list[str], dict[int, list[str]]]] = {}
+    A vocabulary's bitstrings are rendered once, however many exemplars
+    share it."""
+    rendered: dict[Vocabulary, tuple[list[str], Callable[[Statement], list[str]]]] = {}
     for task in report.exemplars:
         vocab = task.language.vocabulary
         if vocab not in rendered:
             programs = [p.to_bitstring() for p in vocab.programs]
-            rendered[vocab] = programs, {
-                s.members: [programs[i] for i in s.indices()] for s in task.language
-            }
-        programs, statements = rendered[vocab]
+            rendered[vocab] = programs, _statement_namer(vocab, None)
+        programs, names_of = rendered[vocab]
         yield (
             programs,
-            [statements[s.members] for s in task.sorted_inputs()],
-            [statements[s.members] for s in task.sorted_outputs()],
+            [names_of(s) for s in task.sorted_inputs()],
+            [names_of(s) for s in task.sorted_outputs()],
         )
 
 

@@ -59,11 +59,11 @@ The walk keys a memo by statement masks
 once. The time budget and the task limit are checked before each
 vocabulary, so a truncated report counts whole languages, those of its
 first ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by
-one language's tasks. An untruncated walk of more than
-``CENSUS_WALK_CAP`` steps fails before it starts: a step is a program
-combination, or with dedup one relabeling of one, since the orbit key
-tries all k! of them; so does one that must meet six programs sharing
-a state, whose language of 64 statements is over both statement caps.
+one language's tasks. Only six-program runs walk untruncated. Three
+states hold at most C(8, 6) = 28 program combinations; from four states
+on the walk must meet six programs that share a state, whose language of
+64 statements is over both statement caps, so the run fails on that cap
+before it walks any vocabulary.
 
 Every run takes its exemplars from one more walk in census order. It
 draws each distinct language's unsolvable triples once, and stops as
@@ -82,7 +82,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .complexes import COMPLEX_MAX_VERTICES, class_weights
+from .complexes import COMPLEX_MAX_VERTICES, _permute_program_bits, class_weights
 from .core import (
     Language,
     Program,
@@ -99,11 +99,6 @@ CENSUS_MAX_STATES = 10
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
 CENSUS_UPSET_CAP = 32
-# steps an untruncated walk may take: a program combination, or with dedup
-# one of its k! relabelings. On a shared 2-core machine the walk keys about
-# 100,000 six-program combinations a second (under two minutes for the
-# cap), and dedup takes about 900,000 steps a second (about 11 seconds)
-CENSUS_WALK_CAP = 10**7
 CANON_MAX_PROGRAMS = 8
 
 
@@ -177,14 +172,6 @@ class CensusReport:
                 f"({self.tasks_unsolvable}) tasks must equal valid tasks "
                 f"({self.tasks_valid})"
             )
-
-
-def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for old, new in enumerate(perm):
-        if bits >> old & 1:
-            out |= 1 << new
-    return out
 
 
 def _state_columns(program_bits: Sequence[int], n_states: int) -> list[int]:
@@ -547,17 +534,6 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
     """Totals from the vocabulary walk, each distinct language counted once.
     The deadline and the task limit are checked before each vocabulary."""
     if spec.max_tasks is None and deadline is None:
-        combinations = math.comb(1 << spec.n_states, spec.vocab_size)
-        steps = combinations * math.factorial(spec.vocab_size) if spec.dedup else combinations
-        if steps > CENSUS_WALK_CAP:
-            per = f" times {spec.vocab_size}! relabelings" if spec.dedup else ""
-            raise CapacityError(
-                f"census walks all {combinations} program combinations{per}, "
-                f"over the {CENSUS_WALK_CAP}-step walk cap; set max_tasks or "
-                "time_budget to walk a prefix",
-                cap_name="census_walk_cap",
-                cap_value=CENSUS_WALK_CAP,
-            )
         if 1 << (spec.n_states - 1) >= spec.vocab_size > COMPLEX_MAX_VERTICES:
             # the walk must meet six programs that share a state, whose
             # language of all 64 subsets is over both statement caps

@@ -310,7 +310,7 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             f"candidate count of more than {digits} decimal digits, the most "
             "Python converts to text; pass a smaller subset-size cap",
             cap_name="set_policy_candidates",
-            cap_value=SET_POLICY_CANDIDATE_CAP,
+            cap_value=digits,
         )
     n_outputs = task.output_mask.bit_count()
     if len(lang) * n_outputs > SET_POLICY_TABLE_BITS:

@@ -81,7 +81,11 @@ def test_classification_file_builds_one_language(monkeypatch):
     realized = realize_document(parse_task_file(COLORED_BOX_FILE.read_text()))
     assert len(built) == 1
     assert realized.task.language is realized.language
-    assert realized.language.vocabulary == realized.vocabulary
+    # each name sits at the index of its declared program
+    declared = realized.document.declared()
+    assert list(realized.language.vocabulary.programs) == [
+        declared[name] for name in realized.names
+    ]
 
 
 def test_parse_normalizes_order_and_duplicates():
@@ -101,7 +105,7 @@ def test_parse_normalizes_order_and_duplicates():
 
 def test_vocabulary_only_document():
     realized = realize_document(parse_task_file("states 3\n"))
-    assert len(realized.vocabulary) == 0
+    assert len(realized.language.vocabulary) == 0
     assert [s.members for s in realized.language] == [0]
     assert realized.task is None
 

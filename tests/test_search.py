@@ -635,66 +635,57 @@ def test_census_truncates_between_vocabularies(kind, exemplar_limit):
     assert report.exemplars == tuple(unsolvable[:exemplar_limit])
 
 
-def test_untruncated_walk_over_the_cap_fails_before_walking(monkeypatch):
-    def no_walk(spec):
-        raise AssertionError("a capped census walks no vocabulary")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(search, "enumerate_vocabularies", no_walk)
-        # C(1024, 6) program combinations, and C(32, 6) = 906,192 of them
-        # times the 6! relabelings that dedup's orbit key tries for each
-        for spec in (SearchSpec(10, 6), SearchSpec(5, 6, dedup=True)):
-            with pytest.raises(CapacityError) as info:
-                census(spec)
-            assert (info.value.cap_name, info.value.cap_value) == (
-                "census_walk_cap", search.CENSUS_WALK_CAP,
-            )
-    # a dedup walk counts every combination times its relabelings, not the
-    # orbits it keeps: C(8, 6) = 28 combinations times 720
-    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28 * 720 - 1)
-    with pytest.raises(CapacityError):
-        census(SearchSpec(3, 6, dedup=True))
-    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28 * 720)
-    # the complements of the nine orbits of program pairs
-    assert census(SearchSpec(3, 6, dedup=True)).vocabularies == 9
-    # and a plain walk its combinations alone
-    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28)
-    assert census(SearchSpec(3, 6)).vocabularies == 28
-    # a walk with a task limit or a budget may stop early, so the cap does
-    # not apply; a budgeted run of at most five programs takes the class sum
-    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 0)
-    report = census(SearchSpec(10, 6, max_tasks=0))
-    assert (report.truncated, report.vocabularies) == (True, 0)
-    assert census(SearchSpec(3, 6, time_budget=60.0)).vocabularies == 28
-    assert census(SearchSpec(3, 3, time_budget=60.0)).tasks_valid == 509_154
-
-
 def test_six_program_runs_over_a_statement_cap_fail_before_walking(monkeypatch):
     # from four states on, six programs can share a state, and their
-    # language of all 64 subsets is over both statement caps; the walk cap
-    # is checked first
+    # language of all 64 subsets is over both statement caps
     def no_walk(spec):
         raise AssertionError("a capped census walks no vocabulary")
 
-    upset = ("census_upset_cap", search.CENSUS_UPSET_CAP)
-    runs = {
-        (4, "full"): upset,
-        (5, "full"): upset,
-        (4, "dedup"): upset,
-        (5, "dedup"): ("census_walk_cap", search.CENSUS_WALK_CAP),
-        (4, "shaped"): ("census_language_cap", search.CENSUS_LANGUAGE_CAP),
-        (5, "shaped"): ("census_language_cap", search.CENSUS_LANGUAGE_CAP),
+    caps = {
+        "full": ("census_upset_cap", search.CENSUS_UPSET_CAP),
+        "dedup": ("census_upset_cap", search.CENSUS_UPSET_CAP),
+        "shaped": ("census_language_cap", search.CENSUS_LANGUAGE_CAP),
     }
     flags = {"full": {}, "dedup": {"dedup": True}, "shaped": {"require_classification_shaped": True}}
     with monkeypatch.context() as patched:
         patched.setattr(search, "enumerate_vocabularies", no_walk)
-        for (n_states, mode), cap in runs.items():
-            with pytest.raises(CapacityError) as info:
-                census(SearchSpec(n_states, 6, **flags[mode]))
-            assert (info.value.cap_name, info.value.cap_value) == cap
-    # three states hold at most four programs each, so 3/6 still walks
+        for n_states in range(4, 11):
+            for mode, cap in caps.items():
+                with pytest.raises(CapacityError) as info:
+                    census(SearchSpec(n_states, 6, **flags[mode]))
+                assert (info.value.cap_name, info.value.cap_value) == cap
+    # three states hold at most four programs each, so 3/6 still walks its
+    # C(8, 6) = 28 combinations, the complements of the program pairs, and
+    # with dedup the complements of the nine orbits of pairs
     assert census(SearchSpec(3, 6)).vocabularies == 28
     assert census(SearchSpec(3, 6, dedup=True)).vocabularies == 9
+
+
+def test_untruncated_walk_over_the_cap_fails_before_walking(monkeypatch):
+    def no_walk(spec):
+        raise AssertionError("a capped census walks no vocabulary")
+
+    upset = ("census_upset_cap", search.CENSUS_UPSET_CAP)
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "enumerate_vocabularies", no_walk)
+        for spec in (SearchSpec(10, 6), SearchSpec(5, 6, dedup=True)):
+            with pytest.raises(CapacityError) as info:
+                census(spec)
+            assert (info.value.cap_name, info.value.cap_value) == upset
+    # a walk with a task limit or a budget may stop early, so it is not
+    # probed; the same runs walk a prefix that ends before any vocabulary
+    for spec in (
+        SearchSpec(10, 6, max_tasks=0),
+        SearchSpec(10, 6, time_budget=0.0),
+        SearchSpec(5, 6, dedup=True, max_tasks=0),
+        SearchSpec(5, 6, dedup=True, time_budget=0.0),
+    ):
+        report = census(spec)
+        assert (report.truncated, report.vocabularies) == (True, 0)
+    # a budgeted 3/6 walks all 28 combinations; a budgeted run of at most
+    # five programs takes the class sum
+    assert census(SearchSpec(3, 6, time_budget=60.0)).vocabularies == 28
+    assert census(SearchSpec(3, 3, time_budget=60.0)).tasks_valid == 509_154
 
 
 def test_census_memo_is_per_run(monkeypatch):

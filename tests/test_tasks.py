@@ -464,7 +464,7 @@ def test_set_policy_count_past_the_printable_digits_is_capped(monkeypatch):
     monkeypatch.setattr(tasks.sys, "get_int_max_str_digits", lambda: 4300)
     with pytest.raises(CapacityError) as info:
         find_correct_set_policies(task, cap=None)
-    assert info.value.cap_name == "set_policy_candidates"
+    assert (info.value.cap_name, info.value.cap_value) == ("set_policy_candidates", 4300)
     assert "4300 decimal digits" in str(info.value)
     # with no digit limit the count is reported whole
     monkeypatch.setattr(tasks.sys, "get_int_max_str_digits", lambda: 0)
