@@ -3,8 +3,9 @@
 
 Edit SWEEP to taste; every run is exact (no sampling). Up to five
 programs the totals are a sum over classes of languages, with or without
---dedup, so even 10/5 takes seconds. A point that hits an engineering cap
-prints a row naming the cap. With --classification the census is
+--dedup, whose cost does not grow with the states, so even 64/5, at the
+64-state cap, takes seconds. A point that hits an engineering cap prints
+a row naming the cap. With --classification the census is
 restricted to tasks shaped like encoded classification problems.
 """
 
@@ -44,6 +45,8 @@ SWEEP = [
     SweepPoint(5, 5),
     SweepPoint(10, 4),
     SweepPoint(10, 5),
+    SweepPoint(64, 4),
+    SweepPoint(64, 5),
 ]
 
 

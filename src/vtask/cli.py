@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument(
         "--time-budget",
         type=float,
-        help="stop once this many seconds have passed, checked before the "
-        "class sum or before each vocabulary of a walk",
+        help="stop once this many seconds have passed, checked before each "
+        "class of the class sum or each vocabulary of a walk",
     )
     p_census.add_argument(
         "--workers",

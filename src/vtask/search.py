@@ -46,18 +46,17 @@ class. The weights count the program tuples whose language lies in the
 class, or with ``--dedup`` k! times the orbits of vocabularies under state
 permutations (Burnside's lemma over the class's automorphisms), and
 ``vocabularies`` is their sum over k!: C(2^n, k), or the dedup orbits.
-No vocabulary is walked for the totals, so full 10/5 (9.3·10^12
-vocabularies, 200 classes) and dedup 10/5 (9.6·10^6 orbits) take seconds.
+No vocabulary is walked for the totals, and the states enter only the
+weights, so full and dedup 64/5 take seconds.
 
 Two kinds of run still count by walking vocabularies: runs with
 ``max_tasks``, whose limit marks a prefix of the vocabularies, and
 six-program runs (about 7.8·10^6 labeled complexes, too many to list).
-A ``time_budget`` only bounds a run: a run of at most five programs walks
-under it when it is spent at the start or the sum meets a census cap.
-The walk keys a memo by statement masks
-(:func:`vtask.core.statement_masks`), so it counts each distinct language
-once. The time budget and the task limit are checked before each
-vocabulary, so a truncated report counts whole languages, those of its
+A ``time_budget`` only bounds a run. The sum checks it before each class,
+and a sum cut short reports the empty prefix, with no vocabulary. The
+walk keys a memo by statement masks (:func:`vtask.core.statement_masks`),
+so it counts each distinct language once. It checks the time budget and
+the task limit before each vocabulary, so a truncated report counts whole languages, those of its
 first ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by
 one language's tasks. Only six-program runs walk untruncated. Three
 states hold at most C(8, 6) = 28 program combinations; from four states
@@ -68,9 +67,9 @@ before it walks any vocabulary.
 Every run takes its exemplars from one more walk in census order. It
 draws each distinct language's unsolvable triples once, and stops as
 soon as it holds the ``exemplar_limit`` first unsolvable tasks, or all
-of them when there are fewer. The totals say how many there are, so it
-never walks past the last vocabulary that a truncated run counted, and
-``exemplar_limit=0`` walks nothing.
+of them when there are fewer; more than 100,000 exceed a cap. The totals
+say how many there are, so it never walks past the last vocabulary that
+a truncated run counted, and ``exemplar_limit=0`` walks nothing.
 """
 
 from __future__ import annotations
@@ -95,10 +94,10 @@ from .core import (
 from .errors import CapacityError, DomainError
 from .tasks import Task, validate_task
 
-CENSUS_MAX_STATES = 10
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
 CENSUS_UPSET_CAP = 32
+CENSUS_EXEMPLAR_CAP = 100_000
 CANON_MAX_PROGRAMS = 8
 
 
@@ -111,7 +110,8 @@ class SearchSpec:
     tasks shaped like encoded classification problems. ``max_tasks`` and
     ``time_budget`` truncate the run (flagged in the report); both are
     checked before each vocabulary of a walk, so a truncated run counts
-    whole languages, and the budget before the class sum too.
+    whole languages, and the budget before each class of the class sum,
+    which then reports no vocabulary. States are capped as in ``StateSpace``.
     """
 
     n_states: int
@@ -125,13 +125,7 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.n_states < 1 or self.vocab_size < 0:
             raise ValueError("n_states must be >= 1 and vocab_size >= 0")
-        if self.n_states > CENSUS_MAX_STATES:
-            raise CapacityError(
-                f"census over {self.n_states} states exceeds the "
-                f"{CENSUS_MAX_STATES}-state census cap",
-                cap_name="census_max_states",
-                cap_value=CENSUS_MAX_STATES,
-            )
+        StateSpace(self.n_states)
         if self.vocab_size > CENSUS_MAX_VOCAB:
             raise CapacityError(
                 f"census over {self.vocab_size}-program vocabularies exceeds "
@@ -197,6 +191,17 @@ def _orbit_key(
     return min(tuple(sorted(table[c] for c in columns)) for table in relabelings)
 
 
+def _combinations(pool: int, k: int, low: int = 0) -> Iterator[tuple[int, ...]]:
+    """``itertools.combinations(range(low, pool), k)``, drawn lazily: that
+    one first copies the pool, and 2^64 programs do not fit in memory."""
+    if not k:
+        yield ()
+        return
+    for first in range(low, pool - k + 1):
+        for rest in _combinations(pool, k - 1, first + 1):
+            yield (first, *rest)
+
+
 def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
     """Every vocabulary of ``spec.vocab_size`` programs over the state
     space, in ascending program-tuple order. With ``dedup``, only the
@@ -210,7 +215,7 @@ def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
         for perm in itertools.permutations(range(k))
     ] if spec.dedup else []
     seen: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(range(1 << spec.n_states), k):
+    for combo in _combinations(1 << spec.n_states, k):
         if spec.dedup:
             key = _orbit_key(combo, spec.n_states, relabelings)
             if key in seen:
@@ -477,12 +482,13 @@ def _census_shaped(lang: Language) -> tuple[int, int, int]:
     return enumerated, valid_total, solvable
 
 
-def _census_classes(spec: SearchSpec) -> _Totals:
-    """Untruncated totals as a sum over the classes of complexes: each
-    class is censused once, over the language of its realization, and
-    weighed by the program tuples whose language lies in it, or with dedup
-    by k! times the orbits of vocabularies whose language lies in it; a
-    vocabulary is k! such tuples."""
+def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:
+    """Totals as a sum over the classes of complexes: each class is
+    censused once, over the language of its realization, and weighed by the
+    program tuples whose language lies in it, or with dedup by k! times the
+    orbits of vocabularies whose language lies in it; a vocabulary is k!
+    such tuples. The deadline is checked before each class. A sum cut short
+    counts no whole vocabulary, so its report is the empty prefix."""
     totals = _Totals()
     # largest first, so that a class over a census cap fails before any count
     weighted = sorted(
@@ -490,6 +496,8 @@ def _census_classes(spec: SearchSpec) -> _Totals:
         key=lambda cw: -cw[0].faces.bit_count(),
     )
     for cls, weight in weighted:
+        if deadline is not None and time.monotonic() >= deadline:
+            return _Totals(truncated=True)
         enumerated, valid, solvable = _census_language(spec, build_language(cls.realization))
         totals.vocabularies += weight
         totals.enumerated += weight * enumerated
@@ -563,28 +571,28 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
 
 def census(spec: SearchSpec) -> CensusReport:
     """Run the census in one process. A run of at most five programs
-    without ``max_tasks`` sums over the classes of complexes, unless its
-    budget is spent before the sum starts. The other runs walk the
-    vocabularies, and so does a budgeted run whose sum meets a census cap.
-    Either way the exemplars come from :func:`_exemplars`, which stops as
-    soon as it holds them: a truncated run counted a prefix of the
-    vocabularies, so its first unsolvable tasks all lie in that prefix.
+    without ``max_tasks`` sums over the classes of complexes; the other
+    runs walk the vocabularies. A time budget only bounds either one.
+    The exemplars come from :func:`_exemplars`, which stops as soon as it
+    holds them: a truncated run counted a prefix of the vocabularies, so
+    its first unsolvable tasks all lie in that prefix.
     """
     start = time.monotonic()
     deadline = start + spec.time_budget if spec.time_budget is not None else None
-    totals = None
-    sums = spec.max_tasks is None and spec.vocab_size <= COMPLEX_MAX_VERTICES
-    if sums and (deadline is None or time.monotonic() < deadline):
-        try:
-            totals = _census_classes(spec)
-        except CapacityError:
-            # the walk may reach its deadline before the language over the cap
-            if deadline is None:
-                raise
-    if totals is None:
+    if spec.max_tasks is None and spec.vocab_size <= COMPLEX_MAX_VERTICES:
+        totals = _census_classes(spec, deadline)
+    else:
         totals = _census_walk(spec, deadline)
     unsolvable = totals.valid - totals.solvable
-    exemplars = _exemplars(spec, min(spec.exemplar_limit, unsolvable))
+    limit = min(spec.exemplar_limit, unsolvable)
+    if limit > CENSUS_EXEMPLAR_CAP:
+        raise CapacityError(
+            f"{limit} exemplars exceed the {CENSUS_EXEMPLAR_CAP}-exemplar census "
+            "cap (every exemplar is held in memory); lower exemplar_limit",
+            cap_name="census_exemplar_cap",
+            cap_value=CENSUS_EXEMPLAR_CAP,
+        )
+    exemplars = _exemplars(spec, limit)
     elapsed = time.monotonic() - start
     return CensusReport(
         spec=spec,

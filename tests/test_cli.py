@@ -241,8 +241,30 @@ def test_census_cli_zero_budget_truncates():
 
 
 def test_census_cli_capacity():
-    result = run_cli("census", "--n-states", "11", "--vocab-size", "2")
+    result = run_cli("census", "--n-states", "65", "--vocab-size", "2")
     assert result.returncode == 3
+    assert b"64-state cap" in result.stderr
+    assert b"Traceback" not in result.stderr
+
+
+def test_census_cli_exemplar_cap():
+    # 10/4 has far more unsolvable tasks than the exemplar cap admits; the
+    # cap fires before the exemplar walk, with no traceback
+    result = run_cli(
+        "census", "--n-states", "10", "--vocab-size", "4", "--exemplars", str(10**19)
+    )
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert b"100000-exemplar census cap" in result.stderr
+    assert b"Traceback" not in result.stderr
+    # the cap bounds the exemplars a run lists, not the limit asked for:
+    # 2/2 lists all of its 189 unsolvable tasks
+    result = run_cli(
+        "census", "--n-states", "2", "--vocab-size", "2", "--exemplars", str(10**19),
+        "--structured",
+    )
+    assert result.returncode == 0
+    assert len(json.loads(result.stdout)["exemplars"]) == 189
 
 
 def test_shaped_five_program_census_exits_at_its_cap():

@@ -23,6 +23,11 @@ def test_census_sweep_classification_rows():
     rows = {tuple(line.split()[:2]): line.split()[2:4] for line in result.stdout.splitlines()}
     assert rows[("3", "3")] == ["1580", "417"]
     assert rows[("10", "4")] == ["74819048989594", "2640082603988"]
+    # the class sum's cost does not grow with the states, up to core's cap
+    assert rows[("64", "4")] == [
+        "11918584062632956812286215631062372310711333785107015923305980081556484759152202",
+        "366308656712758792421500533945303517996341503024215800348846917835558888788432",
+    ]
     # five-program languages exceed the shaped census's input-walk cap
     assert rows[("3", "5")] == ["capped:", "census_language_cap=16"]
     assert "Traceback" not in result.stderr
@@ -35,6 +40,7 @@ def test_census_sweep_dedup_rows():
     assert rows[("3", "3")] == ["134770", "6813"]
     # dedup totals are a sum over classes of languages, so no point is capped
     assert rows[("10", "4")] == ["146126714471838", "63183960095"]
+    assert rows[("64", "4")] == ["458513713103250902332884", "190333854047724940964"]
     assert "capped:" not in result.stdout
     assert "Traceback" not in result.stderr
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 import time
@@ -124,6 +125,21 @@ def test_dedup_stream_is_least_image_combinations(n_states, vocab_size):
     assert stream == list(_least_image_stream(n_states, vocab_size))
 
 
+def test_combinations_match_itertools():
+    for pool in range(17):
+        for k in range(7):
+            assert list(search._combinations(pool, k)) == list(
+                itertools.combinations(range(pool), k)
+            )
+
+
+def test_vocabularies_over_64_states_are_drawn_lazily():
+    # itertools.combinations would first copy all 2^64 programs
+    spec = SearchSpec(n_states=64, vocab_size=3)
+    first = [tuple(v.bits) for v in itertools.islice(enumerate_vocabularies(spec), 3)]
+    assert first == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+
+
 @pytest.mark.parametrize(
     "n_states, vocabularies, valid, solvable",
     [(5, 134, 2_162_996, 100_289), (6, 302, 5_538_784, 253_996)],
@@ -138,12 +154,31 @@ def test_dedup_census_totals_pinned(n_states, vocabularies, valid, solvable):
 
 def test_dedup_obeys_the_census_state_cap_only():
     # one program per orbit for each count of states it holds in: n + 1
-    for n_states in (9, 10):
+    for n_states in (9, 10, 64):
         report = census(SearchSpec(n_states=n_states, vocab_size=1, dedup=True))
         assert report.vocabularies == n_states + 1
     with pytest.raises(CapacityError) as info:
-        SearchSpec(n_states=11, vocab_size=1, dedup=True)
-    assert info.value.cap_name == "census_max_states"
+        SearchSpec(n_states=65, vocab_size=1, dedup=True)
+    assert info.value.cap_name == "max_states"
+
+
+def _dedup_pairs(n):
+    """Orbits of vocabularies of two programs over n states under state
+    permutations. An ordered pair is a multiset of n columns over two bits,
+    C(n + 3, 3) of them, n + 1 of which (columns 00 and 11 only) repeat a
+    program. Swapping the programs swaps the columns 01 and 10, and fixes
+    the multisets with t ≥ 1 of each, so by Burnside's lemma the orbits
+    number (C(n + 3, 3) − (n + 1) + Σ_{t=1}^{⌊n/2⌋} (n − 2t + 1))/2."""
+    fixed = sum(n - 2 * t + 1 for t in range(1, n // 2 + 1))
+    return (math.comb(n + 3, 3) - (n + 1) + fixed) // 2
+
+
+@pytest.mark.parametrize("n_states", [11, 32, 64])
+def test_dedup_orbits_past_ten_states_match_closed_forms(n_states):
+    one = census(SearchSpec(n_states, 1, dedup=True, exemplar_limit=0))
+    assert one.vocabularies == n_states + 1
+    two = census(SearchSpec(n_states, 2, dedup=True, exemplar_limit=0))
+    assert two.vocabularies == _dedup_pairs(n_states)
 
 
 def _apply_perm(bits: int, perm) -> int:
@@ -155,8 +190,10 @@ def _apply_perm(bits: int, perm) -> int:
 
 
 def test_spec_caps():
-    with pytest.raises(CapacityError):
-        SearchSpec(n_states=11, vocab_size=2)
+    SearchSpec(n_states=64, vocab_size=2)
+    with pytest.raises(CapacityError) as info:
+        SearchSpec(n_states=65, vocab_size=2)
+    assert (info.value.cap_name, info.value.cap_value) == ("max_states", 64)
     with pytest.raises(CapacityError):
         SearchSpec(n_states=2, vocab_size=7)
     with pytest.raises(ValueError):
@@ -378,6 +415,19 @@ def test_census_exemplars_across_repeated_languages(n_states, vocab_size, shaped
     *_, unsolvable = _brute_force_census(spec, enumerate_vocabularies(spec))
     assert len(unsolvable) == n_unsolvable
     assert census(spec).exemplars == tuple(unsolvable)
+
+
+def test_full_census_over_64_states_counts_every_vocabulary():
+    report = census(SearchSpec(n_states=64, vocab_size=5, exemplar_limit=0))
+    assert report.vocabularies == math.comb(1 << 64, 5)
+    assert not report.truncated
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_exemplars_over_64_states_match_brute_force(dedup):
+    spec = SearchSpec(n_states=64, vocab_size=3, dedup=dedup, exemplar_limit=20)
+    expected = list(itertools.islice(_brute_force_unsolvable(spec), 20))
+    assert census(spec).exemplars == tuple(expected)
 
 
 @pytest.mark.parametrize(
@@ -649,7 +699,7 @@ def test_six_program_runs_over_a_statement_cap_fail_before_walking(monkeypatch):
     flags = {"full": {}, "dedup": {"dedup": True}, "shaped": {"require_classification_shaped": True}}
     with monkeypatch.context() as patched:
         patched.setattr(search, "enumerate_vocabularies", no_walk)
-        for n_states in range(4, 11):
+        for n_states in [*range(4, 11), 64]:
             for mode, cap in caps.items():
                 with pytest.raises(CapacityError) as info:
                     census(SearchSpec(n_states, 6, **flags[mode]))
@@ -886,30 +936,62 @@ def test_a_task_limit_truncates_the_walk(monkeypatch):
     assert report.tasks_valid < 509_154
 
 
-def test_budgeted_runs_walk_when_the_sum_cannot_serve(monkeypatch):
-    walked = []
-    original = search._census_walk
+def _no_walk(*args):
+    raise AssertionError("a budgeted run of at most five programs walks no vocabulary")
 
-    def recorded(spec, deadline):
-        walked.append(spec)
-        return original(spec, deadline)
 
-    monkeypatch.setattr(search, "_census_walk", recorded)
-    # a spent budget counts nothing, before any class is weighed
-    with monkeypatch.context() as patched:
-        patched.setattr(search, "class_weights", lambda *args: pytest.fail("weighed"))
-        report = census(SearchSpec(n_states=3, vocab_size=3, time_budget=0.0))
+def test_a_spent_budget_censuses_no_class(monkeypatch):
+    monkeypatch.setattr(search, "_census_walk", _no_walk)
+    monkeypatch.setattr(search, "_census_language", lambda *args: pytest.fail("censused"))
+    report = census(SearchSpec(n_states=3, vocab_size=3, time_budget=0.0))
     assert (report.truncated, report.vocabularies, report.tasks_valid) == (True, 0, 0)
-    # a shaped five-program class is over the 16-statement cap; the walk
-    # could stop at its deadline first, so the sum hands the run to it,
-    # and here it meets that language
+    assert report.exemplars == ()
+
+
+def test_a_budget_spent_during_the_sum_reports_the_empty_prefix(monkeypatch):
+    # the clock passes the deadline once the first class is censused
+    now = 0.0
+    censused = 0
+    original = search._census_language
+
+    def first_class_takes_an_hour(*args):
+        nonlocal now, censused
+        censused += 1
+        now += 3600.0
+        return original(*args)
+
+    monkeypatch.setattr(time, "monotonic", lambda: now)
+    monkeypatch.setattr(search, "_census_walk", _no_walk)
+    monkeypatch.setattr(search, "_census_language", first_class_takes_an_hour)
+    report = census(SearchSpec(n_states=10, vocab_size=5, dedup=True, time_budget=60.0))
+    assert censused == 1
+    assert report.truncated
+    assert (report.vocabularies, report.tasks_enumerated, report.tasks_valid) == (0, 0, 0)
+    assert report.exemplars == ()
+
+
+def test_exemplar_cap_fires_before_the_walk(monkeypatch):
+    # 3/3 has 484,146 unsolvable tasks, more than the cap holds; 2/2 has
+    # 189, so a limit far above the cap lists all of them
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "_exemplars", lambda *args: pytest.fail("walked"))
+        with pytest.raises(CapacityError) as info:
+            census(SearchSpec(n_states=3, vocab_size=3, exemplar_limit=10**19))
+    assert (info.value.cap_name, info.value.cap_value) == ("census_exemplar_cap", 100_000)
+    report = census(SearchSpec(n_states=2, vocab_size=2, exemplar_limit=10**19))
+    assert len(report.exemplars) == report.tasks_unsolvable == 189
+
+
+def test_a_budgeted_sum_meets_its_cap(monkeypatch):
+    # a shaped five-program class is over the 16-statement cap, and the
+    # class sum takes the largest class first
+    monkeypatch.setattr(search, "_census_walk", _no_walk)
     spec = SearchSpec(
         n_states=3, vocab_size=5, require_classification_shaped=True, time_budget=60.0
     )
     with pytest.raises(CapacityError) as info:
         census(spec)
-    assert info.value.cap_name == "census_language_cap"
-    assert walked == [SearchSpec(3, 3, time_budget=0.0), spec]
+    assert (info.value.cap_name, info.value.cap_value) == ("census_language_cap", 16)
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():
