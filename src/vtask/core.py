@@ -9,6 +9,10 @@ over vocabulary indices, that is admitted only when its member programs
 share at least one state. The intersection of zero programs is the whole
 state space, so the empty statement belongs to every language.
 
+A language is held as the tuple of its statements' member masks; the
+layers above search, validate and report on those masks, and build a
+:class:`Statement` object only for a statement they print or return.
+
 All types here are immutable and hashable; languages may be shared freely
 across threads or worker processes.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -193,50 +198,87 @@ def statement_key(statement: Statement) -> tuple[int, int]:
     return (len(statement), statement.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Language:
-    """All statements over a vocabulary, in canonical order.
+    """All statements over a vocabulary, in canonical order, held as their
+    member masks.
 
-    Build through :func:`build_language`; the statement tuple is sorted by
-    (member count, mask value) and always starts with the empty statement.
+    ``masks`` is sorted by (member count, mask value) and always starts
+    with the empty statement. :class:`Statement` objects are built only on
+    request: by :attr:`statements`, a view built on first use that
+    iteration goes through, and by :meth:`statements_of`. Build through
+    :func:`build_language`, which makes no statement object;
+    ``Language(vocabulary, statements)`` takes statements already in
+    canonical order, at API edges.
     """
 
     vocabulary: Vocabulary
-    statements: tuple[Statement, ...]
+    masks: tuple[int, ...]
+
+    def __init__(self, vocabulary: Vocabulary, statements: Iterable[Statement]) -> None:
+        masks = tuple(s.members for s in statements)
+        keys = [(m.bit_count(), m) for m in masks]
+        in_order = all(a < b for a, b in zip(keys, keys[1:]))
+        if not (in_order and all(m >> len(vocabulary) == 0 for m in masks)):
+            raise MalformedInputError(
+                "language statements must be distinct subsets of the vocabulary, "
+                "in canonical order"
+            )
+        self._hold(vocabulary, masks)
+
+    @classmethod
+    def from_masks(cls, vocabulary: Vocabulary, masks: tuple[int, ...]) -> "Language":
+        """The language whose statements have these member masks, which
+        must be in canonical order (as :func:`statement_masks` returns
+        them)."""
+        lang = cls.__new__(cls)
+        lang._hold(vocabulary, masks)
+        return lang
+
+    def _hold(self, vocabulary: Vocabulary, masks: tuple[int, ...]) -> None:
+        object.__setattr__(self, "vocabulary", vocabulary)
+        object.__setattr__(self, "masks", masks)
 
     def __len__(self) -> int:
-        return len(self.statements)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self.statements)
 
     def __contains__(self, statement: Statement) -> bool:
-        return statement.members in self._positions
+        return self._position(statement.members) >= 0
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """The statements' member masks, in language order."""
-        return tuple(s.members for s in self.statements)
+    def statements(self) -> tuple[Statement, ...]:
+        """The statements as objects, in language order."""
+        return tuple(map(Statement, self.masks))
 
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {s.members: i for i, s in enumerate(self.statements)}
+    def _position(self, mask: int) -> int:
+        """The language position of the statement with this member mask,
+        or -1 when it is not one: bisections find the run of masks with
+        its member count, then the mask among them."""
+        masks = self.masks
+        count = mask.bit_count()
+        start = bisect_left(masks, count, key=int.bit_count)
+        end = bisect_right(masks, count, start, key=int.bit_count)
+        j = bisect_left(masks, mask, start, end)
+        return j if j < end and masks[j] == mask else -1
 
     def index_of(self, statement: Statement) -> int:
-        try:
-            return self._positions[statement.members]
-        except KeyError:
+        j = self._position(statement.members)
+        if j < 0:
             raise DomainError(
                 f"statement with member mask {statement.members:#x} is not "
                 "in this language"
-            ) from None
+            )
+        return j
 
     def statement_set(self) -> frozenset[Statement]:
         return frozenset(self.statements)
 
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         """The statements at a mask's set bits, in language order."""
-        return tuple(compress(self.statements, bit_flags(mask)))
+        return tuple(map(Statement, compress(self.masks, bit_flags(mask))))
 
     def extension_masks(self) -> tuple[int, ...]:
         """For each statement, the bitmask (over language indices) of its
@@ -247,9 +289,9 @@ class Language:
     @cached_property
     def _extension_masks(self) -> tuple[int, ...]:
         # the extension of s is the sum of 1 << j over the statements j ⊇ s
-        weights = {s.members: 1 << j for j, s in enumerate(self.statements)}
-        sums = _superset_sums(self, weights)
-        return tuple(sums[s.members] for s in self.statements)
+        masks = self.masks
+        sums = _superset_sums(self, {m: 1 << j for j, m in enumerate(masks)})
+        return tuple(map(sums.__getitem__, masks))
 
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -356,15 +398,16 @@ def statement_masks(vocab: Vocabulary) -> tuple[int, ...]:
     inter = [vocab.space.full_mask]
     for bits in vocab.bits:
         inter += [value & bits for value in inter]
-    kept = [mask for mask, value in enumerate(inter) if value]
+    kept = list(compress(range(len(inter)), inter))
     # a stable sort of ascending masks by member count orders them by key
     kept.sort(key=int.bit_count)
     return tuple(kept)
 
 
 def build_language(vocab: Vocabulary) -> Language:
-    """Materialize every admissible subset of the vocabulary."""
-    return Language(vocab, tuple(map(Statement, statement_masks(vocab))))
+    """The language of every admissible subset of the vocabulary, as
+    masks: no statement object is built."""
+    return Language.from_masks(vocab, statement_masks(vocab))
 
 
 def extension_of_statement(x: Statement, lang: Language) -> frozenset[Statement]:
@@ -376,7 +419,7 @@ def extension_of_statement(x: Statement, lang: Language) -> frozenset[Statement]
             f"statement with member mask {x.members:#x} is not in this language"
         )
     m = x.members
-    return frozenset(y for y in lang if y.members & m == m)
+    return frozenset(compress(lang.statements, [y & m == m for y in lang.masks]))
 
 
 def extension_of_set(X: Iterable[Statement], lang: Language) -> frozenset[Statement]:

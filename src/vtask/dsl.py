@@ -27,18 +27,16 @@ volatile fields (timings) are never serialized.
 from __future__ import annotations
 
 import json
-import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Language, Program, StateSpace, Statement, Vocabulary, build_language
+from .core import MAX_STATES, Language, Program, StateSpace, Statement, Vocabulary, build_language
 from .encoder import ClassificationSpec, encode_classification
-from .errors import ParseDiagnostic, ParseError, TaskFileError
+from .errors import CapacityError, ParseDiagnostic, ParseError, TaskFileError
 from .search import CensusReport
 from .tasks import SEARCH_MODES, Policy, PolicySearchResult, SetPolicy, Task, validate_task
 from .verify import VerifyReport
-
-NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 _DIRECTIVES = ("states", "program", "label", "input", "output", "example")
 
@@ -49,22 +47,18 @@ def parse_program_literal(text: str, space: StateSpace) -> Program:
     Raises a parse error carrying the 1-based column of the first bad
     character, or a width complaint when the length is off.
     """
-    for col, ch in enumerate(text, start=1):
-        if ch not in "01":
-            raise ParseError(
-                f"invalid character {ch!r} in program literal (expected 0 or 1)",
-                column=col,
-            )
+    if text.count("0") + text.count("1") != len(text):
+        col, ch = next((col, ch) for col, ch in enumerate(text, start=1) if ch not in "01")
+        raise ParseError(
+            f"invalid character {ch!r} in program literal (expected 0 or 1)",
+            column=col,
+        )
     if len(text) != space.n_states:
         raise ParseError(
             f"program literal {text!r} has width {len(text)}, expected "
             f"{space.n_states}"
         )
-    bits = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << i
-    return Program(bits, space.n_states)
+    return Program(int(text[::-1], 2), space.n_states)
 
 
 @dataclass(frozen=True)
@@ -107,91 +101,90 @@ class TaskDocument:
 
 @dataclass
 class _LineParse:
-    """Raw per-line records collected before semantic checks."""
+    """Raw per-line records collected before semantic checks. A record
+    keeps its comment-stripped line, from which :func:`_columns` finds a
+    token's column once a diagnostic needs it."""
 
     states: list[tuple[int, int]]
-    programs: list[tuple[int, str, str, int]]  # line, name, literal, literal col
-    labels: list[tuple[int, str, str, int]]
-    inputs: list[tuple[int, list[tuple[str, int]]]]
-    outputs: list[tuple[int, list[tuple[str, int]]]]
+    programs: list[tuple[int, str, str, str]]  # line, name, literal, line body
+    labels: list[tuple[int, str, str, str]]
+    inputs: list[tuple[int, list[str], str]]  # line, names, line body
+    outputs: list[tuple[int, list[str], str]]
     examples: list[tuple[int, list[tuple[str, int]], tuple[str, int]]]
     first_directive_line: int | None
 
 
-def _tokenize(body: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs for a comment-stripped line."""
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", body)]
+def _is_name(token: str) -> bool:
+    """True when the token matches ``[A-Za-z_][A-Za-z0-9_]*``."""
+    return token.isascii() and token.isidentifier()
+
+
+def _columns(body: str, tokens: list[str]) -> list[int]:
+    """The 1-based columns of the leading whitespace-separated tokens of a
+    line, given as ``body.split()`` or a prefix of it. Only whitespace
+    lies between two tokens, so each is the first match of its text after
+    the one before."""
+    columns = []
+    at = 0
+    for token in tokens:
+        at = body.index(token, at)
+        columns.append(at + 1)
+        at += len(token)
+    return columns
 
 
 def _scan_lines(text: str, errors: list[ParseDiagnostic]) -> _LineParse:
     parsed = _LineParse([], [], [], [], [], [], None)
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = _tokenize(body)
+        body = raw.partition("#")[0]
+        tokens = body.split()
         if not tokens:
             continue
-        keyword, key_col = tokens[0]
+        keyword = tokens[0]
         rest = tokens[1:]
         if parsed.first_directive_line is None:
             parsed.first_directive_line = line_no
-        if keyword == "states":
-            if len(rest) != 1:
+        if keyword in ("input", "output"):
+            if not rest:
                 errors.append(
-                    ParseDiagnostic(line_no, key_col, "states takes exactly one number")
+                    ParseDiagnostic(
+                        line_no, _columns(body, tokens)[0], f"{keyword} needs at least one name"
+                    )
                 )
-                continue
-            value, col = rest[0]
-            if not value.isdigit() or int(value) < 1:
-                errors.append(
-                    ParseDiagnostic(line_no, col, f"invalid state count {value!r}")
+            # _is_name of every name, in C loops: these lines are most of a large file
+            elif all(map(str.isidentifier, rest)) and all(map(str.isascii, rest)):
+                (parsed.inputs if keyword == "input" else parsed.outputs).append(
+                    (line_no, rest, body)
                 )
-                continue
-            parsed.states.append((line_no, int(value)))
+            else:
+                for name, col in zip(rest, _columns(body, tokens)[1:]):
+                    if not _is_name(name):
+                        errors.append(ParseDiagnostic(line_no, col, f"invalid name {name!r}"))
         elif keyword in ("program", "label"):
             if len(rest) != 2:
                 errors.append(
                     ParseDiagnostic(
-                        line_no, key_col, f"{keyword} takes a name and a literal"
+                        line_no, _columns(body, tokens)[0], f"{keyword} takes a name and a literal"
                     )
                 )
                 continue
-            (name, name_col), (literal, lit_col) = rest
-            if not NAME_RE.match(name):
+            name, literal = rest
+            if not _is_name(name):
                 errors.append(
-                    ParseDiagnostic(line_no, name_col, f"invalid name {name!r}")
+                    ParseDiagnostic(line_no, _columns(body, tokens)[1], f"invalid name {name!r}")
                 )
                 continue
-            record = (line_no, name, literal, lit_col)
+            record = (line_no, name, literal, body)
             (parsed.programs if keyword == "program" else parsed.labels).append(record)
-        elif keyword in ("input", "output"):
-            if not rest:
-                errors.append(
-                    ParseDiagnostic(
-                        line_no, key_col, f"{keyword} needs at least one name"
-                    )
-                )
-                continue
-            names = []
-            ok = True
-            for name, col in rest:
-                if not NAME_RE.match(name):
-                    errors.append(
-                        ParseDiagnostic(line_no, col, f"invalid name {name!r}")
-                    )
-                    ok = False
-                else:
-                    names.append((name, col))
-            if ok:
-                (parsed.inputs if keyword == "input" else parsed.outputs).append(
-                    (line_no, names)
-                )
+        elif keyword == "states":
+            _scan_states(line_no, body, tokens, parsed, errors)
         elif keyword == "example":
-            _scan_example(line_no, key_col, rest, parsed, errors)
+            _scan_example(line_no, body, tokens, parsed, errors)
         else:
             errors.append(
                 ParseDiagnostic(
                     line_no,
-                    key_col,
+                    _columns(body, tokens)[0],
                     f"unknown directive {keyword!r} (expected one of "
                     f"{', '.join(_DIRECTIVES)})",
                 )
@@ -199,13 +192,49 @@ def _scan_lines(text: str, errors: list[ParseDiagnostic]) -> _LineParse:
     return parsed
 
 
-def _scan_example(
+def _scan_states(
     line_no: int,
-    key_col: int,
-    rest: list[tuple[str, int]],
+    body: str,
+    tokens: list[str],
     parsed: _LineParse,
     errors: list[ParseDiagnostic],
 ) -> None:
+    """A state count is ASCII digits; one with more digits than Python
+    converts to an int exceeds the state cap by far."""
+    if len(tokens) != 2:
+        errors.append(
+            ParseDiagnostic(line_no, _columns(body, tokens)[0], "states takes exactly one number")
+        )
+        return
+    value = tokens[1]
+    digits = value.lstrip("0")
+    if not (value.isascii() and value.isdigit()) or not digits:
+        errors.append(
+            ParseDiagnostic(line_no, _columns(body, tokens)[1], f"invalid state count {value!r}")
+        )
+        return
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise CapacityError(
+            f"state count of {len(digits)} digits exceeds the {MAX_STATES}-state "
+            "cap (one machine word per program); this is an implementation "
+            "limit, not a model constraint",
+            cap_name="max_states",
+            cap_value=MAX_STATES,
+        )
+    parsed.states.append((line_no, int(digits)))
+
+
+def _scan_example(
+    line_no: int,
+    body: str,
+    tokens: list[str],
+    parsed: _LineParse,
+    errors: list[ParseDiagnostic],
+) -> None:
+    columns = _columns(body, tokens)
+    key_col = columns[0]
+    rest = list(zip(tokens[1:], columns[1:]))
     arrows = [i for i, (tok, _) in enumerate(rest) if tok == "->"]
     if len(arrows) != 1:
         errors.append(
@@ -232,7 +261,7 @@ def _scan_example(
         for piece in chunk.split(","):
             piece = piece.strip()
             if piece:
-                if NAME_RE.match(piece):
+                if _is_name(piece):
                     features.append((piece, col + offset))
                 else:
                     errors.append(
@@ -243,7 +272,7 @@ def _scan_example(
                     ok = False
             offset += len(piece) + 1
     label, label_col = label_tokens[0]
-    if not NAME_RE.match(label):
+    if not _is_name(label):
         errors.append(ParseDiagnostic(line_no, label_col, f"invalid name {label!r}"))
         ok = False
     if ok and features:
@@ -278,11 +307,13 @@ def parse_task_file(text: str) -> TaskDocument:
             )
 
     declared: dict[str, tuple[int, Program]] = {}
+    declarations = parsed.programs or parsed.labels
     literal_lines: dict[int, tuple[int, str]] = {}
     programs: list[tuple[str, Program]] = []
     labels: list[tuple[str, Program]] = []
+    space = StateSpace(n_states) if n_states is not None and declarations else None
     for is_label, records in ((False, parsed.programs), (True, parsed.labels)):
-        for line_no, name, literal, lit_col in records:
+        for line_no, name, literal, body in records:
             if name in declared:
                 errors.append(
                     ParseDiagnostic(
@@ -294,13 +325,11 @@ def parse_task_file(text: str) -> TaskDocument:
                 )
                 continue
             program = None
-            if n_states is not None:
+            if space is not None:
                 try:
-                    program = parse_program_literal(literal, StateSpace(n_states))
+                    program = parse_program_literal(literal, space)
                 except ParseError as err:
-                    column = (
-                        lit_col + err.column - 1 if err.column is not None else lit_col
-                    )
+                    column = _columns(body, body.split())[2] + (err.column or 1) - 1
                     errors.append(ParseDiagnostic(line_no, column, str(err)))
             if program is None:
                 declared[name] = (line_no, Program(0, 1))
@@ -310,7 +339,7 @@ def parse_task_file(text: str) -> TaskDocument:
                 errors.append(
                     ParseDiagnostic(
                         line_no,
-                        lit_col,
+                        _columns(body, body.split())[2],
                         f"program {name!r} duplicates the states of "
                         f"{prev_name!r} (line {prev_line})",
                     )
@@ -331,14 +360,20 @@ def parse_task_file(text: str) -> TaskDocument:
             return False
         return True
 
-    inputs = []
-    for line_no, names in parsed.inputs:
-        if all(check_reference(line_no, n, c) for n, c in names):
-            inputs.append([n for n, _ in names])
-    outputs = []
-    for line_no, names in parsed.outputs:
-        if all(check_reference(line_no, n, c) for n, c in names):
-            outputs.append([n for n, _ in names])
+    def declared_lines(records: list[tuple[int, list[str], str]]) -> list[list[str]]:
+        """The name lists of the lines whose names are all declared; a line
+        reports its first undeclared name."""
+        kept = []
+        for line_no, names, body in records:
+            if all(map(declared.__contains__, names)):
+                kept.append(names)
+                continue
+            j = next(j for j, name in enumerate(names) if name not in declared)
+            check_reference(line_no, names[j], _columns(body, body.split())[j + 1])
+        return kept
+
+    inputs = declared_lines(parsed.inputs)
+    outputs = declared_lines(parsed.outputs)
     examples = []
     for line_no, features, (label, label_col) in parsed.examples:
         ok = True
@@ -473,14 +508,17 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
     by_value = {program.bits: name for name, program in declared.items()}
     names = tuple(by_value[b] for b in language.vocabulary.bits)
     if not doc.examples and (doc.inputs or doc.outputs):
-        index = {name: i for i, name in enumerate(names)}
-        input_statements = [
-            Statement.from_indices(index[n] for n in line) for line in doc.inputs
-        ]
-        output_statements = [
-            Statement.from_indices(index[n] for n in line) for line in doc.outputs
-        ]
-        task = validate_task(input_statements, output_statements, language)
+        bit = {name: 1 << i for i, name in enumerate(names)}
+
+        def member_mask(line: tuple[str, ...]) -> int:
+            mask = 0
+            for name in line:
+                mask |= bit[name]
+            return mask
+
+        task = validate_task(
+            map(member_mask, doc.inputs), map(member_mask, doc.outputs), language
+        )
     return RealizedDocument(
         document=doc,
         language=language,

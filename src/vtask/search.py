@@ -86,7 +86,6 @@ from .core import (
     Language,
     Program,
     StateSpace,
-    Statement,
     Vocabulary,
     build_language,
     statement_masks,
@@ -665,8 +664,8 @@ def _task_over_programs(
     position = [vocab.bits.index(b) for b in program_bits]
     lang = build_language(vocab)
     return validate_task(
-        [Statement(_permute_program_bits(m, position)) for m in inputs],
-        [Statement(_permute_program_bits(m, position)) for m in outputs],
+        [_permute_program_bits(m, position) for m in inputs],
+        [_permute_program_bits(m, position) for m in outputs],
         lang,
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -116,65 +117,98 @@ class PolicySearchResult:
         built on first use: every candidate of a single-statement search,
         and each correct policy of a set-policy search."""
         if self.mode in SEARCH_MODES:
-            statements = self.task.language.statements
-            table = {Policy(s): n for s, n in zip(statements, self.counts)}
+            table = {Policy(s): n for s, n in zip(self.task.language, self.counts)}
         else:
             table = dict.fromkeys(self.correct, len(self.task.outputs))
         return MappingProxyType(table)
 
 
 def validate_task(
-    inputs: Iterable[Statement], outputs: Iterable[Statement], lang: Language
+    inputs: Iterable[Statement | int], outputs: Iterable[Statement | int], lang: Language
 ) -> Task:
     """Check the task invariants and return the task, held as masks.
 
-    Checks run in a fixed order (emptiness, then input membership and
-    properness, then output membership and properness), so a candidate
-    violating several invariants reports the same code every time. The
-    input extension E_I is computed over language positions, one pass over
-    the statement masks per input.
+    Inputs and outputs are statements, or their member masks as the task
+    file's reader hands them over. Checks run in a fixed order (emptiness,
+    then input membership and properness, then output membership and
+    properness), so a candidate violating several invariants reports the
+    same code every time. The input extension E_I is computed over
+    language positions by :func:`_extension_flags`.
     """
-    input_masks = sorted({x.members for x in inputs}, key=_mask_key)
-    output_masks = sorted({o.members for o in outputs}, key=_mask_key)
+    input_masks = sorted(_member_masks(inputs), key=_mask_key)
+    output_masks = sorted(_member_masks(outputs), key=_mask_key)
     if not input_masks:
         raise TaskValidationError("empty-inputs", "a task needs at least one input")
     if not output_masks:
         raise TaskValidationError("empty-outputs", "a task needs at least one output")
-    positions = lang._positions
+    input_flags = bytearray(len(lang))
     for x in input_masks:
-        if x not in positions:
+        j = lang._position(x)
+        if j < 0:
             raise TaskValidationError(
                 "input-not-statement",
                 f"input with member mask {x:#x} is not a statement of the language",
             )
+        input_flags[j] = 1
     if len(input_masks) == len(lang):
         raise TaskValidationError(
             "input-equals-language",
             "the inputs must be a proper subset of the language",
         )
-    # one byte per language position: 1 where the statement is in E_I
-    completes = 0
-    for x in input_masks:
-        completes |= int.from_bytes(bytes(m & x == x for m in lang.masks), "little")
-    in_extension = completes.to_bytes(len(lang), "little")
+    in_extension = _extension_flags(input_masks, lang)
     output_flags = bytearray(len(lang))
     for o in output_masks:
-        j = positions.get(o, -1)
+        j = lang._position(o)
         if j < 0 or not in_extension[j]:
             raise TaskValidationError(
                 "output-outside-extension",
                 f"output with member mask {o:#x} is not in the extension of the inputs",
             )
         output_flags[j] = 1
-    if output_flags == in_extension:
+    # the outputs lie in E_I, so they fill it exactly when they are as many
+    if len(output_masks) == in_extension.count(1):
         raise TaskValidationError(
             "output-equals-extension",
             "the outputs must be a proper subset of the inputs' extension",
         )
-    input_flags = bytearray(len(lang))
-    for x in input_masks:
-        input_flags[positions[x]] = 1
     return Task(lang, *map(flags_mask, (input_flags, output_flags, in_extension)))
+
+
+def _member_masks(items: Iterable[Statement | int]) -> set[int]:
+    return {x if isinstance(x, int) else x.members for x in items}
+
+
+def _extension_flags(input_masks: Iterable[int], lang: Language) -> bytes:
+    """One byte per language position: 1 where the statement contains one
+    of the input masks (is in E_I), else 0.
+
+    Word-parallel, as :func:`superset_counts`: one int holds every
+    statement mask in a fixed-width field, in language order, with the
+    field's top bit spare. For each input x, AND x into every field and
+    XOR x out again, which leaves a field zero exactly where its statement
+    contains x. Adding the all-ones value below the top bit to every field
+    carries into the top bit exactly where the field is nonzero, and no
+    carry leaves a field. A statement is in E_I where some input leaves
+    its top bit clear, so each input costs a few operations on one int.
+    """
+    k = len(lang.vocabulary)
+    packed = array("B" if k < 8 else "H" if k < 16 else "I", lang.masks)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    width, top = packed.itemsize, 8 * packed.itemsize - 1
+    fields = int.from_bytes(packed, "little")
+
+    def every_field(value: int) -> int:
+        return int.from_bytes(value.to_bytes(width, "little") * len(packed), "little")
+
+    carry = every_field((1 << top) - 1)
+    tops = every_field(1 << top)
+    missed = tops  # top bits of the statements no input seen so far is in
+    for x in input_masks:
+        spread = every_field(x)
+        missed &= (fields & spread ^ spread) + carry
+    in_extension = (missed ^ tops) >> top
+    return in_extension.to_bytes(width * len(packed), "little")[::width]
 
 
 def _mask_key(mask: int) -> tuple[int, int]:
@@ -239,7 +273,7 @@ def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchR
         checked = bisect_right(masks, max_policy_length_bound(task), key=int.bit_count)
     counts = tuple(map(selected.__getitem__, masks[:checked]))
     hits = compress(range(checked), map(task.output_mask.bit_count().__eq__, counts))
-    correct = tuple(Policy(lang.statements[j]) for j in hits if masks[j] & common == masks[j])
+    correct = tuple(Policy(Statement(masks[j])) for j in hits if masks[j] & common == masks[j])
     return PolicySearchResult(task=task, mode=mode, checked=checked, correct=correct, counts=counts)
 
 
@@ -327,11 +361,7 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
         weights[o.members] = 1 << j
     selected = _superset_sums(lang, weights)
     o_bits = (1 << n_outputs) - 1
-    admissible = [
-        (1 << i, selected[s.members])
-        for i, s in enumerate(lang.statements)
-        if selected[s.members] <= o_bits
-    ]
+    admissible = [(1 << i, selected[m]) for i, m in enumerate(lang.masks) if selected[m] <= o_bits]
     if _subset_count(len(admissible), cap, SET_POLICY_CANDIDATE_CAP) > SET_POLICY_CANDIDATE_CAP:
         raise CapacityError(
             f"set-policy search over {len(admissible)} admissible statements "

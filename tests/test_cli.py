@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtask import cli
-from vtask.core import Vocabulary, build_language
+from vtask.core import Program, StateSpace, Statement, Vocabulary, build_language
 from vtask.dsl import parse_task_file, realize_document
+from vtask.errors import CapacityError
 from vtask.verify import run_reference_checks
 
 from conftest import COLORED_BOX_FILE, TWO_CLASS_FILE, run_cli
@@ -52,6 +53,35 @@ def test_lang_parse_error_exit_code(tmp_path):
     result = run_cli("lang", str(f))
     assert result.returncode == 2
     assert b"line 2" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "count,code,message",
+    [
+        # a superscript and an Arabic-Indic digit pass str.isdigit
+        ("³", 2, "line 1, col 8: invalid state count '³'"),
+        ("٣", 2, "line 1, col 8: invalid state count '٣'"),
+        # more digits than Python converts to an int
+        ("9" * 5000, 3, "capacity: state count of 5000 digits exceeds the 64-state cap"),
+    ],
+    ids=["superscript", "arabic-indic", "5000-digits"],
+)
+def test_state_count_takes_ascii_digits_only(tmp_path, count, code, message):
+    f = tmp_path / "states.pvt"
+    f.write_text(f"states {count}\nprogram f 011\n", encoding="utf-8")
+    result = run_cli("lang", str(f))
+    assert result.returncode == code
+    assert message in result.stderr.decode("utf-8")
+    assert b"Traceback" not in result.stderr
+    assert result.stdout == b""
+
+
+def test_overlong_state_count_hits_the_state_cap():
+    with pytest.raises(CapacityError) as info:
+        parse_task_file("states " + "9" * 5000 + "\n")
+    assert info.value.cap_name == "max_states"
+    # leading zeros do not count
+    assert parse_task_file("states " + "0" * 5000 + "3\n").n_states == 3
 
 
 def test_check_single_feature_policy():
@@ -134,16 +164,69 @@ def test_search_set_policies_cap():
     assert "mode: set-cap-1" in result.stdout.decode()
 
 
-def _reference_family_file(tmp_path, k):
-    """The reference task's inputs and outputs over k programs that each
-    miss one state of k + 1."""
+_REFERENCE_LINES = ("input f1", "input f2", "output f1 f3", "output f2 f4")
+
+
+def _reference_family_file(tmp_path, k, task_lines=_REFERENCE_LINES):
+    """Task lines, by default the reference task's inputs and outputs, over
+    k programs that each miss one state of k + 1."""
     lines = [f"states {k + 1}"]
     for i in range(k):
         lines.append(f"program f{i + 1} " + "".join("0" if s == i else "1" for s in range(k + 1)))
-    lines += ["input f1", "input f2", "output f1 f3", "output f2 f4"]
+    lines += task_lines
     path = tmp_path / f"family{k}.pvt"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _count_statement_objects(monkeypatch) -> list[int]:
+    made: list[int] = []
+    init = Statement.__init__
+
+    def counted(self, members):
+        made.append(members)
+        init(self, members)
+
+    monkeypatch.setattr(Statement, "__init__", counted)
+    return made
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("flags", [[], ["--structured"], ["--mode", "pruned"]])
+def test_search_builds_statements_only_for_what_it_prints(tmp_path, monkeypatch, planted, flags):
+    """A search over the 4,096 statements of the dense 12-program family
+    builds a statement object only for each input, output and correct
+    policy of its report."""
+    lines = _REFERENCE_LINES
+    if planted:
+        # E_I ∩ E_p = the outputs for each p ⊆ {f1..f11} holding f11: 1,024 policies
+        names = " ".join(f"f{i}" for i in range(1, 11))
+        lines = (f"input {names}", f"output {names} f11", f"output {names} f11 f12")
+    path = _reference_family_file(tmp_path, 12, lines)
+    made = _count_statement_objects(monkeypatch)
+    stdout = io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["search", path, *flags])
+    stdout.seek(0)
+    out = stdout.read()
+    if "--structured" in flags:
+        tree = json.loads(out)
+        printed = len(tree["inputs"]) + len(tree["outputs"]) + tree["correct_count"]
+    else:
+        lines = out.splitlines()
+        printed = lines[0].count("{") + lines[1].count("{") + int(lines[5].split(": ")[1])
+    assert code == (0 if planted else 1)
+    assert printed == (1 + 2 + 1024 if planted else 2 + 2 + 0)
+    assert len(made) <= printed
+
+
+def test_build_language_builds_no_statement_object(monkeypatch):
+    made = _count_statement_objects(monkeypatch)
+    vocab = Vocabulary.build(
+        [Program(0x1FFF & ~(1 << i), 13) for i in range(12)], StateSpace(13)
+    )
+    assert len(build_language(vocab)) == 4096
+    assert made == []
 
 
 def test_search_set_policies_count_admissible_subsets(tmp_path):

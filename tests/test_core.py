@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from vtask.core import (
     EMPTY_STATEMENT,
     MAX_VOCAB,
+    Language,
     Program,
     StateSpace,
     Statement,
@@ -200,6 +201,46 @@ def test_language_index_and_membership():
     assert Statement(0b11) not in lang
     with pytest.raises(DomainError):
         lang.index_of(Statement(0b11))
+
+
+def test_mask_language_matches_linear_scans():
+    """The masks-only language against its definitions: ``statement_masks``
+    for the data, statement objects for the view, and a linear scan of the
+    masks for lookup by position."""
+    rng = random.Random(18)
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, min(12, 1 << n))
+        values = rng.sample(range(1 << n), k)
+        if trial % 3 == 0 and k and 0 not in values:
+            values[0] = 0  # the empty program
+        vocab = Vocabulary.build((Program(v, n) for v in values), StateSpace(n))
+        lang = build_language(vocab)
+        masks = statement_masks(vocab)
+        assert lang.masks == masks
+        assert lang.statements == tuple(map(Statement, masks))
+        assert Language(vocab, lang.statements) == lang
+        probes = [*masks, -1, 1 << k, *(rng.getrandbits(k + 1) for _ in range(50))]
+        for m in probes:
+            assert (Statement(m) in lang) == (m in masks)
+            if m in masks:
+                assert lang.index_of(Statement(m)) == masks.index(m)
+            else:
+                with pytest.raises(DomainError):
+                    lang.index_of(Statement(m))
+        for _ in range(5):
+            mask = rng.getrandbits(len(masks))
+            expected = tuple(Statement(m) for j, m in enumerate(masks) if mask >> j & 1)
+            assert lang.statements_of(mask) == expected
+
+
+def test_language_from_statements_keeps_canonical_order():
+    lang = build_language(vocab_of("011", "110", "101"))
+    assert Language(lang.vocabulary, lang.statements[:-1]).masks == lang.masks[:-1]
+    outside = (Statement(-1), Statement(0b1000))
+    for broken in (lang.statements[::-1], lang.statements + lang.statements[-1:], outside):
+        with pytest.raises(MalformedInputError):
+            Language(lang.vocabulary, broken)
 
 
 # -- extensions --------------------------------------------------------------

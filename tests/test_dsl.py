@@ -145,6 +145,67 @@ def test_bad_literal_column_offsets_into_line():
     assert d.column == 12
 
 
+MALFORMED_FILE = (
+    "states 3   # three states\n"
+    "program\tf\t011\n"
+    "program   g  110 # trailing comment\n"
+    "program h 101\n"
+    "  program 9bad 111\n"
+    "program k\t0x1\n"
+    "program m 11 # short literal\n"
+    "label   lab   111\n"
+    "input 1st f g\n"
+    "input f  2nd\tg\n"
+    "input f g  3rd#comment\n"
+    "input\tf  \t undeclared_x g\n"
+    "output $a f\n"
+    "output f\t-b-  g\n"
+    "output f g \tc.\n"
+    "output f\tg  nope\n"
+    "example f,g,9z -> lab\n"
+    "example  f , bad!,g -> lab\n"
+    "example f,,g\t-> lab\n"
+    "example f,ghost -> lab\n"
+    "example  h,\tlab -> lab\n"
+    "example h -> f   # label is a program\n"
+    "program dup\t\t011\n"
+    "program f 111\n"
+    "frobnicate f 011\n"
+    "\tstates 4\n"
+)
+
+# (line, column, message) of every diagnostic of MALFORMED_FILE
+MALFORMED_DIAGNOSTICS = [
+    (5, 11, "invalid name '9bad'"),
+    (6, 12, "invalid character 'x' in program literal (expected 0 or 1)"),
+    (7, 11, "program literal '11' has width 2, expected 3"),
+    (9, 7, "invalid name '1st'"),
+    (10, 10, "invalid name '2nd'"),
+    (11, 12, "invalid name '3rd'"),
+    (12, 12, "reference to undeclared name 'undeclared_x'"),
+    (13, 8, "invalid name '$a'"),
+    (14, 10, "invalid name '-b-'"),
+    (15, 13, "invalid name 'c.'"),
+    (16, 13, "reference to undeclared name 'nope'"),
+    (17, 13, "invalid name '9z'"),
+    (18, 14, "invalid name 'bad!'"),
+    (19, None, "cannot mix input/output lines with example lines"),
+    (20, 11, "reference to undeclared name 'ghost'"),
+    (21, 13, "'lab' is a label and cannot be a feature"),
+    (22, 14, "'f' is a program; example labels must be declared with 'label'"),
+    (23, 14, "program 'dup' duplicates the states of 'f' (line 2)"),
+    (24, None, "duplicate declaration of 'f' (first declared on line 2)"),
+    (25, 1, "unknown directive 'frobnicate' (expected one of states, program, label, "
+     "input, output, example)"),
+    (26, None, "duplicate states declaration"),
+]
+
+
+def test_malformed_file_diagnostics_are_pinned():
+    diagnostics = diagnostics_of(MALFORMED_FILE)
+    assert [(d.line, d.column, d.message) for d in diagnostics] == MALFORMED_DIAGNOSTICS
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# heading\n\nstates 2   # trailing\nprogram f 01\ninput f\noutput f # tail\n"
     doc = parse_task_file(text)
@@ -209,6 +270,28 @@ def test_document_round_trip_property(seed):
     reparsed = parse_task_file(text)
     assert reparsed == doc
     assert serialize_task_document(reparsed) == text
+
+
+def _noisy(text: str, rng: random.Random) -> str:
+    """The same document with each separating space widened to a run of
+    spaces and tabs, indented lines and trailing comments."""
+    lines = []
+    for line in text.splitlines():
+        gaps = line.split(" ")
+        line = gaps[0]
+        for gap in gaps[1:]:
+            line += "".join(rng.choices(" \t", k=rng.randint(1, 3))) + gap
+        lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " # note", "#x"]))
+    return "\n".join(lines) + "\n"
+
+
+def test_document_round_trip_through_whitespace_and_comments():
+    rng = random.Random(18)
+    for _ in range(300):
+        doc = random_document(rng)
+        text = serialize_task_document(doc)
+        assert parse_task_file(text) == doc
+        assert parse_task_file(_noisy(text, rng)) == doc
 
 
 # -- report serialization ----------------------------------------------------

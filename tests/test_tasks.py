@@ -34,7 +34,7 @@ from vtask.tasks import (
     validate_task,
 )
 
-from conftest import random_task, statement_of
+from conftest import random_task, random_vocabulary, statement_of
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,85 @@ def test_validation_rejects_output_equal_extension_example(tiny):
     with pytest.raises(TaskValidationError) as info:
         validate_task([x], extension_of_statement(x, tiny), tiny)
     assert info.value.code == "output-equals-extension"
+
+
+def _dense_language(k: int) -> Language:
+    """Every subset of k programs that each miss one state of k + 1."""
+    full = (1 << (k + 1)) - 1
+    vocab = Vocabulary.build(
+        [Program(full & ~(1 << i), k + 1) for i in range(k)], StateSpace(k + 1)
+    )
+    return build_language(vocab)
+
+
+def _validation_oracle(inputs: list[int], outputs: list[int], lang: Language):
+    """The error code of the first invariant the masks break, checked in
+    the documented order from the definitions, or the task's
+    (input, output, extension) masks over language positions."""
+    members = lang.masks
+    ins = sorted(set(inputs), key=tasks._mask_key)
+    outs = sorted(set(outputs), key=tasks._mask_key)
+    if not ins:
+        return "empty-inputs"
+    if not outs:
+        return "empty-outputs"
+    if any(x not in members for x in ins):
+        return "input-not-statement"
+    if len(ins) == len(lang):
+        return "input-equals-language"
+    extension = {s.members for s in extension_of_set(map(Statement, ins), lang)}
+    if any(o not in extension for o in outs):
+        return "output-outside-extension"
+    if set(outs) == extension:
+        return "output-equals-extension"
+    return tuple(
+        sum(1 << j for j, m in enumerate(members) if m in chosen)
+        for chosen in (set(ins), set(outs), extension)
+    )
+
+
+def test_word_parallel_validation_matches_definitions():
+    """Inputs, outputs and E_I against ``extension_of_set``, and every error
+    code in the documented order, on seeded candidates that may break
+    several invariants at once: masks outside the language, outputs
+    outside E_I, inputs or outputs that fill what they must not. The
+    languages cross every field width of the packed E_I, up to a dense
+    16-program language of 2^16 statements."""
+    rng = random.Random(18)
+    languages = [_dense_language(k) for k in (0, 3, 7, 8, 15, 16)]
+    languages += [build_language(random_vocabulary(rng, 6, 12)) for _ in range(40)]
+    seen = set()
+    for lang in languages:
+        members = lang.masks
+        k = len(lang.vocabulary)
+        for _ in range(8 if len(lang) > 4096 else 40):
+            inputs = rng.sample(members, rng.randint(0, min(3, len(lang))))
+            if rng.random() < 0.05:
+                inputs = list(members)
+            if rng.random() < 0.2:
+                inputs.append(rng.getrandbits(k + 1))
+            extension = []
+            if all(x in members for x in inputs):
+                extension = sorted(s.members for s in extension_of_set(map(Statement, inputs), lang))
+            pool = extension if extension and rng.random() < 0.8 else members
+            outputs = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+            if rng.random() < 0.1:
+                outputs = list(extension)
+            expected = _validation_oracle(inputs, outputs, lang)
+            for given_as in (list, lambda ms: [Statement(m) for m in ms]):
+                if isinstance(expected, str):
+                    assert error_code(
+                        lambda: validate_task(given_as(inputs), given_as(outputs), lang)
+                    ) == expected
+                else:
+                    task = validate_task(given_as(inputs), given_as(outputs), lang)
+                    assert (task.input_mask, task.output_mask, task.extension_mask) == expected
+                    assert task.input_extension == extension_of_set(task.inputs, lang)
+            seen.add(expected if isinstance(expected, str) else "valid")
+    assert seen == {
+        "empty-inputs", "empty-outputs", "input-not-statement", "input-equals-language",
+        "output-outside-extension", "output-equals-extension", "valid",
+    }
 
 
 # -- single-policy correctness -----------------------------------------------
