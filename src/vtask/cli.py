@@ -16,13 +16,7 @@ from . import dsl
 from .core import Statement
 from .errors import CapacityError, VTaskError
 from .search import SearchSpec, census
-from .tasks import (
-    Policy,
-    find_correct_policies,
-    find_correct_set_policies,
-    selection,
-    statement_key,
-)
+from .tasks import check_policy, find_correct_policies, find_correct_set_policies
 from .verify import run_reference_checks
 
 EXIT_OK = 0
@@ -83,14 +77,9 @@ def _policy_from_args(args: argparse.Namespace, realized: dsl.RealizedDocument) 
 def _cmd_check(args: argparse.Namespace) -> int:
     realized = _load(args.file)
     task = _require_task(realized, "check")
-    statement = _policy_from_args(args, realized)
-    selected = tuple(sorted(selection(statement, task), key=statement_key))
-    correct = frozenset(selected) == task.outputs
-    report = dsl.PolicyCheckReport(
-        task=task, policy=Policy(statement), selected=selected, correct=correct
-    )
+    report = check_policy(task, _policy_from_args(args, realized))
     _emit(dsl.serialize_check(report, _output_mode(args), realized.names))
-    return EXIT_OK if correct else EXIT_NEGATIVE
+    return EXIT_OK if report.correct else EXIT_NEGATIVE
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

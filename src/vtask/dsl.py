@@ -35,7 +35,15 @@ from .core import MAX_STATES, Language, Program, StateSpace, Statement, Vocabula
 from .encoder import ClassificationSpec, encode_classification
 from .errors import CapacityError, ParseDiagnostic, ParseError, TaskFileError
 from .search import CensusReport
-from .tasks import SEARCH_MODES, Policy, PolicySearchResult, SetPolicy, Task, validate_task
+from .tasks import (
+    SEARCH_MODES,
+    Policy,
+    PolicyCheckReport,
+    PolicySearchResult,
+    SetPolicy,
+    Task,
+    validate_task,
+)
 from .verify import VerifyReport
 
 _DIRECTIVES = ("states", "program", "label", "input", "output", "example")
@@ -832,12 +840,14 @@ def _census_structured(report: CensusReport) -> bytes:
 
 def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = "text") -> bytes:
     vocab = lang.vocabulary
-    names_of = _statement_namer(vocab, names)
     if mode == "text":
+        # one row per statement, written from its mask
+        joined = _names_joiner(vocab, names, " ")
         lines = [f"language: {len(lang)} statements over {len(vocab)} programs"]
-        lines += [_braced(names_of(s)) for s in lang]
+        lines += ["{" + joined(m) + "}" for m in lang.masks]
         return _to_bytes(lines)
     if mode == "structured":
+        names_of = _statement_namer(vocab, names)
         programs: dict[str, str] = {}
         for i, p in enumerate(vocab.programs):
             key = names[i] if names is not None else p.to_bitstring()
@@ -849,16 +859,6 @@ def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = 
         }
         return _json_bytes(tree)
     raise ValueError(f"unknown serialization mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class PolicyCheckReport:
-    """Outcome of checking one policy against one task."""
-
-    task: Task
-    policy: Policy | SetPolicy
-    selected: tuple[Statement, ...]
-    correct: bool
 
 
 def serialize_check(

@@ -30,11 +30,13 @@ U, 2^(|U| − |min U|) of them (one fewer when U is the whole language,
 which is no input). So the unfiltered census (and ``--dedup``) counts
 once per up-set of the language, 168 for the 16-statement language
 against 65,536 input masks, and admits languages of up to 32 statements,
-every language of five programs. The shape filter gives each input its
-own blocks, so the shaped census still walks every input mask, and its
-cap stays at 16 statements. It skips at once the inputs whose features
-cover every program, which leave every block empty; in the
-16-statement language that is most of them.
+every language of five programs. The shape filter does not change which
+tasks are enumerated, so the shaped census counts ``enumerated`` per
+up-set too. It gives each input its own blocks, so for ``valid`` and
+``solvable`` it still walks every input mask, and its cap stays at 16
+statements. That walk, which the shaped task stream shares, skips at once
+the inputs whose features cover every program, which leave every block
+empty; in the 16-statement language that is most of them.
 
 A language's census depends only on its statement masks, and it is the
 same for every relabeling of the programs. A language over k programs is
@@ -279,15 +281,13 @@ def _up_sets(ext: Sequence[int]) -> Iterator[tuple[int, int]]:
         yield up, covered
 
 
-def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int) -> list[int]:
+def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int, feature_union: int) -> list[int]:
     """One block per input i: the language indices of the statements
     i ∪ {p}, for each program p outside the inputs' feature union. Each
     such statement extends i, so every block lies in ``ei``."""
-    feature_union = 0
     blocks = {}
     for i in range(i_mask.bit_length()):
         if i_mask >> i & 1:
-            feature_union |= members[i]
             blocks[members[i]] = 0
     for j in range(ei.bit_length()):
         if ei >> j & 1:
@@ -296,6 +296,27 @@ def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int) -> list[int]:
             if extra.bit_count() == 1 and base in blocks:
                 blocks[base] |= 1 << j
     return list(blocks.values())
+
+
+def _shaped_inputs(lang: Language) -> Iterator[tuple[int, int, list[int]]]:
+    """The shape filter's walk: (input mask, E_I, output blocks) for each
+    nonempty input mask, in ascending order, whose inputs' feature union
+    leaves some program out. The other inputs leave every block empty, so
+    they have no shaped output."""
+    members = lang.masks
+    programs = 0
+    for m in members:
+        programs |= m
+    # the inputs' feature union for each input mask so far: the union for
+    # the mask less its top statement, plus that statement
+    unions = array("Q", [0])
+    # entry 0 (no inputs) is no task
+    for i_mask, ei in itertools.islice(enumerate(_input_extensions(lang)), 1, None):
+        top = i_mask.bit_length() - 1
+        union = unions[i_mask ^ 1 << top] | members[top]
+        unions.append(union)
+        if union != programs:
+            yield i_mask, ei, _output_blocks(members, i_mask, ei, union)
 
 
 def _ascending_submasks(mask: int) -> Iterator[int]:
@@ -336,10 +357,11 @@ def _task_masks(
     lang: Language, spec: SearchSpec | None
 ) -> Iterator[tuple[int, int, int]]:
     """:func:`enumerate_task_masks` without its cap, for walks that stop early."""
-    members = lang.masks
-    shaped = spec is not None and spec.require_classification_shaped
-    for i_mask, ei in enumerate(_input_extensions(lang)):
-        blocks = _output_blocks(members, i_mask, ei) if shaped else (ei,)
+    if spec is not None and spec.require_classification_shaped:
+        inputs = _shaped_inputs(lang)
+    else:
+        inputs = ((i_mask, ei, (ei,)) for i_mask, ei in enumerate(_input_extensions(lang)))
+    for i_mask, ei, blocks in inputs:
         for o_mask in _outputs(ei, blocks):
             yield i_mask, o_mask, ei
 
@@ -402,10 +424,16 @@ def _unsolvable_triples(
 
 def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
     """Census of one language: its enumerated, valid and solvable task
-    counts, from closed-form counts per up-set of its statements (per
-    input set under the shape filter). No output set is walked."""
-    if spec.require_classification_shaped:
-        return _census_shaped(lang)
+    counts, from closed-form counts per up-set of its statements, but for
+    ``valid`` and ``solvable`` under the shape filter, which come per input
+    set from :func:`_shaped_inputs`. No output set is walked."""
+    shaped = spec.require_classification_shaped
+    if shaped:
+        _language_cap(
+            lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
+            "the shape filter still walks 2^|language| input sets, because each "
+            "input has its own output blocks",
+        )
     _language_cap(
         lang, CENSUS_UPSET_CAP, "census_upset_cap",
         "the count walks the language's up-sets, whose number grows "
@@ -422,63 +450,30 @@ def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
             continue
         inputs = (1 << covered.bit_count()) - (up == full)
         enumerated += inputs * ((1 << size) - 2)
-        selections = {e & up for e in ext}
-        selections.discard(0)
-        selections.discard(up)
-        solvable += inputs * len(selections)
-    return enumerated, enumerated, solvable
-
-
-def _census_shaped(lang: Language) -> tuple[int, int, int]:
-    """:func:`_census_language` under the classification-shape filter. Each
-    input has its own output blocks, so this walks every input mask, but
-    it builds the blocks only for inputs with a program outside their
-    feature union."""
-    _language_cap(
-        lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
-        "the shape filter still walks 2^|language| input sets, because each "
-        "input has its own output blocks",
-    )
-    ext = lang.extension_masks()
-    members = lang.masks
-    programs = 0
-    for m in members:
-        programs |= m
-    # the inputs' feature union for each input mask so far: the union for
-    # the mask less its top statement, plus that statement
-    unions = array("Q", [0])
-    enumerated = valid_total = solvable = 0
-    # entry 0 (no inputs) has no outputs and falls through to the next mask
-    for i_mask, ei in enumerate(_input_extensions(lang)):
-        if i_mask:
-            top = i_mask.bit_length() - 1
-            unions.append(unions[i_mask ^ 1 << top] | members[top])
-        n_outputs = (1 << ei.bit_count()) - 2
-        if n_outputs <= 0:
-            continue
-        enumerated += n_outputs
-        if unions[i_mask] == programs:
-            # no program lies outside the inputs, so every block is empty
-            continue
-        # the blocks are disjoint: an output extending two inputs would
-        # make each input a subset of the other
-        blocks = _output_blocks(members, i_mask, ei)
+        if not shaped:
+            selections = {e & up for e in ext}
+            selections.discard(0)
+            selections.discard(up)
+            solvable += inputs * len(selections)
+    if not shaped:
+        return enumerated, enumerated, solvable
+    valid = 0
+    for _, ei, blocks in _shaped_inputs(lang):
+        # the blocks are disjoint (an output extending two inputs would make
+        # each input a subset of the other), and every input lies in E_I but
+        # in no block, so no output inside their union is E_I
         union = 0
-        valid = 1
+        outputs = 1
         for block in blocks:
             union |= block
-            valid *= (1 << block.bit_count()) - 1
-        valid -= union == ei
-        if not valid:
-            continue
-        valid_total += valid
-        selections = {e & ei for e in ext}
-        selections.discard(0)
-        selections.discard(ei)
-        solvable += sum(
-            1 for sel in selections if not sel & ~union and all(sel & block for block in blocks)
-        )
-    return enumerated, valid_total, solvable
+            outputs *= (1 << block.bit_count()) - 1
+        valid += outputs
+        if outputs:
+            solvable += sum(
+                1 for sel in {e & ei for e in ext}
+                if not sel & ~union and all(sel & block for block in blocks)
+            )
+    return enumerated, valid, solvable
 
 
 def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:

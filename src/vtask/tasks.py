@@ -231,6 +231,23 @@ def is_correct_policy(pi: Policy, task: Task) -> bool:
     return selection(pi.statement, task) == task.outputs
 
 
+@dataclass(frozen=True)
+class PolicyCheckReport:
+    """Outcome of checking one policy against one task: the statements it
+    selects, in canonical order, and whether they are exactly the outputs."""
+
+    task: Task
+    policy: Policy
+    selected: tuple[Statement, ...]
+    correct: bool
+
+
+def check_policy(task: Task, statement: Statement) -> PolicyCheckReport:
+    """Check the policy of one statement against the task."""
+    selected = tuple(sorted(selection(statement, task), key=statement_key))
+    return PolicyCheckReport(task, Policy(statement), selected, frozenset(selected) == task.outputs)
+
+
 def max_policy_length_bound(task: Task) -> int:
     """Largest member count a correct policy can have.
 

@@ -220,6 +220,21 @@ def test_search_builds_statements_only_for_what_it_prints(tmp_path, monkeypatch,
     assert len(made) <= printed
 
 
+def test_lang_text_rows_build_no_statement_object(tmp_path, monkeypatch):
+    path = _reference_family_file(tmp_path, 12, ())
+    made = _count_statement_objects(monkeypatch)
+    stdout = io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["lang", path])
+    stdout.seek(0)
+    lines = stdout.read().splitlines()
+    assert code == 0
+    assert lines[0] == "language: 4096 statements over 12 programs"
+    assert lines[1] == "{}"
+    assert lines[-1] == "{" + " ".join(sorted(f"f{i}" for i in range(1, 13))) + "}"
+    assert made == []
+
+
 def test_build_language_builds_no_statement_object(monkeypatch):
     made = _count_statement_objects(monkeypatch)
     vocab = Vocabulary.build(

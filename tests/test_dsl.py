@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from vtask import dsl, encoder
 from vtask.core import Program, StateSpace, Statement, build_language
 from vtask.dsl import (
-    PolicyCheckReport,
     TaskDocument,
     parse_program_literal,
     parse_task_file,
@@ -21,7 +20,7 @@ from vtask.dsl import (
 )
 from vtask.errors import CapacityError, ParseError, TaskFileError
 from vtask.search import SearchSpec, census
-from vtask.tasks import Policy, find_correct_policies, selection, statement_key
+from vtask.tasks import check_policy, find_correct_policies
 
 from conftest import COLORED_BOX_FILE, INVALID_DOCUMENTS, TWO_CLASS_FILE
 
@@ -408,11 +407,8 @@ def test_language_listing_empty_statement_first(ref_task):
 
 
 def test_check_report_serialization(ref_task, ref_index):
-    pi = Statement.from_indices([ref_index["f1"]])
-    selected = tuple(sorted(selection(pi, ref_task), key=statement_key))
-    report = PolicyCheckReport(
-        task=ref_task, policy=Policy(pi), selected=selected, correct=False
-    )
+    report = check_policy(ref_task, Statement.from_indices([ref_index["f1"]]))
+    assert not report.correct
     text = serialize_check(report, "text", ("f4", "f3", "f2", "f1")).decode()
     assert "policy: {f1}" in text
     assert "selected 8 statements" in text

@@ -38,6 +38,11 @@ _DENSE_SEARCH = {
     for mode in ("exhaustive", "pruned")
     for suffix, extra in (("", []), ("-structured", ["--structured"]))
 }
+# the dense language's rows, in both formats
+_DENSE_LANG = {
+    f"lang-dense10{suffix}": ["lang", str(REFERENCE_FAMILY_FILE), *extra]
+    for suffix, extra in (("", []), ("-structured", ["--structured"]))
+}
 # set-policy search that finds correct set policies (and no single
 # policy), so that set-policy rows render in both formats
 _SET_SEARCH = {
@@ -70,6 +75,7 @@ def _commands() -> dict[str, list[str]]:
     for name, extra in _CENSUS_EXTRA.items():
         commands[name] = ["census", *extra]
     commands.update(_DENSE_SEARCH)
+    commands.update(_DENSE_LANG)
     commands.update(_SET_SEARCH)
     commands["verify-paper"] = ["verify-paper"]
     return commands
@@ -93,6 +99,8 @@ GOLDEN = {
     "encode-box": (0, "1a7b4e5a14c4617365c96bfd5bcec1c6ff6604d1bbd8b9d64861402ae7f7977b"),
     "encode-two-class": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lang-box": (0, "a0454a84a83da5267e02e5c636656a1c08201936b155ff3d79ebc14f41f7595a"),
+    "lang-dense10": (0, "9eafea498ed0c83d6415feea82dd55b206319268cf7c5a3b318c64c939d5c3a1"),
+    "lang-dense10-structured": (0, "5d79a680479c4944db5656e828d8ef12b5fadb06bd3dc05e65f650bb6980a8a4"),
     "lang-two-class": (0, "fb399bd2d74d280f2d7b9b6cfd20819db0dd30dc1abae66439320034ba661615"),
     "search-dense10-exhaustive": (0, "35a9b298df9f1424214e7c5282fba6a1a8cc8899a29dd99166f61de9be141b4a"),
     "search-dense10-exhaustive-structured": (0, "f722442eee6a5e7ade73cd18c995e14d80c5af8017fe6184bd9eb4d688882035"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vtask import search
-from vtask.complexes import class_weights
+from vtask.complexes import class_weights, complex_classes
 from vtask.core import (
     Program,
     StateSpace,
@@ -519,6 +519,46 @@ def test_up_set_census_matches_input_mask_oracle_up_to_4_4():
         lang = build_language(vocab)
         spec = SearchSpec(vocab.space.n_states, len(vocab))
         assert search._census_language(spec, lang) == _input_mask_census(lang)
+
+
+def test_shape_filter_keeps_the_enumerated_count():
+    # the filter decides which tasks are valid, not which are enumerated
+    for k in range(5):
+        for cls in complex_classes(k):
+            if k - sum(cls.faces >> (1 << i) & 1 for i in range(k)) > 1:
+                # two empty programs: no vocabulary has this language
+                continue
+            lang = build_language(cls.realization)
+            spec = SearchSpec(cls.realization.space.n_states, k, require_classification_shaped=True)
+            enumerated, _, _ = search._census_language(spec, lang)
+            assert enumerated == _input_mask_census(lang)[0]
+
+
+def test_shaped_walk_builds_blocks_only_for_inputs_missing_a_program(monkeypatch):
+    calls = 0
+    original = search._output_blocks
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(search, "_output_blocks", counted)
+    # four programs that share state 0: the language of all 16 subsets
+    vocab = Vocabulary.build([Program(b, 3) for b in (0b001, 0b011, 0b101, 0b111)], StateSpace(3))
+    lang = build_language(vocab)
+    assert len(lang) == 16
+    # an input set misses program p when it lies among the statements without p
+    without = [sum(1 << j for j, m in enumerate(lang.masks) if not m >> p & 1) for p in range(4)]
+    missing = sum(
+        1 for i_mask in range(1, (1 << 16) - 1) if any(not i_mask & ~w for w in without)
+    )
+    spec = SearchSpec(3, 4, require_classification_shaped=True)
+    assert sum(1 for _ in enumerate_task_masks(lang, spec))
+    assert calls == missing
+    calls = 0
+    search._census_language(spec, lang)
+    assert calls == missing
 
 
 def _five_program_vocabulary(n_statements):
