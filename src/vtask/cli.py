@@ -122,17 +122,13 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         )
     task = _require_task(realized, "encode")
     doc = realized.document
-    name_of = {i: name for i, name in enumerate(realized.names)}
+    names = realized.names
     explicit = dsl.TaskDocument.build(
         n_states=doc.n_states,
         programs=doc.programs,
         labels=doc.labels,
-        inputs=[
-            [name_of[i] for i in s.indices()] for s in task.sorted_inputs()
-        ],
-        outputs=[
-            [name_of[i] for i in s.indices()] for s in task.sorted_outputs()
-        ],
+        inputs=[[names[i] for i in s.indices()] for s in task.sorted_inputs()],
+        outputs=[[names[i] for i in s.indices()] for s in task.sorted_outputs()],
     )
     if args.structured:
         _emit(dsl.serialize_document_tree(explicit))

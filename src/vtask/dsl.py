@@ -267,7 +267,6 @@ def _scan_example(
     for chunk, col in feature_tokens:
         offset = 0
         for piece in chunk.split(","):
-            piece = piece.strip()
             if piece:
                 if _is_name(piece):
                     features.append((piece, col + offset))
@@ -314,7 +313,7 @@ def parse_task_file(text: str) -> TaskDocument:
                 )
             )
 
-    declared: dict[str, tuple[int, Program]] = {}
+    declared: dict[str, int] = {}  # name -> line of its first declaration
     declarations = parsed.programs or parsed.labels
     literal_lines: dict[int, tuple[int, str]] = {}
     programs: list[tuple[str, Program]] = []
@@ -328,10 +327,13 @@ def parse_task_file(text: str) -> TaskDocument:
                         line_no,
                         None,
                         f"duplicate declaration of {name!r} "
-                        f"(first declared on line {declared[name][0]})",
+                        f"(first declared on line {declared[name]})",
                     )
                 )
                 continue
+            # a name with a bad or duplicate literal is still declared, so
+            # the lines that name it report nothing more
+            declared[name] = line_no
             program = None
             if space is not None:
                 try:
@@ -340,7 +342,6 @@ def parse_task_file(text: str) -> TaskDocument:
                     column = _columns(body, body.split())[2] + (err.column or 1) - 1
                     errors.append(ParseDiagnostic(line_no, column, str(err)))
             if program is None:
-                declared[name] = (line_no, Program(0, 1))
                 continue
             if program.bits in literal_lines:
                 prev_line, prev_name = literal_lines[program.bits]
@@ -354,7 +355,6 @@ def parse_task_file(text: str) -> TaskDocument:
                 )
                 continue
             literal_lines[program.bits] = (line_no, name)
-            declared[name] = (line_no, program)
             (labels if is_label else programs).append((name, program))
 
     label_names = {name for name, _ in labels}
@@ -545,23 +545,16 @@ def render_statement(
     statement: Statement, vocabulary: Vocabulary, names: Sequence[str] | None = None
 ) -> str:
     """"{f1 f3}" with names, "{01111 11011}" without; "{}" for the empty
-    statement."""
-    return _braced(_statement_namer(vocabulary, names)(statement))
-
-
-def _statement_namer(
-    vocabulary: Vocabulary, names: Sequence[str] | None
-) -> Callable[[Statement], list[str]]:
-    """Renders a statement as its members' names in sorted order, or
-    without names as their bitstrings in index order. The member order
-    and the bitstrings are fixed once per vocabulary, not per statement."""
+    statement. One pass over the labels in statement order: for a single
+    statement that is cheaper than the tables of :func:`_names_of`."""
     pairs = _ordered_labels(vocabulary, names)
-    return lambda statement: [label for bit, label in pairs if statement.members & bit]
+    return _braced([label for bit, label in pairs if statement.members & bit])
 
 
 def _ordered_labels(vocabulary: Vocabulary, names: Sequence[str] | None) -> list[tuple[int, str]]:
     """(member bit, label) for each program, in the order a statement
-    lists its members."""
+    lists its members: sorted by name, or without names the programs'
+    bitstrings in index order."""
     if names is None:
         labels = [p.to_bitstring() for p in vocabulary.programs]
         order = range(len(labels))
@@ -571,46 +564,39 @@ def _ordered_labels(vocabulary: Vocabulary, names: Sequence[str] | None) -> list
     return [(1 << i, labels[i]) for i in order]
 
 
-def _names_joiner(
-    vocabulary: Vocabulary,
-    names: Sequence[str] | None,
-    sep: str,
-    quote: Callable[[str], str] = str,
-) -> Callable[[int], str]:
-    """Renders a member mask as its quoted labels, in statement order,
-    joined by ``sep``. The order is split in two halves, each with a table
-    of every subset's text, so a statement costs two lookups rather than a
-    pass over the vocabulary."""
+def _names_of(
+    vocabulary: Vocabulary, names: Sequence[str] | None, quote: Callable[[str], str] = str
+) -> Callable[[int], tuple[str, ...]]:
+    """The name table of every report: a member mask's quoted labels, in
+    statement order (see :func:`_ordered_labels`). The order is split in
+    two halves, each with a table of every subset's labels, so a statement
+    costs two lookups rather than a pass over the vocabulary."""
     pairs = [(bit, quote(label)) for bit, label in _ordered_labels(vocabulary, names)]
     halves = []
     for part in (pairs[: len(pairs) // 2], pairs[len(pairs) // 2 :]):
-        table = {0: ""}
+        table: dict[int, tuple[str, ...]] = {0: ()}
         for bit, label in part:
-            table.update({m | bit: text + sep + label if m else label for m, text in table.items()})
+            table.update({m | bit: labels + (label,) for m, labels in table.items()})
         halves.append((sum(bit for bit, _ in part), table))
     (low_bits, low), (high_bits, high) = halves
-
-    def join(members: int) -> str:
-        first, second = low[members & low_bits], high[members & high_bits]
-        return first + sep + second if first and second else first or second
-
-    return join
+    return lambda members: low[members & low_bits] + high[members & high_bits]
 
 
-def _braced(names: list[str]) -> str:
-    return "{" + " ".join(names) + "}"
+def _braced(labels: Sequence[str]) -> str:
+    return "{" + " ".join(labels) + "}"
 
 
-def _render_policy(policy: Policy | SetPolicy, names_of: Callable[[Statement], list[str]]) -> str:
+def _policy_names(policy: Policy | SetPolicy, names_of: Callable[[int], tuple[str, ...]]):
     if isinstance(policy, Policy):
-        return _braced(names_of(policy.statement))
-    return "[" + " ".join(_braced(names_of(s)) for s in policy.sorted_statements()) + "]"
+        return names_of(policy.statement.members)
+    return [names_of(s.members) for s in policy.sorted_statements()]
 
 
-def _policy_names(policy: Policy | SetPolicy, names_of: Callable[[Statement], list[str]]):
+def _render_policy(policy: Policy | SetPolicy, names_of: Callable[[int], tuple[str, ...]]) -> str:
+    labels = _policy_names(policy, names_of)
     if isinstance(policy, Policy):
-        return names_of(policy.statement)
-    return [names_of(s) for s in policy.sorted_statements()]
+        return _braced(labels)
+    return "[" + " ".join(map(_braced, labels)) + "]"
 
 
 def _to_bytes(lines: list[str]) -> bytes:
@@ -696,10 +682,10 @@ def serialize_report(
 
 def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
-    names_of = _statement_namer(task.language.vocabulary, names)
+    names_of = _names_of(task.language.vocabulary, names)
     lines = [
-        "inputs: " + " ".join(_braced(names_of(s)) for s in task.sorted_inputs()),
-        "outputs: " + " ".join(_braced(names_of(s)) for s in task.sorted_outputs()),
+        "inputs: " + " ".join(_braced(names_of(s.members)) for s in task.sorted_inputs()),
+        "outputs: " + " ".join(_braced(names_of(s.members)) for s in task.sorted_outputs()),
         f"language: {len(task.language)} statements",
         f"mode: {report.mode}",
         f"checked: {report.checked}",
@@ -709,10 +695,10 @@ def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> byt
         lines.append("  " + _render_policy(policy, names_of))
     if report.mode in SEARCH_MODES:
         # one row per candidate, written from its language position
-        joined = _names_joiner(task.language.vocabulary, names, " ")
         lines.append("selection counts:")
         lines += [
-            "  {" + joined(m) + "}: " + str(n) for m, n in zip(task.language.masks, report.counts)
+            f"  {{{' '.join(names_of(m))}}}: {n}"
+            for m, n in zip(task.language.masks, report.counts)
         ]
     elif report.per_policy_selection_counts:
         lines.append("selection counts:")
@@ -723,7 +709,7 @@ def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> byt
 
 def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
-    names_of = _statement_namer(task.language.vocabulary, names)
+    names_of = _names_of(task.language.vocabulary, names)
     if report.mode in SEARCH_MODES:
         rows = _Written(_selection_rows_json(report, names))
     else:
@@ -732,8 +718,8 @@ def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) 
             for p, count in report.per_policy_selection_counts.items()
         ]
     tree = {
-        "inputs": [names_of(s) for s in task.sorted_inputs()],
-        "outputs": [names_of(s) for s in task.sorted_outputs()],
+        "inputs": [names_of(s.members) for s in task.sorted_inputs()],
+        "outputs": [names_of(s.members) for s in task.sorted_outputs()],
         "language_size": len(task.language),
         "mode": report.mode,
         "checked": report.checked,
@@ -752,11 +738,12 @@ def _selection_rows_json(report: PolicySearchResult, names: Sequence[str] | None
     """The ``selection_counts`` list of a single-statement search, laid out
     as :func:`_json_bytes` lays out the tree of dicts it stands for, but
     written one row per candidate from its language position."""
-    joined = _names_joiner(report.task.language.vocabulary, names, "," + _NAME, _json_string)
+    names_of = _names_of(report.task.language.vocabulary, names, _json_string)
+    sep = "," + _NAME
     rows = []
     for members, count in zip(report.task.language.masks, report.counts):
-        quoted = joined(members)
-        policy = "[" + _NAME + quoted + _KEY + "]" if quoted else "[]"
+        quoted = names_of(members)
+        policy = f"[{_NAME}{sep.join(quoted)}{_KEY}]" if quoted else "[]"
         rows.append(f'{{{_KEY}"policy": {policy},{_KEY}"selected": {count}{_ROW}}}')
     return "[" + _ROW + ("," + _ROW).join(rows) + "\n  ]"
 
@@ -804,17 +791,17 @@ def _census_exemplars(
     outputs, each statement as its members' bitstrings in index order.
     A vocabulary's bitstrings are rendered once, however many exemplars
     share it."""
-    rendered: dict[Vocabulary, tuple[list[str], Callable[[Statement], list[str]]]] = {}
+    rendered: dict[Vocabulary, tuple[list[str], Callable[[int], tuple[str, ...]]]] = {}
     for task in report.exemplars:
         vocab = task.language.vocabulary
         if vocab not in rendered:
             programs = [p.to_bitstring() for p in vocab.programs]
-            rendered[vocab] = programs, _statement_namer(vocab, None)
+            rendered[vocab] = programs, _names_of(vocab, None)
         programs, names_of = rendered[vocab]
         yield (
             programs,
-            [names_of(s) for s in task.sorted_inputs()],
-            [names_of(s) for s in task.sorted_outputs()],
+            [names_of(s.members) for s in task.sorted_inputs()],
+            [names_of(s.members) for s in task.sorted_outputs()],
         )
 
 
@@ -839,49 +826,48 @@ def _census_structured(report: CensusReport) -> bytes:
 
 
 def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = "text") -> bytes:
+    if mode not in ("text", "structured"):
+        raise ValueError(f"unknown serialization mode {mode!r}")
     vocab = lang.vocabulary
+    # one row per statement, written from its mask
+    names_of = _names_of(vocab, names)
     if mode == "text":
-        # one row per statement, written from its mask
-        joined = _names_joiner(vocab, names, " ")
         lines = [f"language: {len(lang)} statements over {len(vocab)} programs"]
-        lines += ["{" + joined(m) + "}" for m in lang.masks]
+        lines += [f"{{{' '.join(names_of(m))}}}" for m in lang.masks]
         return _to_bytes(lines)
-    if mode == "structured":
-        names_of = _statement_namer(vocab, names)
-        programs: dict[str, str] = {}
-        for i, p in enumerate(vocab.programs):
-            key = names[i] if names is not None else p.to_bitstring()
-            programs[key] = p.to_bitstring()
-        tree = {
-            "count": len(lang),
-            "programs": programs,
-            "statements": [names_of(s) for s in lang],
-        }
-        return _json_bytes(tree)
-    raise ValueError(f"unknown serialization mode {mode!r}")
+    programs: dict[str, str] = {}
+    for i, p in enumerate(vocab.programs):
+        key = names[i] if names is not None else p.to_bitstring()
+        programs[key] = p.to_bitstring()
+    tree = {
+        "count": len(lang),
+        "programs": programs,
+        "statements": list(map(names_of, lang.masks)),
+    }
+    return _json_bytes(tree)
 
 
 def serialize_check(
     report: PolicyCheckReport, mode: str = "text", names: Sequence[str] | None = None
 ) -> bytes:
     task = report.task
-    names_of = _statement_namer(task.language.vocabulary, names)
+    names_of = _names_of(task.language.vocabulary, names)
     if mode == "text":
         lines = [
             "policy: " + _render_policy(report.policy, names_of),
             f"selected {len(report.selected)} statements "
             "(the inputs' extension filtered by the policy):",
         ]
-        lines += ["  " + _braced(names_of(s)) for s in report.selected]
+        lines += ["  " + _braced(names_of(s.members)) for s in report.selected]
         lines.append(f"outputs ({len(task.outputs)}):")
-        lines += ["  " + _braced(names_of(s)) for s in task.sorted_outputs()]
+        lines += ["  " + _braced(names_of(s.members)) for s in task.sorted_outputs()]
         lines.append("verdict: " + ("CORRECT" if report.correct else "INCORRECT"))
         return _to_bytes(lines)
     if mode == "structured":
         tree = {
             "policy": _policy_names(report.policy, names_of),
-            "selected": [names_of(s) for s in report.selected],
-            "outputs": [names_of(s) for s in task.sorted_outputs()],
+            "selected": [names_of(s.members) for s in report.selected],
+            "outputs": [names_of(s.members) for s in task.sorted_outputs()],
             "correct": report.correct,
         }
         return _json_bytes(tree)

@@ -220,18 +220,26 @@ def test_search_builds_statements_only_for_what_it_prints(tmp_path, monkeypatch,
     assert len(made) <= printed
 
 
-def test_lang_text_rows_build_no_statement_object(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--structured"]])
+def test_lang_rows_build_no_statement_object(tmp_path, monkeypatch, flags):
     path = _reference_family_file(tmp_path, 12, ())
     made = _count_statement_objects(monkeypatch)
     stdout = io.TextIOWrapper(io.BytesIO())
     with contextlib.redirect_stdout(stdout):
-        code = cli.main(["lang", path])
+        code = cli.main(["lang", path, *flags])
     stdout.seek(0)
-    lines = stdout.read().splitlines()
+    every_name = sorted(f"f{i}" for i in range(1, 13))
     assert code == 0
-    assert lines[0] == "language: 4096 statements over 12 programs"
-    assert lines[1] == "{}"
-    assert lines[-1] == "{" + " ".join(sorted(f"f{i}" for i in range(1, 13))) + "}"
+    if flags:
+        tree = json.loads(stdout.read())
+        assert tree["count"] == 4096
+        assert tree["statements"][0] == []
+        assert tree["statements"][-1] == every_name
+    else:
+        lines = stdout.read().splitlines()
+        assert lines[0] == "language: 4096 statements over 12 programs"
+        assert lines[1] == "{}"
+        assert lines[-1] == "{" + " ".join(every_name) + "}"
     assert made == []
 
 

@@ -205,6 +205,15 @@ def test_malformed_file_diagnostics_are_pinned():
     assert [(d.line, d.column, d.message) for d in diagnostics] == MALFORMED_DIAGNOSTICS
 
 
+def test_a_duplicate_literal_still_declares_its_name():
+    # the duplicate is the only diagnostic: the line naming 'b' reports nothing
+    text = "states 2\nprogram a 01\nprogram b 01\ninput a\noutput b\n"
+    diagnostics = diagnostics_of(text)
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [
+        (3, 11, "program 'b' duplicates the states of 'a' (line 2)")
+    ]
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# heading\n\nstates 2   # trailing\nprogram f 01\ninput f\noutput f # tail\n"
     doc = parse_task_file(text)

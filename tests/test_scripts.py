@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -12,9 +13,15 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+# stdout SHA-256 of reproduce_counterexample.py, the one script that names
+# statements through dsl.render_statement
+REPRODUCE_DIGEST = "c2eab478ace7f8433ed76332848ae7c6318608a23efd3418701d9906a03cd0fc"
+
+
 def test_reproduce_counterexample_runs():
     result = run_script("reproduce_counterexample.py")
     assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == REPRODUCE_DIGEST
 
 
 def test_census_sweep_classification_rows():
