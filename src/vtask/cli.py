@@ -8,6 +8,7 @@ verdict, 2 usage or input error, 3 capacity cap exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -271,8 +272,8 @@ def _check_census_args(parser: argparse.ArgumentParser, args: argparse.Namespace
     if args.max_tasks is not None and args.max_tasks < 0:
         parser.error("--max-tasks must be nonnegative")
     # written so that NaN fails too
-    if args.time_budget is not None and not args.time_budget >= 0:
-        parser.error("--time-budget must be a nonnegative number of seconds")
+    if args.time_budget is not None and not 0 <= args.time_budget < math.inf:
+        parser.error("--time-budget must be a finite nonnegative number of seconds")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -94,7 +94,7 @@ class Program:
 
     def to_bitstring(self) -> str:
         """Literal notation: leftmost character is state 1."""
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.width))
+        return format(self.bits, f"0{self.width}b")[::-1]
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,24 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import MAX_STATES, Language, Program, StateSpace, Statement, Vocabulary, build_language
+from .core import (
+    MAX_STATES,
+    Language,
+    Program,
+    StateSpace,
+    Statement,
+    Vocabulary,
+    bit_flags,
+    build_language,
+)
 from .encoder import ClassificationSpec, encode_classification
 from .errors import CapacityError, ParseDiagnostic, ParseError, TaskFileError
 from .search import CensusReport
 from .tasks import (
     SEARCH_MODES,
-    Policy,
     PolicyCheckReport,
     PolicySearchResult,
     SetPolicy,
@@ -546,9 +555,9 @@ def render_statement(
 ) -> str:
     """"{f1 f3}" with names, "{01111 11011}" without; "{}" for the empty
     statement. One pass over the labels in statement order: for a single
-    statement that is cheaper than the tables of :func:`_names_of`."""
+    statement that is cheaper than a :class:`_NameTable`."""
     pairs = _ordered_labels(vocabulary, names)
-    return _braced([label for bit, label in pairs if statement.members & bit])
+    return "{" + " ".join(label for bit, label in pairs if statement.members & bit) + "}"
 
 
 def _ordered_labels(vocabulary: Vocabulary, names: Sequence[str] | None) -> list[tuple[int, str]]:
@@ -564,60 +573,133 @@ def _ordered_labels(vocabulary: Vocabulary, names: Sequence[str] | None) -> list
     return [(1 << i, labels[i]) for i in order]
 
 
-def _names_of(
-    vocabulary: Vocabulary, names: Sequence[str] | None, quote: Callable[[str], str] = str
-) -> Callable[[int], tuple[str, ...]]:
-    """The name table of every report: a member mask's quoted labels, in
-    statement order (see :func:`_ordered_labels`). The order is split in
-    two halves, each with a table of every subset's labels, so a statement
-    costs two lookups rather than a pass over the vocabulary."""
-    pairs = [(bit, quote(label)) for bit, label in _ordered_labels(vocabulary, names)]
-    halves = []
-    for part in (pairs[: len(pairs) // 2], pairs[len(pairs) // 2 :]):
+# A writer takes member masks and returns the pieces of their text, three
+# per statement: its lead (a separator and line start, by default the one
+# the writer was made with), then the two half-table entries. Given a count
+# for each statement, it adds the count, written with ``count_format``, as
+# a fourth piece.
+_Writer = Callable[..., list[str]]
+
+
+class _NameTable:
+    """The name table of a report: every statement of a vocabulary written
+    from its member mask, with its labels quoted by ``quote`` and listed
+    in statement order (see :func:`_ordered_labels`).
+
+    The order is split in two halves, and the table keeps the labels of
+    every subset of each half. :meth:`writer` joins them once for one
+    layout into a low table and two high tables: one for after an empty
+    low half and one for after a nonempty one. So a statement costs two
+    lookups, and its text is the two pieces they return, which the
+    report's final join concatenates."""
+
+    def __init__(
+        self, vocabulary: Vocabulary, names: Sequence[str] | None, quote: Callable[[str], str] = str
+    ) -> None:
+        pairs = [(bit, quote(label)) for bit, label in _ordered_labels(vocabulary, names)]
+        half = len(pairs) // 2
+        self._halves = [self._subsets(part) for part in (pairs[:half], pairs[half:])]
+
+    @staticmethod
+    def _subsets(part: list[tuple[int, str]]) -> tuple[int, dict[int, tuple[str, ...]]]:
+        """The member bits of a half, and each subset mask of them mapped
+        to its labels."""
         table: dict[int, tuple[str, ...]] = {0: ()}
         for bit, label in part:
             table.update({m | bit: labels + (label,) for m, labels in table.items()})
-        halves.append((sum(bit for bit, _ in part), table))
-    (low_bits, low), (high_bits, high) = halves
-    return lambda members: low[members & low_bits] + high[members & high_bits]
+        return sum(bit for bit, _ in part), table
+
+    def writer(self, open_: str, sep: str, close: str, lead: str) -> _Writer:
+        """The writer of statements laid out as their labels joined by
+        ``sep`` between ``open_`` and ``close``; the empty statement is
+        ``open_[0] + close[-1]``. ``lead`` is the default lead."""
+        (low_bits, low_labels), (high_bits, high_labels) = self._halves
+        low = {m: open_ + sep.join(labels) for m, labels in low_labels.items()}
+        low[0] = ""
+        first = {m: open_ + sep.join(labels) + close for m, labels in high_labels.items()}
+        first[0] = open_[0] + close[-1]
+        after = {m: sep + sep.join(labels) + close for m, labels in high_labels.items()}
+        after[0] = close
+
+        def write(
+            masks: Sequence[int], lead: str = lead, counts: Sequence[int] = (), count_format: str = "{}"
+        ) -> list[str]:
+            step = 4 if counts else 3
+            pieces = [lead] * (step * len(masks))
+            pieces[1::step] = [low[m & low_bits] for m in masks]
+            pieces[2::step] = [(after if m & low_bits else first)[m & high_bits] for m in masks]
+            if counts:
+                # counts repeat: each distinct one is written once
+                written = {n: count_format.format(n) for n in set(counts)}
+                pieces[3::4] = map(written.__getitem__, counts)
+            return pieces
+
+        return write
 
 
-def _braced(labels: Sequence[str]) -> str:
-    return "{" + " ".join(labels) + "}"
+def _braced(table: _NameTable) -> _Writer:
+    """Text statements, "{f1 f3}" and "{}" for the empty one, led by a
+    space by default."""
+    return table.writer("{", " ", "}", " ")
 
 
-def _policy_names(policy: Policy | SetPolicy, names_of: Callable[[int], tuple[str, ...]]):
-    if isinstance(policy, Policy):
-        return names_of(policy.statement.members)
-    return [names_of(s.members) for s in policy.sorted_statements()]
+def _json_statements(table: _NameTable, newline: str) -> _Writer:
+    """JSON statements, each laid out as :func:`_json_bytes` lays out a
+    list of names whose bracket opens on the line ``newline`` starts, led
+    by default as an item of a list: a comma and that line start."""
+    inner = newline + "  "
+    return table.writer("[" + inner, "," + inner, newline + "]", "," + newline)
 
 
-def _render_policy(policy: Policy | SetPolicy, names_of: Callable[[int], tuple[str, ...]]) -> str:
-    labels = _policy_names(policy, names_of)
-    if isinstance(policy, Policy):
-        return _braced(labels)
-    return "[" + " ".join(map(_braced, labels)) + "]"
+def _listed(pieces: list[str], opening: str = "") -> list[str]:
+    """The pieces of a list of items: the first item's lead loses its
+    separator, the one character before its line start or its text, to
+    ``opening``."""
+    if pieces:
+        pieces[0] = opening + pieces[0][1:]
+    return pieces
 
 
-def _to_bytes(lines: list[str]) -> bytes:
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _json_list(pieces: list[str], newline: str) -> _Written:
+    """A JSON list of items written as pieces, each led by a comma and the
+    line start one level below ``newline``, laid out as :func:`_json_bytes`
+    lays out a list opening on the line ``newline`` starts."""
+    if not pieces:
+        return _Written(["[]"])
+    return _Written([*_listed(pieces, "["), newline + "]"])
+
+
+def _members(lang: Language, mask: int) -> list[int]:
+    """The member masks of the statements at a mask's set bits."""
+    return list(compress(lang.masks, bit_flags(mask)))
+
+
+def _statement_masks(policy: SetPolicy) -> list[int]:
+    return [s.members for s in policy.sorted_statements()]
+
+
+def _to_bytes(pieces: list[str]) -> bytes:
+    """A text report from its pieces; the last line gets its newline."""
+    pieces.append("\n")
+    return "".join(pieces).encode("utf-8")
 
 
 _json_string = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-class _Written(str):
-    """JSON text already written at its place in the tree, which
-    :func:`_write_json` copies as it is."""
+class _Written(list):
+    """JSON text already written at its place in the tree, as pieces
+    that :func:`_write_json` copies as they are."""
 
 
 def _json_bytes(tree) -> bytes:
     """The bytes of ``json.dumps(tree, sort_keys=True, indent=2)`` plus a
     newline, for trees of dicts with string keys, lists, tuples, strings,
-    ints, floats, bools, None and :class:`_Written` text. ``indent`` sends
-    ``json.dumps`` to its pure-Python encoder; this writer joins a list of
-    strings in one call."""
+    ints, finite floats, bools, None and :class:`_Written` text. A
+    non-finite float raises ``ValueError``, as ``json.dumps`` does with
+    ``allow_nan=False``. ``indent`` sends ``json.dumps`` to its pure-Python
+    encoder; this writer joins a list of strings in one call."""
     out: list[str] = []
     _write_json(tree, "\n", out)
     out.append("\n")
@@ -626,7 +708,7 @@ def _json_bytes(tree) -> bytes:
 
 def _write_json(value, newline: str, out: list[str]) -> None:
     if isinstance(value, _Written):
-        out.append(value)
+        out += value
     elif isinstance(value, str):
         out.append(_json_string(value))
     elif value is None or isinstance(value, bool):
@@ -634,7 +716,7 @@ def _write_json(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(json.dumps(value))
+        out.append(json.dumps(value, allow_nan=False))
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
     else:
@@ -682,70 +764,82 @@ def serialize_report(
 
 def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
-    names_of = _names_of(task.language.vocabulary, names)
-    lines = [
-        "inputs: " + " ".join(_braced(names_of(s.members)) for s in task.sorted_inputs()),
-        "outputs: " + " ".join(_braced(names_of(s.members)) for s in task.sorted_outputs()),
-        f"language: {len(task.language)} statements",
-        f"mode: {report.mode}",
-        f"checked: {report.checked}",
-        f"correct policies: {len(report.correct)}",
+    lang = task.language
+    table = _NameTable(lang.vocabulary, names)
+    braced = _braced(table)
+    out = [
+        "inputs: ",
+        *_listed(braced(_members(lang, task.input_mask))),
+        "\noutputs: ",
+        *_listed(braced(_members(lang, task.output_mask))),
+        f"\nlanguage: {len(lang)} statements",
+        f"\nmode: {report.mode}",
+        f"\nchecked: {report.checked}",
+        f"\ncorrect policies: {len(report.correct)}",
     ]
-    for policy in report.correct:
-        lines.append("  " + _render_policy(policy, names_of))
     if report.mode in SEARCH_MODES:
+        out += braced([p.statement.members for p in report.correct], "\n  ")
         # one row per candidate, written from its language position
-        lines.append("selection counts:")
-        lines += [
-            f"  {{{' '.join(names_of(m))}}}: {n}"
-            for m, n in zip(task.language.masks, report.counts)
-        ]
-    elif report.per_policy_selection_counts:
-        lines.append("selection counts:")
-        for policy, count in report.per_policy_selection_counts.items():
-            lines.append(f"  {_render_policy(policy, names_of)}: {count}")
-    return _to_bytes(lines)
+        out.append("\nselection counts:")
+        counts = report.counts
+        out += braced(lang.masks[: len(counts)], "\n  ", counts, ": {}")
+        return _to_bytes(out)
+    for p in report.correct:
+        out += ["\n  [", *_listed(braced(_statement_masks(p))), "]"]
+    if report.per_policy_selection_counts:
+        out.append("\nselection counts:")
+        for p, n in report.per_policy_selection_counts.items():
+            out += ["\n  [", *_listed(braced(_statement_masks(p))), f"]: {n}"]
+    return _to_bytes(out)
+
+
+# the start of a line at each nesting depth of a JSON report
+_LINE = tuple("\n" + "  " * depth for depth in range(6))
 
 
 def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) -> bytes:
     task = report.task
-    names_of = _names_of(task.language.vocabulary, names)
+    lang = task.language
+    table = _NameTable(lang.vocabulary, names, _json_string)
+    statements = _json_statements(table, _LINE[2])
     if report.mode in SEARCH_MODES:
-        rows = _Written(_selection_rows_json(report, names))
+        correct = statements([p.statement.members for p in report.correct])
+        rows = _selection_rows_json(table, lang.masks, report.counts)
     else:
+        members = _json_statements(table, _LINE[3])
+        correct = [
+            piece
+            for p in report.correct
+            for piece in ("," + _LINE[2], *_json_list(members(_statement_masks(p)), _LINE[2]))
+        ]
+        policy = _json_statements(table, _LINE[4])
         rows = [
-            {"policy": _policy_names(p, names_of), "selected": count}
-            for p, count in report.per_policy_selection_counts.items()
+            {"policy": _json_list(policy(_statement_masks(p)), _LINE[3]), "selected": n}
+            for p, n in report.per_policy_selection_counts.items()
         ]
     tree = {
-        "inputs": [names_of(s.members) for s in task.sorted_inputs()],
-        "outputs": [names_of(s.members) for s in task.sorted_outputs()],
-        "language_size": len(task.language),
+        "inputs": _json_list(statements(_members(lang, task.input_mask)), _LINE[1]),
+        "outputs": _json_list(statements(_members(lang, task.output_mask)), _LINE[1]),
+        "language_size": len(lang),
         "mode": report.mode,
         "checked": report.checked,
         "correct_count": len(report.correct),
-        "correct": [_policy_names(p, names_of) for p in report.correct],
+        "correct": _json_list(correct, _LINE[1]),
         "selection_counts": rows,
     }
     return _json_bytes(tree)
 
 
-# the indentation of a selection-count row, of its keys and of its names
-_ROW, _KEY, _NAME = "\n    ", "\n      ", "\n        "
-
-
-def _selection_rows_json(report: PolicySearchResult, names: Sequence[str] | None) -> str:
+def _selection_rows_json(table: _NameTable, masks: Sequence[int], counts: Sequence[int]) -> _Written:
     """The ``selection_counts`` list of a single-statement search, laid out
-    as :func:`_json_bytes` lays out the tree of dicts it stands for, but
-    written one row per candidate from its language position."""
-    names_of = _names_of(report.task.language.vocabulary, names, _json_string)
-    sep = "," + _NAME
-    rows = []
-    for members, count in zip(report.task.language.masks, report.counts):
-        quoted = names_of(members)
-        policy = f"[{_NAME}{sep.join(quoted)}{_KEY}]" if quoted else "[]"
-        rows.append(f'{{{_KEY}"policy": {policy},{_KEY}"selected": {count}{_ROW}}}')
-    return "[" + _ROW + ("," + _ROW).join(rows) + "\n  ]"
+    as :func:`_json_bytes` lays out the list of dicts it stands for, but
+    written one row per candidate from its language position: each row
+    is its lead, which opens it, its policy from the name table, and its
+    count, which closes it."""
+    row, key = _LINE[2], _LINE[3]
+    policies = _json_statements(table, key)
+    lead, count_format = "," + row + "{" + key + '"policy": ', "," + key + '"selected": {}' + row + "}}"
+    return _json_list(policies(masks[: len(counts)], lead, counts, count_format), _LINE[1])
 
 
 def _census_spec_fields(report: CensusReport) -> list[tuple[str, object]]:
@@ -777,38 +871,44 @@ def _census_text(report: CensusReport) -> bytes:
         f"truncated: {str(report.truncated).lower()}",
         f"exemplars: {len(report.exemplars)}",
     ]
-    for programs, inputs, outputs in _census_exemplars(report):
-        lines.append("  vocabulary [" + " ".join(programs) + "]")
-        lines.append("    inputs: " + " ".join("{" + " ".join(s) + "}" for s in inputs))
-        lines.append("    outputs: " + " ".join("{" + " ".join(s) + "}" for s in outputs))
-    return _to_bytes(lines)
+    out = ["\n".join(lines)]
+    for programs, inputs, outputs in _census_exemplars(report, structured=False):
+        out.append("\n  vocabulary [" + " ".join(programs) + "]")
+        out += ["\n    inputs: ", *_listed(inputs), "\n    outputs: ", *_listed(outputs)]
+    return _to_bytes(out)
 
 
 def _census_exemplars(
-    report: CensusReport,
-) -> Iterator[tuple[list[str], list[list[str]], list[list[str]]]]:
-    """Each exemplar's program bitstrings and its sorted inputs and
-    outputs, each statement as its members' bitstrings in index order.
-    A vocabulary's bitstrings are rendered once, however many exemplars
-    share it."""
-    rendered: dict[Vocabulary, tuple[list[str], Callable[[int], tuple[str, ...]]]] = {}
+    report: CensusReport, structured: bool
+) -> Iterator[tuple[list[str], list[str], list[str]]]:
+    """Each exemplar's program bitstrings and the pieces of its sorted
+    inputs and outputs, each statement written from its members'
+    bitstrings in index order: as text, or as JSON at its depth in the
+    structured report. A vocabulary's programs and writer are built once,
+    however many exemplars share it."""
+    rendered: dict[Vocabulary, tuple[list[str], _Writer]] = {}
     for task in report.exemplars:
-        vocab = task.language.vocabulary
+        lang = task.language
+        vocab = lang.vocabulary
         if vocab not in rendered:
             programs = [p.to_bitstring() for p in vocab.programs]
-            rendered[vocab] = programs, _names_of(vocab, None)
-        programs, names_of = rendered[vocab]
-        yield (
-            programs,
-            [names_of(s.members) for s in task.sorted_inputs()],
-            [names_of(s.members) for s in task.sorted_outputs()],
-        )
+            if structured:
+                write = _json_statements(_NameTable(vocab, None, _json_string), _LINE[4])
+            else:
+                write = _braced(_NameTable(vocab, None))
+            rendered[vocab] = programs, write
+        programs, write = rendered[vocab]
+        yield programs, write(_members(lang, task.input_mask)), write(_members(lang, task.output_mask))
 
 
 def _census_structured(report: CensusReport) -> bytes:
     exemplars = [
-        {"programs": programs, "inputs": inputs, "outputs": outputs}
-        for programs, inputs, outputs in _census_exemplars(report)
+        {
+            "programs": programs,
+            "inputs": _json_list(inputs, _LINE[3]),
+            "outputs": _json_list(outputs, _LINE[3]),
+        }
+        for programs, inputs, outputs in _census_exemplars(report, structured=True)
     ]
     tree = dict(_census_spec_fields(report))
     tree.update(
@@ -830,19 +930,19 @@ def serialize_language(lang: Language, names: Sequence[str] | None, mode: str = 
         raise ValueError(f"unknown serialization mode {mode!r}")
     vocab = lang.vocabulary
     # one row per statement, written from its mask
-    names_of = _names_of(vocab, names)
     if mode == "text":
-        lines = [f"language: {len(lang)} statements over {len(vocab)} programs"]
-        lines += [f"{{{' '.join(names_of(m))}}}" for m in lang.masks]
-        return _to_bytes(lines)
+        out = [f"language: {len(lang)} statements over {len(vocab)} programs"]
+        out += _braced(_NameTable(vocab, names))(lang.masks, "\n")
+        return _to_bytes(out)
     programs: dict[str, str] = {}
     for i, p in enumerate(vocab.programs):
         key = names[i] if names is not None else p.to_bitstring()
         programs[key] = p.to_bitstring()
+    statements = _json_statements(_NameTable(vocab, names, _json_string), _LINE[2])
     tree = {
         "count": len(lang),
         "programs": programs,
-        "statements": list(map(names_of, lang.masks)),
+        "statements": _json_list(statements(lang.masks), _LINE[1]),
     }
     return _json_bytes(tree)
 
@@ -851,23 +951,29 @@ def serialize_check(
     report: PolicyCheckReport, mode: str = "text", names: Sequence[str] | None = None
 ) -> bytes:
     task = report.task
-    names_of = _names_of(task.language.vocabulary, names)
+    vocab = task.language.vocabulary
+    policy = [report.policy.statement.members]
+    selected = [s.members for s in report.selected]
+    outputs = _members(task.language, task.output_mask)
     if mode == "text":
-        lines = [
-            "policy: " + _render_policy(report.policy, names_of),
-            f"selected {len(report.selected)} statements "
-            "(the inputs' extension filtered by the policy):",
+        braced = _braced(_NameTable(vocab, names))
+        out = [
+            "policy: ",
+            *braced(policy, ""),
+            f"\nselected {len(selected)} statements (the inputs' extension filtered by the policy):",
+            *braced(selected, "\n  "),
+            f"\noutputs ({len(outputs)}):",
+            *braced(outputs, "\n  "),
+            "\nverdict: " + ("CORRECT" if report.correct else "INCORRECT"),
         ]
-        lines += ["  " + _braced(names_of(s.members)) for s in report.selected]
-        lines.append(f"outputs ({len(task.outputs)}):")
-        lines += ["  " + _braced(names_of(s.members)) for s in task.sorted_outputs()]
-        lines.append("verdict: " + ("CORRECT" if report.correct else "INCORRECT"))
-        return _to_bytes(lines)
+        return _to_bytes(out)
     if mode == "structured":
+        table = _NameTable(vocab, names, _json_string)
+        listed = _json_statements(table, _LINE[2])
         tree = {
-            "policy": _policy_names(report.policy, names_of),
-            "selected": [names_of(s.members) for s in report.selected],
-            "outputs": [names_of(s.members) for s in task.sorted_outputs()],
+            "policy": _Written(_json_statements(table, _LINE[1])(policy, "")),
+            "selected": _json_list(listed(selected), _LINE[1]),
+            "outputs": _json_list(listed(outputs), _LINE[1]),
             "correct": report.correct,
         }
         return _json_bytes(tree)
@@ -882,4 +988,4 @@ def serialize_verify(report: VerifyReport) -> bytes:
         lines.append(f"[{i:2d}/{total}] {check.name}: {status} ({check.detail})")
     passed = sum(1 for c in report.checks if c.passed)
     lines.append(f"result: {passed}/{total} checks passed")
-    return _to_bytes(lines)
+    return _to_bytes(["\n".join(lines)])

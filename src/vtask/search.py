@@ -139,8 +139,8 @@ class SearchSpec:
         if self.max_tasks is not None and self.max_tasks < 0:
             raise ValueError("max_tasks must be >= 0")
         # written so that NaN fails too
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValueError("time_budget must be a nonnegative number of seconds")
+        if self.time_budget is not None and not 0 <= self.time_budget < math.inf:
+            raise ValueError("time_budget must be a finite nonnegative number of seconds")
 
 
 @dataclass(frozen=True)

@@ -112,11 +112,13 @@ def _statements(index: dict[str, int], *member_lists: Sequence[str]) -> frozense
 
 
 def _random_vocabulary(rng: random.Random) -> Vocabulary:
+    """A vocabulary of distinct random programs, built straight from its
+    drawn state masks: they are distinct, fit the space and number at
+    most six, so no check of :meth:`Vocabulary.build` applies."""
     n = rng.randint(1, 8)
-    space = StateSpace(n)
     size = rng.randint(0, min(6, 1 << n))
     values = rng.sample(range(1 << n), size)
-    return Vocabulary.build((Program(v, n) for v in values), space)
+    return Vocabulary(tuple(sorted(values)), StateSpace(n))
 
 
 def run_reference_checks(

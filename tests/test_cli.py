@@ -314,6 +314,18 @@ def test_census_bad_arguments_are_usage_errors(fragment, capsys):
     assert fragment[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["inf", "1e400"])
+def test_census_infinite_time_budget_is_a_usage_error(budget, capsys):
+    """JSON has no infinite number, so the budget is refused before any
+    report would have to write it."""
+    argv = ["census", "--n-states", "2", "--vocab-size", "2", "--structured", "--time-budget", budget]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--time-budget" in err
+
+
 @pytest.mark.parametrize("cpus", [3, None])
 def test_census_workers_bounded_by_cpu_count(cpus, monkeypatch, capsys):
     def no_census(*args, **kwargs):

@@ -61,6 +61,16 @@ def test_program_literal_reading_order():
     assert p.to_bitstring() == "01111"
 
 
+def test_to_bitstring_matches_the_per_state_definition():
+    rng = random.Random(5)
+    for width in range(1, 65):
+        full = (1 << width) - 1
+        for value in {0, full, 1, 1 << (width - 1), *(rng.getrandbits(width) for _ in range(20))}:
+            p = Program(value, width)
+            expected = "".join("1" if p.includes_state(s) else "0" for s in range(1, width + 1))
+            assert p.to_bitstring() == expected
+
+
 def test_program_from_included_states():
     p = Program.from_included_states([2, 3, 4, 5], 5)
     assert p == bits("01111")

@@ -389,11 +389,26 @@ def _random_json_tree(rng, depth):
 
 
 def test_json_writer_matches_json_dumps_on_random_trees():
+    # a tree with a non-finite float has no JSON text: both writers refuse it
     rng = random.Random(10)
+    refused = 0
     for _ in range(2000):
         tree = _random_json_tree(rng, rng.randrange(5))
-        expected = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        try:
+            expected = json.dumps(tree, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError):
+                dsl._json_bytes(tree)
+            continue
         assert dsl._json_bytes(tree) == expected.encode("utf-8")
+    assert 0 < refused < 2000
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_json_writer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        dsl._json_bytes({"time_budget": value})
 
 
 def test_render_statement_name_and_bitstring_forms(ref_task, ref_index):

@@ -208,6 +208,12 @@ def test_spec_rejects_negative_or_nan_limits(limits):
         SearchSpec(n_states=2, vocab_size=2, **limits)
 
 
+def test_spec_rejects_an_infinite_time_budget():
+    # a report could not write it: JSON has no infinite number
+    with pytest.raises(ValueError):
+        SearchSpec(n_states=2, vocab_size=2, time_budget=math.inf)
+
+
 # -- task enumeration --------------------------------------------------------
 
 
