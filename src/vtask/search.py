@@ -13,30 +13,24 @@ where masks index the language's canonical statement order. A ``Task``
 holds three such masks, and :func:`enumerate_task_masks` is a language's
 one stream of them. "First" always means first in this order.
 
-The per-input work collapses, so counting never walks output sets. Fix
-the inputs I, with input extension E_I. The valid outputs are the sets
-inside the union of disjoint blocks C_i that meet every block: one block,
-E_I, without a filter; for classification-shaped tasks, one block per
-input i, holding the statements i ∪ {p} for each program p outside the
-inputs' feature union. So there are Π(2^|C_i| − 1) − [∪C_i = E_I] valid
-outputs, and the solvable ones are the distinct selections
-``E_policy ∩ E_I`` that are valid outputs. Only exemplars walk the
+Counting walks no output set, and the census no input set. Fix the
+inputs I, with input extension E_I. The valid outputs are the sets inside
+the union of disjoint blocks C_i that meet every block: one block, E_I,
+without a filter; for classification-shaped tasks, one block per input i,
+holding the statements i ∪ {p} for each program p outside the inputs'
+feature union. So there are Π(2^|C_i| − 1) − [∪C_i = E_I] valid outputs,
+and the solvable ones are the distinct selections ``E_policy ∩ E_I`` that
+are valid outputs. E_I is the up-set U = up(I), shared by the
+2^(|U| − |min U|) inputs between min U and U (one fewer when U is the
+whole language, which is no input), so the census counts once per up-set
+of the language, 168 for the 16-statement language against 65,536 input
+masks, and admits languages of up to 32 statements, every language of
+five programs. The shape filter does not change which tasks are
+enumerated; its ``valid`` and ``solvable`` come from two closed forms over
+the statements (:func:`_shaped_counts`). Only exemplars walk the task
 stream, and only until the limit is reached: the E_I table grows as the
-walk draws it.
-
-Without a filter the per-input work collapses again. E_I is the up-set
-U = up(I), and the inputs with up(I) = U are the sets between min U and
-U, 2^(|U| − |min U|) of them (one fewer when U is the whole language,
-which is no input). So the unfiltered census (and ``--dedup``) counts
-once per up-set of the language, 168 for the 16-statement language
-against 65,536 input masks, and admits languages of up to 32 statements,
-every language of five programs. The shape filter does not change which
-tasks are enumerated, so the shaped census counts ``enumerated`` per
-up-set too. It gives each input its own blocks, so for ``valid`` and
-``solvable`` it still walks every input mask, and its cap stays at 16
-statements. That walk, which the shaped task stream shares, skips at once
-the inputs whose features cover every program, which leave every block
-empty; in the 16-statement language that is most of them.
+walk draws it, and the shaped walk skips at once the inputs whose
+features cover every program, which leave every block empty.
 
 A language's census depends only on its statement masks, and it is the
 same for every relabeling of the programs. A language over k programs is
@@ -58,13 +52,13 @@ A ``time_budget`` only bounds a run. The sum checks it before each class,
 and a sum cut short reports the empty prefix, with no vocabulary. The
 walk keys a memo by statement masks (:func:`vtask.core.statement_masks`),
 so it counts each distinct language once. It checks the time budget and
-the task limit before each vocabulary, so a truncated report counts whole languages, those of its
-first ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by
-one language's tasks. Only six-program runs walk untruncated. Three
-states hold at most C(8, 6) = 28 program combinations; from four states
-on the walk must meet six programs that share a state, whose language of
-64 statements is over both statement caps, so the run fails on that cap
-before it walks any vocabulary.
+the task limit before each vocabulary, so a truncated report counts the
+whole languages of its first ``vocabularies`` vocabularies, and may
+overshoot ``max_tasks`` by one language's tasks. Only six-program runs
+walk untruncated. Three states hold at most C(8, 6) = 28 program
+combinations; from four states on the walk must meet six programs that
+share a state, whose language of 64 statements is over the up-set cap,
+so the run fails on that cap before it walks any vocabulary.
 
 Every run takes its exemplars from one more walk in census order. It
 draws each distinct language's unsolvable triples once, and stops as
@@ -89,6 +83,7 @@ from .core import (
     Program,
     StateSpace,
     Vocabulary,
+    bit_flags,
     build_language,
     statement_masks,
 )
@@ -299,10 +294,10 @@ def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int, feature_union
 
 
 def _shaped_inputs(lang: Language) -> Iterator[tuple[int, int, list[int]]]:
-    """The shape filter's walk: (input mask, E_I, output blocks) for each
-    nonempty input mask, in ascending order, whose inputs' feature union
-    leaves some program out. The other inputs leave every block empty, so
-    they have no shaped output."""
+    """The shaped task stream's walk: (input mask, E_I, output blocks) for
+    each nonempty input mask, in ascending order, whose inputs' feature
+    union leaves some program out. The other inputs leave every block
+    empty, so they have no shaped output."""
     members = lang.masks
     programs = 0
     for m in members:
@@ -422,18 +417,51 @@ def _unsolvable_triples(
     return list(itertools.islice(unsolvable, limit))
 
 
+def _shaped_counts(lang: Language) -> tuple[int, int]:
+    """The language's valid and solvable shaped task counts, from its
+    statements alone. Let V be the programs in some statement and N(i) the
+    programs p ∉ i with i ∪ {p} a statement. Inputs I with feature union
+    W ⊊ V have Π_{i ∈ I} (2^|N(i) ∖ W| − 1) valid outputs, so by Möbius
+    inversion over the union there are
+
+        Σ_{W ⊊ V} Σ_{W' ⊆ W} (−1)^|W ∖ W'| · 2^(Σ_{i ⊆ W'} |N(i) ∖ W|) − [V ≠ ∅],
+
+    the last term for the empty input set. A solvable output is the
+    selection {i ∪ {p} : i ∈ I} of one program p ∉ W, which exists exactly
+    when I is a nonempty up-set of the link of p: the statements m ∌ p with
+    m ∪ {p} a statement."""
+    members = lang.masks
+    statements = set(members)
+    programs = sum(1 << p for p in range(len(lang.vocabulary)) if 1 << p in statements)
+    # over language indices: the link of each program (empty outside V), and
+    # the statements inside each mask of programs
+    links = [
+        sum(1 << j for j, m in enumerate(members) if not m >> p & 1 and m | 1 << p in statements)
+        for p in range(programs.bit_length())
+    ]
+    inside = [sum(1 << j for j, m in enumerate(members) if not m & ~w) for w in range(programs + 1)]
+    valid = -(programs != 0)
+    # every submask of V but V itself, the last in ascending order
+    for w in (0, *_ascending_submasks(programs))[:-1]:
+        # Σ_{i ⊆ W'} |N(i) ∖ W| counts the statements inside W' of the links
+        # of the programs outside W
+        outside = [link for p, link in enumerate(links) if not w >> p & 1]
+        for inner in (0, *_ascending_submasks(w)):
+            exponent = sum((inside[inner] & link).bit_count() for link in outside)
+            valid += (-1) ** (w ^ inner).bit_count() << exponent
+    solvable = 0
+    for link in links:
+        link_masks = tuple(itertools.compress(members, bit_flags(link)))
+        ext = Language.from_masks(lang.vocabulary, link_masks).extension_masks()
+        solvable += sum(1 for _ in _up_sets(ext)) - 1
+    return valid, solvable
+
+
 def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
     """Census of one language: its enumerated, valid and solvable task
-    counts, from closed-form counts per up-set of its statements, but for
-    ``valid`` and ``solvable`` under the shape filter, which come per input
-    set from :func:`_shaped_inputs`. No output set is walked."""
-    shaped = spec.require_classification_shaped
-    if shaped:
-        _language_cap(
-            lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
-            "the shape filter still walks 2^|language| input sets, because each "
-            "input has its own output blocks",
-        )
+    counts, from closed-form counts per up-set of its statements, or for
+    ``valid`` and ``solvable`` under the shape filter from
+    :func:`_shaped_counts`. No input or output set is walked."""
     _language_cap(
         lang, CENSUS_UPSET_CAP, "census_upset_cap",
         "the count walks the language's up-sets, whose number grows "
@@ -450,30 +478,14 @@ def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
             continue
         inputs = (1 << covered.bit_count()) - (up == full)
         enumerated += inputs * ((1 << size) - 2)
-        if not shaped:
+        if not spec.require_classification_shaped:
             selections = {e & up for e in ext}
             selections.discard(0)
             selections.discard(up)
             solvable += inputs * len(selections)
-    if not shaped:
-        return enumerated, enumerated, solvable
-    valid = 0
-    for _, ei, blocks in _shaped_inputs(lang):
-        # the blocks are disjoint (an output extending two inputs would make
-        # each input a subset of the other), and every input lies in E_I but
-        # in no block, so no output inside their union is E_I
-        union = 0
-        outputs = 1
-        for block in blocks:
-            union |= block
-            outputs *= (1 << block.bit_count()) - 1
-        valid += outputs
-        if outputs:
-            solvable += sum(
-                1 for sel in {e & ei for e in ext}
-                if not sel & ~union and all(sel & block for block in blocks)
-            )
-    return enumerated, valid, solvable
+    if spec.require_classification_shaped:
+        return (enumerated, *_shaped_counts(lang))
+    return enumerated, enumerated, solvable
 
 
 def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:
@@ -483,26 +495,14 @@ def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:
     orbits of vocabularies whose language lies in it; a vocabulary is k!
     such tuples. The deadline is checked before each class. A sum cut short
     counts no whole vocabulary, so its report is the empty prefix."""
-    totals = _Totals()
-    # largest first, so that a class over a census cap fails before any count
-    weighted = sorted(
-        class_weights(spec.n_states, spec.vocab_size, spec.dedup),
-        key=lambda cw: -cw[0].faces.bit_count(),
-    )
-    for cls, weight in weighted:
+    # vocabularies, enumerated, valid and solvable, in program tuples
+    sums = [0] * 4
+    for cls, weight in class_weights(spec.n_states, spec.vocab_size, spec.dedup):
         if deadline is not None and time.monotonic() >= deadline:
             return _Totals(truncated=True)
-        enumerated, valid, solvable = _census_language(spec, build_language(cls.realization))
-        totals.vocabularies += weight
-        totals.enumerated += weight * enumerated
-        totals.valid += weight * valid
-        totals.solvable += weight * solvable
-    tuples_per_vocabulary = math.factorial(spec.vocab_size)
-    totals.vocabularies //= tuples_per_vocabulary
-    totals.enumerated //= tuples_per_vocabulary
-    totals.valid //= tuples_per_vocabulary
-    totals.solvable //= tuples_per_vocabulary
-    return totals
+        counts = (1, *_census_language(spec, build_language(cls.realization)))
+        sums = [total + weight * count for total, count in zip(sums, counts)]
+    return _Totals(*(total // math.factorial(spec.vocab_size) for total in sums))
 
 
 def _exemplars(spec: SearchSpec, limit: int) -> list[Task]:
@@ -538,7 +538,7 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
     if spec.max_tasks is None and deadline is None:
         if 1 << (spec.n_states - 1) >= spec.vocab_size > COMPLEX_MAX_VERTICES:
             # the walk must meet six programs that share a state, whose
-            # language of all 64 subsets is over both statement caps
+            # language of all 64 subsets is over the up-set cap
             shared = Vocabulary(tuple(range(1, 2 * spec.vocab_size, 2)), StateSpace(spec.n_states))
             _census_language(spec, build_language(shared))
     totals = _Totals()

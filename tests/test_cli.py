@@ -385,14 +385,16 @@ def test_census_cli_exemplar_cap():
     assert len(json.loads(result.stdout)["exemplars"]) == 189
 
 
-def test_shaped_five_program_census_exits_at_its_cap():
+def test_shaped_five_program_census_prints_its_totals():
     result = run_cli(
-        "census", "--n-states", "3", "--vocab-size", "5", "--classification-shaped"
+        "census", "--n-states", "3", "--vocab-size", "5", "--classification-shaped",
+        "--structured",
     )
-    assert result.returncode == 3
-    assert b"16-statement census cap" in result.stderr
-    assert b"the shape filter still walks" in result.stderr
-    assert b"Traceback" not in result.stderr
+    assert result.returncode == 0
+    assert result.stderr == b""
+    tree = json.loads(result.stdout)
+    assert (tree["tasks_valid"], tree["tasks_solvable"]) == (364_638, 3_173)
+    assert len(tree["exemplars"]) == 3
 
 
 def test_encode_colored_box_round_trips(ref_task):

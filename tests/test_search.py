@@ -442,6 +442,13 @@ def test_exemplars_over_64_states_match_brute_force(dedup):
         (3, 3, 509_154, 1_580, 417),
         (4, 3, 8_274_568, 21_842, 5_232),
         (4, 4, 681_127_310_008, 1_175_902, 54_632),
+        # five programs: languages of up to 32 statements
+        (3, 5, 32_531_945_671_202, 364_638, 3_173),
+        (4, 5, 2_260_208_443_042_467_713_644, 324_846_014, 601_833),
+        (
+            10, 5, 25_423_344_703_205_948_690_674_206_212_386,
+            3_479_481_419_542_778_324, 4_078_172_906_959_215,
+        ),
     ],
 )
 def test_shaped_census_pinned(n_states, vocab_size, enumerated, valid, solvable):
@@ -451,6 +458,14 @@ def test_shaped_census_pinned(n_states, vocab_size, enumerated, valid, solvable)
         enumerated,
         valid,
         solvable,
+    )
+
+
+def test_dedup_shaped_census_10_5_pinned():
+    report = census(SearchSpec(10, 5, require_classification_shaped=True, dedup=True))
+    assert not report.truncated
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
+        9_637_611, 3_218_406_963_737, 3_842_280_964,
     )
 
 
@@ -527,17 +542,82 @@ def test_up_set_census_matches_input_mask_oracle_up_to_4_4():
         assert search._census_language(spec, lang) == _input_mask_census(lang)
 
 
+def _realizable_classes(k):
+    """The classes of complexes on [k] that some vocabulary has as its
+    language: at most one program is empty."""
+    for cls in complex_classes(k):
+        if k - sum(cls.faces >> (1 << i) & 1 for i in range(k)) <= 1:
+            yield cls
+
+
 def test_shape_filter_keeps_the_enumerated_count():
     # the filter decides which tasks are valid, not which are enumerated
     for k in range(5):
-        for cls in complex_classes(k):
-            if k - sum(cls.faces >> (1 << i) & 1 for i in range(k)) > 1:
-                # two empty programs: no vocabulary has this language
-                continue
+        for cls in _realizable_classes(k):
             lang = build_language(cls.realization)
             spec = SearchSpec(cls.realization.space.n_states, k, require_classification_shaped=True)
             enumerated, _, _ = search._census_language(spec, lang)
             assert enumerated == _input_mask_census(lang)[0]
+
+
+def _shaped_walk_census(lang):
+    """The shaped valid and solvable counts of one language, summed over
+    the uncapped input walk of the shaped task stream: one term per input
+    mask whose feature union leaves some program out."""
+    ext = lang.extension_masks()
+    valid = solvable = 0
+    for _, ei, blocks in search._shaped_inputs(lang):
+        # the blocks are disjoint (an output extending two inputs would make
+        # each input a subset of the other), and every input lies in E_I but
+        # in no block, so no output inside their union is E_I
+        union = 0
+        outputs = 1
+        for block in blocks:
+            union |= block
+            outputs *= (1 << block.bit_count()) - 1
+        valid += outputs
+        if outputs:
+            solvable += sum(
+                1 for sel in {e & ei for e in ext}
+                if not sel & ~union and all(sel & block for block in blocks)
+            )
+    return valid, solvable
+
+
+def test_shaped_counts_match_the_input_walk():
+    checked = 0
+    for k in range(6):
+        for cls in _realizable_classes(k):
+            lang = build_language(cls.realization)
+            if len(lang) <= 16:
+                spec = SearchSpec(cls.realization.space.n_states, k, require_classification_shaped=True)
+                assert search._census_language(spec, lang)[1:] == _shaped_walk_census(lang)
+                checked += 1
+    assert checked == 141
+
+
+@pytest.mark.parametrize("faces", [0x1FFFF, 0x3FFFF, 0x7FFFF, 0xFFFFF], ids=hex)
+def test_shaped_counts_match_the_input_walk_past_16_statements(faces):
+    # the 16-statement simplex on programs 0-3, and program 4 with none, one
+    # or both of programs 0 and 1: 17 to 20 statements
+    (cls,) = (c for c in complex_classes(5) if c.faces == faces)
+    lang = build_language(cls.realization)
+    assert len(lang) == faces.bit_count()
+    spec = SearchSpec(cls.realization.space.n_states, 5, require_classification_shaped=True)
+    assert search._census_language(spec, lang)[1:] == _shaped_walk_census(lang)
+
+
+def test_shaped_counts_match_the_input_walk_over_six_programs():
+    # the six-program census walks the 3/6 vocabularies, whose languages
+    # hold 12 to 30 statements
+    languages = {}
+    for vocab in enumerate_vocabularies(SearchSpec(3, 6)):
+        languages.setdefault(statement_masks(vocab), build_language(vocab))
+    small = [lang for lang in languages.values() if len(lang) <= 16]
+    assert len(small) == 11
+    for lang in small:
+        spec = SearchSpec(3, 6, require_classification_shaped=True)
+        assert search._census_language(spec, lang)[1:] == _shaped_walk_census(lang)
 
 
 def test_shaped_walk_builds_blocks_only_for_inputs_missing_a_program(monkeypatch):
@@ -548,6 +628,9 @@ def test_shaped_walk_builds_blocks_only_for_inputs_missing_a_program(monkeypatch
         nonlocal calls
         calls += 1
         return original(*args)
+
+    def no_input_walk(lang):
+        raise AssertionError("the census walks no input set")
 
     monkeypatch.setattr(search, "_output_blocks", counted)
     # four programs that share state 0: the language of all 16 subsets
@@ -563,8 +646,9 @@ def test_shaped_walk_builds_blocks_only_for_inputs_missing_a_program(monkeypatch
     assert sum(1 for _ in enumerate_task_masks(lang, spec))
     assert calls == missing
     calls = 0
+    monkeypatch.setattr(search, "_input_extensions", no_input_walk)
     search._census_language(spec, lang)
-    assert calls == missing
+    assert calls == 0
 
 
 def _five_program_vocabulary(n_statements):
@@ -630,11 +714,6 @@ def test_exemplar_walk_past_the_input_walk_cap_stops_when_filled(monkeypatch):
 
 
 def test_census_cap_errors_name_their_caps(monkeypatch):
-    with pytest.raises(CapacityError) as info:
-        census(SearchSpec(n_states=3, vocab_size=5, require_classification_shaped=True))
-    assert (info.value.cap_name, info.value.cap_value) == ("census_language_cap", 16)
-    assert "16-statement" in str(info.value)
-    assert "the shape filter still walks" in str(info.value)
     monkeypatch.setattr(search, "CENSUS_UPSET_CAP", 4)
     with pytest.raises(CapacityError) as info:
         census(SearchSpec(n_states=3, vocab_size=3))
@@ -733,14 +812,14 @@ def test_census_truncates_between_vocabularies(kind, exemplar_limit):
 
 def test_six_program_runs_over_a_statement_cap_fail_before_walking(monkeypatch):
     # from four states on, six programs can share a state, and their
-    # language of all 64 subsets is over both statement caps
+    # language of all 64 subsets is over the up-set cap
     def no_walk(spec):
         raise AssertionError("a capped census walks no vocabulary")
 
     caps = {
         "full": ("census_upset_cap", search.CENSUS_UPSET_CAP),
         "dedup": ("census_upset_cap", search.CENSUS_UPSET_CAP),
-        "shaped": ("census_language_cap", search.CENSUS_LANGUAGE_CAP),
+        "shaped": ("census_upset_cap", search.CENSUS_UPSET_CAP),
     }
     flags = {"full": {}, "dedup": {"dedup": True}, "shaped": {"require_classification_shaped": True}}
     with monkeypatch.context() as patched:
@@ -1029,15 +1108,16 @@ def test_exemplar_cap_fires_before_the_walk(monkeypatch):
 
 
 def test_a_budgeted_sum_meets_its_cap(monkeypatch):
-    # a shaped five-program class is over the 16-statement cap, and the
-    # class sum takes the largest class first
+    # the 3/5 classes include languages of more than 16 statements, so a
+    # budgeted sum under a 16-statement cap exits on it
     monkeypatch.setattr(search, "_census_walk", _no_walk)
+    monkeypatch.setattr(search, "CENSUS_UPSET_CAP", 16)
     spec = SearchSpec(
         n_states=3, vocab_size=5, require_classification_shaped=True, time_budget=60.0
     )
     with pytest.raises(CapacityError) as info:
         census(spec)
-    assert (info.value.cap_name, info.value.cap_value) == ("census_language_cap", 16)
+    assert (info.value.cap_name, info.value.cap_value) == ("census_upset_cap", 16)
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():
