@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-budget",
         type=float,
         help="stop once this many seconds have passed, checked before each "
-        "class of the class sum or each vocabulary of a walk",
+        "class of the class sum and each vocabulary of a walk, the exemplar "
+        "walk included",
     )
     p_census.add_argument(
         "--workers",

@@ -28,9 +28,10 @@ masks, and admits languages of up to 32 statements, every language of
 five programs. The shape filter does not change which tasks are
 enumerated; its ``valid`` and ``solvable`` come from two closed forms over
 the statements (:func:`_shaped_counts`). Only exemplars walk the task
-stream, and only until the limit is reached: the E_I table grows as the
-walk draws it, and the shaped walk skips at once the inputs whose
-features cover every program, which leave every block empty.
+stream, and only until the limit is reached: its input walk holds one
+entry per statement however far it is drawn, and the shaped stream skips
+at once the inputs whose features cover every program, which leave every
+block empty.
 
 A language's census depends only on its statement masks, and it is the
 same for every relabeling of the programs. A language over k programs is
@@ -65,7 +66,8 @@ draws each distinct language's unsolvable triples once, and stops as
 soon as it holds the ``exemplar_limit`` first unsolvable tasks, or all
 of them when there are fewer; more than 100,000 exceed a cap. The totals
 say how many there are, so it never walks past the last vocabulary that
-a truncated run counted, and ``exemplar_limit=0`` walks nothing.
+a truncated run counted, and ``exemplar_limit=0`` walks nothing. The
+time budget bounds it too, checked before each vocabulary.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -107,7 +108,8 @@ class SearchSpec:
     ``time_budget`` truncate the run (flagged in the report); both are
     checked before each vocabulary of a walk, so a truncated run counts
     whole languages, and the budget before each class of the class sum,
-    which then reports no vocabulary. States are capped as in ``StateSpace``.
+    which then reports no vocabulary, and before each vocabulary of the
+    exemplar walk. States are capped as in ``StateSpace``.
     """
 
     n_states: int
@@ -142,7 +144,9 @@ class SearchSpec:
 class CensusReport:
     """Aggregate outcome of a census. ``tasks_enumerated`` counts every
     definition-valid task seen; ``tasks_valid`` those passing the spec's
-    task filter (equal when no filter is set). ``elapsed_seconds`` is
+    task filter (equal when no filter is set). A ``truncated`` report
+    holds the totals counted and the exemplars found before a limit cut
+    the count or the exemplar walk short. ``elapsed_seconds`` is
     informational and excluded from serialized output."""
 
     spec: SearchSpec
@@ -234,29 +238,6 @@ def _language_cap(lang: Language, cap: int, cap_name: str, why: str) -> None:
         )
 
 
-def _input_extensions(lang: Language) -> Iterator[int]:
-    """The input-extension walk: for each input mask ``i_mask`` in ascending
-    order but the whole language, the mask of E_I, the statements that
-    extend some input of ``i_mask``, over language indices. Entry 0 is
-    empty. The input masks whose highest statement is j are each lower
-    mask plus j, so the table doubles per statement; it grows only as far
-    as the walk is drawn. Its 64-bit entries hold every language that the
-    census caps admit."""
-    ext = lang.extension_masks()
-    table = array("Q", [0])
-    yield 0
-    for j, e in enumerate(ext):
-        if j == len(ext) - 1:
-            # the whole language is not an input
-            for i in range(len(table) - 1):
-                yield table[i] | e
-            return
-        for i in range(len(table)):
-            ei = table[i] | e
-            table.append(ei)
-            yield ei
-
-
 def _up_sets(ext: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Every up-set U of a language's statements under inclusion, with the
     mask of its non-minimal members, given each statement's extension mask.
@@ -293,25 +274,24 @@ def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int, feature_union
     return list(blocks.values())
 
 
-def _shaped_inputs(lang: Language) -> Iterator[tuple[int, int, list[int]]]:
-    """The shaped task stream's walk: (input mask, E_I, output blocks) for
-    each nonempty input mask, in ascending order, whose inputs' feature
-    union leaves some program out. The other inputs leave every block
-    empty, so they have no shaped output."""
+def _inputs(lang: Language) -> Iterator[tuple[int, int, int]]:
+    """(input mask, E_I, the inputs' feature union) for each input mask in
+    ascending order but 0 and the whole language. A stack holds one triple
+    per statement of the current mask, over it and the statements above:
+    each mask drops the trailing statements below its lowest one and adds
+    that one."""
+    ext = lang.extension_masks()
     members = lang.masks
-    programs = 0
-    for m in members:
-        programs |= m
-    # the inputs' feature union for each input mask so far: the union for
-    # the mask less its top statement, plus that statement
-    unions = array("Q", [0])
-    # entry 0 (no inputs) is no task
-    for i_mask, ei in itertools.islice(enumerate(_input_extensions(lang)), 1, None):
-        top = i_mask.bit_length() - 1
-        union = unions[i_mask ^ 1 << top] | members[top]
-        unions.append(union)
-        if union != programs:
-            yield i_mask, ei, _output_blocks(members, i_mask, ei, union)
+    # the triple of no statement sits at the bottom
+    stack = [(0, 0, 0)]
+    for i_mask in range(1, (1 << len(ext)) - 1):
+        low = (i_mask & -i_mask).bit_length() - 1
+        if low:
+            del stack[-low:]
+        _, ei, union = stack[-1]
+        top = (i_mask, ei | ext[low], union | members[low])
+        stack.append(top)
+        yield top
 
 
 def _ascending_submasks(mask: int) -> Iterator[int]:
@@ -351,12 +331,20 @@ def enumerate_task_masks(
 def _task_masks(
     lang: Language, spec: SearchSpec | None
 ) -> Iterator[tuple[int, int, int]]:
-    """:func:`enumerate_task_masks` without its cap, for walks that stop early."""
-    if spec is not None and spec.require_classification_shaped:
-        inputs = _shaped_inputs(lang)
-    else:
-        inputs = ((i_mask, ei, (ei,)) for i_mask, ei in enumerate(_input_extensions(lang)))
-    for i_mask, ei, blocks in inputs:
+    """:func:`enumerate_task_masks` without its cap, for walks that stop
+    early. A plain input has the one block E_I."""
+    shaped = spec is not None and spec.require_classification_shaped
+    members = lang.masks
+    programs = 0
+    for m in members:
+        programs |= m
+    for i_mask, ei, union in _inputs(lang):
+        if not shaped:
+            blocks = [ei]
+        elif union == programs:
+            continue
+        else:
+            blocks = _output_blocks(members, i_mask, ei, union)
         for o_mask in _outputs(ei, blocks):
             yield i_mask, o_mask, ei
 
@@ -505,16 +493,19 @@ def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:
     return _Totals(*(total // math.factorial(spec.vocab_size) for total in sums))
 
 
-def _exemplars(spec: SearchSpec, limit: int) -> list[Task]:
+def _exemplars(spec: SearchSpec, limit: int, deadline: float | None) -> list[Task]:
     """The first ``limit`` unsolvable tasks in census order. The walk over
     vocabularies stops as soon as it holds them, and draws each language's
     triples once, keyed by its statement masks; a ``Language`` is built
-    only to draw them or to hold an exemplar."""
+    only to draw them or to hold an exemplar. A walk that meets the
+    deadline returns the exemplars found so far."""
     exemplars: list[Task] = []
     if not limit:
         return exemplars
     memo: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for vocab in enumerate_vocabularies(spec):
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         missing = limit - len(exemplars)
         key = statement_masks(vocab)
         lang = None
@@ -569,7 +560,8 @@ def census(spec: SearchSpec) -> CensusReport:
     runs walk the vocabularies. A time budget only bounds either one.
     The exemplars come from :func:`_exemplars`, which stops as soon as it
     holds them: a truncated run counted a prefix of the vocabularies, so
-    its first unsolvable tasks all lie in that prefix.
+    its first unsolvable tasks all lie in that prefix, unless the deadline
+    cuts the walk short.
     """
     start = time.monotonic()
     deadline = start + spec.time_budget if spec.time_budget is not None else None
@@ -586,7 +578,7 @@ def census(spec: SearchSpec) -> CensusReport:
             cap_name="census_exemplar_cap",
             cap_value=CENSUS_EXEMPLAR_CAP,
         )
-    exemplars = _exemplars(spec, limit)
+    exemplars = _exemplars(spec, limit, deadline)
     elapsed = time.monotonic() - start
     return CensusReport(
         spec=spec,
@@ -596,7 +588,8 @@ def census(spec: SearchSpec) -> CensusReport:
         tasks_solvable=totals.solvable,
         tasks_unsolvable=unsolvable,
         exemplars=tuple(exemplars),
-        truncated=totals.truncated,
+        # the walk always fills unless its deadline cut it short
+        truncated=totals.truncated or len(exemplars) < limit,
         elapsed_seconds=elapsed,
     )
 

@@ -349,8 +349,10 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
     ``SET_POLICY_CANDIDATE_CAP`` subsets of the admissible statements
     before they are built, and a ``checked`` count with more decimal digits
     than Python converts to text (``sys.get_int_max_str_digits()``), which
-    no report could print.
+    no report could print. A negative ``cap`` raises ``ValueError``.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"set-policy cap must be None or >= 0, got {cap}")
     lang = task.language
     digits = sys.get_int_max_str_digits()
     printable = _largest_printable(digits)

@@ -358,6 +358,20 @@ def test_census_cli_zero_budget_truncates():
     assert "truncated: true" in result.stdout.decode()
 
 
+@pytest.mark.parametrize("n_states", ["64", "24"])
+def test_census_budget_bounds_the_exemplar_walk(n_states, capsys):
+    # every (0, x) vocabulary has only solvable shaped tasks, so the first
+    # unsolvable one lies after 2^n - 1 vocabularies; the budget cuts the
+    # walk, and the totals are the class sum's
+    argv = ["census", "--n-states", n_states, "--vocab-size", "2", "--classification-shaped"]
+    assert cli.main([*argv, "--exemplars", "0"]) == 0
+    counted = capsys.readouterr().out.split("vocabularies:")[1].split("truncated:")[0]
+    assert cli.main([*argv, "--exemplars", "3", "--time-budget", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert out.split("vocabularies:")[1].split("truncated:")[0] == counted
+    assert "truncated: true" in out
+
+
 def test_census_cli_capacity():
     result = run_cli("census", "--n-states", "65", "--vocab-size", "2")
     assert result.returncode == 3

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -505,11 +506,11 @@ def test_full_census_4_5_pinned():
 
 
 def _input_mask_census(lang):
-    """The unfiltered census of one language, summed over its
-    input-extension table: one term per input mask."""
+    """The unfiltered census of one language, summed over its input walk:
+    one term per input mask."""
     ext = lang.extension_masks()
     enumerated = solvable = 0
-    for ei in search._input_extensions(lang):
+    for _, ei, _ in search._inputs(lang):
         if ei.bit_count() < 2:
             continue
         enumerated += (1 << ei.bit_count()) - 2
@@ -562,11 +563,18 @@ def test_shape_filter_keeps_the_enumerated_count():
 
 def _shaped_walk_census(lang):
     """The shaped valid and solvable counts of one language, summed over
-    the uncapped input walk of the shaped task stream: one term per input
-    mask whose feature union leaves some program out."""
+    the uncapped input walk of the task stream: one term per input mask
+    whose feature union leaves some program out."""
     ext = lang.extension_masks()
+    members = lang.masks
+    programs = 0
+    for m in members:
+        programs |= m
     valid = solvable = 0
-    for _, ei, blocks in search._shaped_inputs(lang):
+    for i_mask, ei, union in search._inputs(lang):
+        if union == programs:
+            continue
+        blocks = search._output_blocks(members, i_mask, ei, union)
         # the blocks are disjoint (an output extending two inputs would make
         # each input a subset of the other), and every input lies in E_I but
         # in no block, so no output inside their union is E_I
@@ -646,7 +654,7 @@ def test_shaped_walk_builds_blocks_only_for_inputs_missing_a_program(monkeypatch
     assert sum(1 for _ in enumerate_task_masks(lang, spec))
     assert calls == missing
     calls = 0
-    monkeypatch.setattr(search, "_input_extensions", no_input_walk)
+    monkeypatch.setattr(search, "_inputs", no_input_walk)
     search._census_language(spec, lang)
     assert calls == 0
 
@@ -668,13 +676,24 @@ def test_input_extensions_grow_only_as_drawn():
     ext = lang.extension_masks()
     tracemalloc.start()
     try:
-        prefix = list(itertools.islice(search._input_extensions(lang), 4096))
+        prefix = list(itertools.islice(search._inputs(lang), 4096))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the whole table would hold 2^24 entries
     assert peak < 1 << 20
-    for i_mask, ei in enumerate(prefix):
+    # drawn and dropped, 2^20 inputs of 32 statements leave the walk's
+    # stack of at most 32 triples
+    walk = search._inputs(build_language(_five_program_vocabulary(32)))
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(walk, 1 << 20):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    for i_mask, ei, _ in prefix:
         expected = 0
         for j in range(i_mask.bit_length()):
             if i_mask >> j & 1:
@@ -684,27 +703,70 @@ def test_input_extensions_grow_only_as_drawn():
 
 def test_input_extensions_end_before_the_whole_language():
     lang = build_language(Vocabulary.build([Program(0b01, 2), Program(0b11, 2)], StateSpace(2)))
-    table = list(search._input_extensions(lang))
-    assert len(table) == (1 << len(lang)) - 1
-    assert table[0] == 0
+    table = list(search._inputs(lang))
+    assert len(table) == (1 << len(lang)) - 2
+    assert table[0][0] == 1
+
+
+def test_input_walk_matches_its_definition():
+    checked = 0
+    for k in range(6):
+        for cls in _realizable_classes(k):
+            lang = build_language(cls.realization)
+            if len(lang) > 8:
+                continue
+            walk = list(search._inputs(lang))
+            assert [i_mask for i_mask, _, _ in walk] == list(range(1, (1 << len(lang)) - 1))
+            for i_mask, ei, union in walk:
+                inputs = lang.statements_of(i_mask)
+                assert set(lang.statements_of(ei)) == extension_of_set(inputs, lang)
+                expected = 0
+                for statement in inputs:
+                    expected |= statement.members
+                assert union == expected
+            checked += 1
+    assert checked == 36
+
+
+def test_task_streams_pinned():
+    # SHA-256 of the first 20,000 triples of the plain and the shaped stream
+    # of every realizable class with at most 12 statements, each triple
+    # written "i o e\n" and each stream closed by an empty line
+    digest = hashlib.sha256()
+    streams = 0
+    for k in range(6):
+        for cls in _realizable_classes(k):
+            lang = build_language(cls.realization)
+            if len(lang) > 12:
+                continue
+            for shaped in (False, True):
+                spec = SearchSpec(
+                    cls.realization.space.n_states, k, require_classification_shaped=shaped
+                )
+                for triple in itertools.islice(enumerate_task_masks(lang, spec), 20_000):
+                    digest.update(b"%d %d %d\n" % triple)
+                digest.update(b"\n")
+                streams += 1
+    assert streams == 166
+    assert digest.hexdigest() == "004dbea6a2de9432b5077cab0e997169d0cf6b18e097f253cb2cbc38c8fc7df7"
 
 
 def test_exemplar_walk_past_the_input_walk_cap_stops_when_filled(monkeypatch):
     drawn = 0
-    original = search._input_extensions
+    original = search._inputs
 
     def counted(lang):
         nonlocal drawn
-        for ei in original(lang):
+        for entry in original(lang):
             drawn += 1
-            yield ei
+            yield entry
 
-    monkeypatch.setattr(search, "_input_extensions", counted)
+    monkeypatch.setattr(search, "_inputs", counted)
     lang = build_language(_five_program_vocabulary(32))
     spec = SearchSpec(n_states=4, vocab_size=5)
     triples = search._unsolvable_triples(lang, spec, 5)
     # the inputs {} (mask 1) alone have 2^32 - 2 outputs
-    assert drawn == 2
+    assert drawn == 1
     assert [i_mask for i_mask, _, _ in triples] == [1] * 5
     for i_mask, o_mask, ei in triples:
         assert find_correct_policies(Task(lang, i_mask, o_mask, ei)).correct == ()
@@ -1093,6 +1155,29 @@ def test_a_budget_spent_during_the_sum_reports_the_empty_prefix(monkeypatch):
     assert report.truncated
     assert (report.vocabularies, report.tasks_enumerated, report.tasks_valid) == (0, 0, 0)
     assert report.exemplars == ()
+
+
+def test_a_budget_spent_during_the_exemplar_walk_keeps_the_totals(monkeypatch):
+    # the clock passes the deadline as the exemplar walk reaches the ninth
+    # 3/2 vocabulary; the first eight hold 19 unsolvable tasks
+    full = census(SearchSpec(n_states=3, vocab_size=2, exemplar_limit=50))
+    now = 0.0
+    original = search.enumerate_vocabularies
+
+    def ninth_vocabulary_comes_an_hour_late(spec):
+        nonlocal now
+        for n, vocab in enumerate(original(spec)):
+            if n == 8:
+                now += 3600.0
+            yield vocab
+
+    monkeypatch.setattr(time, "monotonic", lambda: now)
+    monkeypatch.setattr(search, "enumerate_vocabularies", ninth_vocabulary_comes_an_hour_late)
+    report = census(SearchSpec(n_states=3, vocab_size=2, exemplar_limit=50, time_budget=60.0))
+    assert report.truncated and not full.truncated
+    counts = ("vocabularies", "tasks_enumerated", "tasks_valid", "tasks_solvable")
+    assert [getattr(report, c) for c in counts] == [getattr(full, c) for c in counts]
+    assert report.exemplars == full.exemplars[:19]
 
 
 def test_exemplar_cap_fires_before_the_walk(monkeypatch):

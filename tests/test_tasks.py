@@ -380,6 +380,11 @@ def test_set_policy_cap_zero_checks_only_empty(ref_task):
     assert result.correct == ()
 
 
+def test_set_policy_negative_cap_is_rejected(ref_task):
+    with pytest.raises(ValueError, match="cap"):
+        find_correct_set_policies(ref_task, cap=-1)
+
+
 def test_singleton_set_policies_match_single_policies(ref_task):
     capped = find_correct_set_policies(ref_task, cap=1)
     assert capped.checked == len(ref_task.language) + 1
