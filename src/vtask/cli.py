@@ -17,7 +17,7 @@ from . import dsl
 from .core import Statement
 from .errors import CapacityError, VTaskError
 from .search import SearchSpec, census
-from .tasks import check_policy, find_correct_policies, find_correct_set_policies
+from .tasks import SEARCH_MODES, check_policy, find_correct_policies, find_correct_set_policies
 from .verify import run_reference_checks
 
 EXIT_OK = 0
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("file")
     p_search.add_argument(
         "--mode",
-        choices=("exhaustive", "pruned"),
+        choices=SEARCH_MODES,
         default="exhaustive",
         help="exhaustive checks every statement; pruned skips statements "
         "longer than the output-length bound",

@@ -6,7 +6,8 @@ the positions [k] = {0, ..., k - 1}: its statement masks, a family closed
 under subsets that holds the empty mask. A complex is stored as its face
 set, a 2^k-bit integer whose bit m is set when the mask m is a face, so
 relabeling two programs, finding the facets and meeting a family of
-columns are a few integer operations each.
+columns are a few integer operations each. The census shares two bit
+tables from here: :func:`transpose` and :func:`column_images`.
 
 A census counts each vocabulary by its language alone, and the counts are
 the same for every relabeling of the programs. So the census over all
@@ -58,7 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Program, StateSpace, Vocabulary
 from .errors import CapacityError
@@ -84,13 +85,9 @@ class ComplexClass:
         i. The programs are distinct whenever some vocabulary has this
         language, since then at most one position is not a vertex."""
         states = [m for m in range(1 << self.vertices) if self.faces >> m & 1]
-        space = StateSpace(len(states))
         return Vocabulary.build(
-            (
-                Program(sum(1 << s for s, m in enumerate(states) if m >> i & 1), len(states))
-                for i in range(self.vertices)
-            ),
-            space,
+            (Program(bits, len(states)) for bits in transpose(states, self.vertices)),
+            StateSpace(len(states)),
         )
 
 
@@ -173,6 +170,20 @@ def _set_partitions(k: int) -> list[tuple[int, int]]:
     return out
 
 
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The ``width`` columns of a bit matrix: bit j < width of row i
+    becomes bit i of column j. A transpose is its own inverse, so this
+    turns programs into state columns and columns back into programs."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        row &= (1 << width) - 1
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return columns
+
+
 def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
     out = 0
     for old, new in enumerate(perm):
@@ -181,15 +192,25 @@ def _permute_program_bits(bits: int, perm: tuple[int, ...]) -> int:
     return out
 
 
+@functools.cache
+def column_images(k: int) -> tuple[tuple[int, ...], ...]:
+    """For each relabeling of [k], in ``itertools.permutations`` order with
+    the identity first, the image of every column (mask over [k]). Cached
+    for the life of the process: one table per number of programs."""
+    return tuple(
+        tuple(_permute_program_bits(c, perm) for c in range(1 << k))
+        for perm in itertools.permutations(range(k))
+    )
+
+
 def _relabeling_cycles(
-    k: int, perms: Iterable[tuple[int, ...]]
+    k: int, images: Iterable[Sequence[int]]
 ) -> list[tuple[list[int], list[tuple[int, int]]]]:
-    """Each relabeling τ of [k] in ``perms`` as the cycles of its column
-    map, each a 2^k-bit mask of columns, with the union of its cycles of
-    each length."""
+    """Each relabeling τ of [k], given as the image of every column, as the
+    cycles of its column map, each a 2^k-bit mask of columns, with the
+    union of its cycles of each length."""
     out = []
-    for perm in perms:
-        image = [_permute_program_bits(c, perm) for c in range(1 << k)]
+    for image in images:
         cycles: list[int] = []
         by_length: dict[int, int] = {}
         seen = 0
@@ -227,12 +248,12 @@ def _class_terms(
     the process: a handful of tables, one per number of programs and
     mode."""
     partitions = _set_partitions(k)
-    perms = itertools.permutations(range(k)) if dedup else [tuple(range(k))]
+    images = column_images(k) if dedup else [range(1 << k)]
     relabelings = [
         (cycles, by_length, [
             sum(cycle for cycle in cycles if not cycle & ~columns) for _, columns in partitions
         ])
-        for cycles, by_length in _relabeling_cycles(k, perms)
+        for cycles, by_length in _relabeling_cycles(k, images)
     ]
     out = []
     for cls in complex_classes(k):

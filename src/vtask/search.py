@@ -52,22 +52,24 @@ six-program runs (about 7.8·10^6 labeled complexes, too many to list).
 A ``time_budget`` only bounds a run. The sum checks it before each class,
 and a sum cut short reports the empty prefix, with no vocabulary. The
 walk keys a memo by statement masks (:func:`vtask.core.statement_masks`),
-so it counts each distinct language once. It checks the time budget and
-the task limit before each vocabulary, so a truncated report counts the
-whole languages of its first ``vocabularies`` vocabularies, and may
-overshoot ``max_tasks`` by one language's tasks. Only six-program runs
+so it counts each distinct language once, over a ``Language`` built from
+its key. It checks the time budget and the task limit before each
+vocabulary, so a truncated report counts the whole languages of its first
+``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by one
+language's tasks. Only six-program runs
 walk untruncated. Three states hold at most C(8, 6) = 28 program
 combinations; from four states on the walk must meet six programs that
 share a state, whose language of 64 statements is over the up-set cap,
 so the run fails on that cap before it walks any vocabulary.
 
 Every run takes its exemplars from one more walk in census order. It
-draws each distinct language's unsolvable triples once, and stops as
-soon as it holds the ``exemplar_limit`` first unsolvable tasks, or all
-of them when there are fewer; more than 100,000 exceed a cap. The totals
-say how many there are, so it never walks past the last vocabulary that
-a truncated run counted, and ``exemplar_limit=0`` walks nothing. The
-time budget bounds it too, checked before each vocabulary.
+computes each vocabulary's statement masks once, as both memo key and
+language, draws each distinct language's unsolvable triples once, and
+stops as soon as it holds the ``exemplar_limit`` first unsolvable tasks,
+or all of them when there are fewer; more than 100,000 exceed a cap.
+The totals say how many there are, so it never walks past the last
+vocabulary that a truncated run counted, and ``exemplar_limit=0`` walks
+nothing. The time budget bounds it too, checked before each vocabulary.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .complexes import COMPLEX_MAX_VERTICES, _permute_program_bits, class_weights
+from .complexes import (
+    COMPLEX_MAX_VERTICES, _permute_program_bits, class_weights, column_images, transpose
+)
 from .core import (
     Language,
     Program,
@@ -168,29 +172,6 @@ class CensusReport:
             )
 
 
-def _state_columns(program_bits: Sequence[int], n_states: int) -> list[int]:
-    """For each state, the mask of the programs that hold there."""
-    columns = []
-    for s in range(n_states):
-        column = 0
-        for i, bits in enumerate(program_bits):
-            column |= (bits >> s & 1) << i
-        columns.append(column)
-    return columns
-
-
-def _orbit_key(
-    program_bits: tuple[int, ...], n_states: int, relabelings: Sequence[Sequence[int]]
-) -> tuple[int, ...]:
-    """Key of a program tuple's orbit under state permutations: its state
-    columns, sorted, least over the program relabelings. ``relabelings``
-    maps each column under every permutation of the program positions. Two
-    tuples share a key exactly when a state permutation maps one onto the
-    other."""
-    columns = _state_columns(program_bits, n_states)
-    return min(tuple(sorted(table[c] for c in columns)) for table in relabelings)
-
-
 def _combinations(pool: int, k: int, low: int = 0) -> Iterator[tuple[int, ...]]:
     """``itertools.combinations(range(low, pool), k)``, drawn lazily: that
     one first copies the pool, and 2^64 programs do not fit in memory."""
@@ -205,19 +186,19 @@ def _combinations(pool: int, k: int, low: int = 0) -> Iterator[tuple[int, ...]]:
 def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
     """Every vocabulary of ``spec.vocab_size`` programs over the state
     space, in ascending program-tuple order. With ``dedup``, only the
-    representative (least under state permutations) of each orbit:
-    combinations come in ascending order, so the first of each orbit key
+    representative (least under state permutations) of each orbit. An
+    orbit's key is its state columns, sorted, least over the program
+    relabelings (:func:`vtask.complexes.column_images`), so two tuples
+    share a key exactly when a state permutation maps one onto the other.
+    Combinations come in ascending order, so the first of each orbit key
     is the least member of its orbit."""
     space = StateSpace(spec.n_states)
-    k = spec.vocab_size
-    relabelings = [
-        [_permute_program_bits(column, perm) for column in range(1 << k)]
-        for perm in itertools.permutations(range(k))
-    ] if spec.dedup else []
+    images = column_images(spec.vocab_size) if spec.dedup else ()
     seen: set[tuple[int, ...]] = set()
-    for combo in _combinations(1 << spec.n_states, k):
+    for combo in _combinations(1 << spec.n_states, spec.vocab_size):
         if spec.dedup:
-            key = _orbit_key(combo, spec.n_states, relabelings)
+            columns = transpose(combo, spec.n_states)
+            key = min(tuple(sorted(image[c] for c in columns)) for image in images)
             if key in seen:
                 continue
             seen.add(key)
@@ -496,9 +477,9 @@ def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:
 def _exemplars(spec: SearchSpec, limit: int, deadline: float | None) -> list[Task]:
     """The first ``limit`` unsolvable tasks in census order. The walk over
     vocabularies stops as soon as it holds them, and draws each language's
-    triples once, keyed by its statement masks; a ``Language`` is built
-    only to draw them or to hold an exemplar. A walk that meets the
-    deadline returns the exemplars found so far."""
+    triples once, keyed by its statement masks; each vocabulary's
+    ``Language`` is built from that key, so no mask is computed twice. A
+    walk that meets the deadline returns the exemplars found so far."""
     exemplars: list[Task] = []
     if not limit:
         return exemplars
@@ -508,16 +489,12 @@ def _exemplars(spec: SearchSpec, limit: int, deadline: float | None) -> list[Tas
             break
         missing = limit - len(exemplars)
         key = statement_masks(vocab)
-        lang = None
+        lang = Language.from_masks(vocab, key)
         if key not in memo:
-            lang = build_language(vocab)
             # ``missing`` never grows, so these triples cover every later
             # vocabulary with this language
             memo[key] = _unsolvable_triples(lang, spec, missing)
-        triples = memo[key][:missing]
-        if triples and lang is None:
-            lang = build_language(vocab)
-        exemplars.extend(Task(lang, i_mask, o_mask, ei) for i_mask, o_mask, ei in triples)
+        exemplars.extend(Task(lang, *triple) for triple in memo[key][:missing])
         if len(exemplars) == limit:
             break
     return exemplars
@@ -546,7 +523,7 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
         totals.vocabularies += 1
         key = statement_masks(vocab)
         if key not in memo:
-            memo[key] = _census_language(spec, build_language(vocab))
+            memo[key] = _census_language(spec, Language.from_masks(vocab, key))
         enumerated, valid, solvable = memo[key]
         totals.enumerated += enumerated
         totals.valid += valid
@@ -626,7 +603,7 @@ def canonicalize_task(task: Task) -> CanonicalTask:
         )
     n = vocab.space.n_states
     parts = (
-        _state_columns(vocab.bits, n),
+        transpose(vocab.bits, n),
         [s.members for s in task.inputs],
         [s.members for s in task.outputs],
     )
@@ -675,8 +652,6 @@ def permute_task(task: Task, perm: tuple[int, ...]) -> Task:
 def task_from_canonical(form: CanonicalTask) -> Task:
     """Materialize a task whose canonical form is ``form``: program i holds
     in the states whose column has bit i."""
-    program_bits = [
-        sum((column >> i & 1) << s for s, column in enumerate(form.columns))
-        for i in range(form.n_programs)
-    ]
-    return _task_over_programs(program_bits, form.n_states, form.inputs, form.outputs)
+    return _task_over_programs(
+        transpose(form.columns, form.n_programs), form.n_states, form.inputs, form.outputs
+    )

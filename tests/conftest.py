@@ -53,6 +53,10 @@ INVALID_DOCUMENTS = [
     ("states 2\nfrobnicate f 01\n", 2, "unknown directive"),
     ("states 2\nprogram f 01\nlabel g 11\nexample g -> g\n", 4, "cannot be a feature"),
     ("states 2\nprogram f 01\nlabel g 11\nexample f -> f\n", 4, "is a program"),
+    ("states 2\nprogram f\n", 2, "takes a name and a literal"),
+    ("states 2\nprogram f 01\nlabel g 11\nexample -> g\n", 4, "example form is"),
+    ("states 2\nprogram f 01\nlabel g 11\nexample f -> 9x\n", 4, "invalid name '9x'"),
+    ("states 2\nprogram f 01\nlabel g 11\nexample , -> g\n", 4, "example needs at least one feature"),
 ]
 
 

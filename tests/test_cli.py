@@ -47,6 +47,20 @@ def test_lang_capacity_exit_code(tmp_path):
     assert b"capacity" in result.stderr
 
 
+def test_lang_of_an_unreadable_path_exits_2(tmp_path):
+    result = run_cli("lang", str(tmp_path))
+    assert result.returncode == 2
+    assert b"cannot read" in result.stderr
+
+
+def test_check_of_a_file_without_a_task_exits_2(tmp_path):
+    f = tmp_path / "vocabulary.pvt"
+    f.write_text("states 2\nprogram f 01\n")
+    result = run_cli("check", str(f), "--empty")
+    assert result.returncode == 2
+    assert b"needs a task" in result.stderr
+
+
 def test_lang_parse_error_exit_code(tmp_path):
     f = tmp_path / "bad.pvt"
     f.write_text("states 5\nprogram f 0x111\n")

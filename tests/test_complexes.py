@@ -1,9 +1,16 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from vtask.complexes import ComplexClass, class_weights, complex_classes
+from vtask.complexes import (
+    ComplexClass,
+    class_weights,
+    column_images,
+    complex_classes,
+    transpose,
+)
 from vtask.core import statement_masks
 from vtask.errors import CapacityError
 from vtask.search import SearchSpec, enumerate_vocabularies
@@ -156,6 +163,31 @@ def test_realization_has_the_class_as_language(k):
         vocab = c.realization
         assert len(vocab) == k and vocab.space.n_states == c.faces.bit_count()
         assert _least_image(_face_set(statement_masks(vocab)), k) == c.faces
+
+
+def test_transpose_swaps_rows_and_columns_and_is_its_own_inverse():
+    rng = random.Random(24)
+    for _ in range(300):
+        width, height = rng.randint(0, 9), rng.randint(0, 9)
+        rows = [rng.getrandbits(width) for _ in range(height)]
+        columns = transpose(rows, width)
+        assert len(columns) == width
+        assert all(
+            columns[j] >> i & 1 == rows[i] >> j & 1 for i in range(height) for j in range(width)
+        )
+        assert transpose(columns, height) == rows
+        assert transpose([row | 1 << width for row in rows], width) == columns
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_column_images_relabel_every_column_identity_first(k):
+    images = column_images(k)
+    assert images[0] == tuple(range(1 << k))
+    assert len(images) == len(set(images)) == math.factorial(k)
+    for perm, image in zip(itertools.permutations(range(k)), images):
+        # a column is a face set's face: relabel the one-face complex
+        assert [1 << c for c in image] == [_relabel(1 << c, k, perm) for c in range(1 << k)]
+    assert column_images(k) is images
 
 
 def test_complexes_missing_two_vertices_weigh_nothing():

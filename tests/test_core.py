@@ -84,6 +84,10 @@ def test_program_width_validation():
     with pytest.raises(MalformedInputError):
         Program(0b100, 2)
     with pytest.raises(MalformedInputError):
+        Program(1, 0)
+    with pytest.raises(MalformedInputError):
+        bits("01").includes_state(0)
+    with pytest.raises(MalformedInputError):
         intersect_programs([bits("01"), bits("011")], StateSpace(2))
 
 
@@ -94,6 +98,19 @@ def test_vocabulary_canonical_order_and_duplicates():
         vocab_of("01", "01")
     with pytest.raises(MalformedInputError):
         Vocabulary.build([bits("01")], StateSpace(3))
+
+
+def test_vocabulary_index_of():
+    v = vocab_of("011", "101")
+    assert v.index_of(bits("011")) == 1
+    with pytest.raises(DomainError):
+        v.index_of(bits("110"))
+
+
+def test_statement_from_indices_rejects_a_negative_index():
+    assert Statement.from_indices([0, 2]).members == 0b101
+    with pytest.raises(MalformedInputError):
+        Statement.from_indices([-1])
 
 
 def test_vocabulary_cap():

@@ -442,6 +442,25 @@ def test_check_report_serialization(ref_task, ref_index):
     assert len(tree["selected"]) == 8
 
 
+def test_serializers_reject_an_unknown_mode(ref_task, ref_index):
+    with pytest.raises(ValueError, match="unknown serialization mode"):
+        serialize_language(ref_task.language, None, "yaml")
+    report = check_policy(ref_task, Statement.from_indices([ref_index["f1"]]))
+    with pytest.raises(ValueError, match="unknown serialization mode"):
+        serialize_check(report, "yaml")
+
+
+def test_document_tree_of_a_classification_document():
+    doc = parse_task_file(COLORED_BOX_FILE.read_text())
+    tree = json.loads(dsl.serialize_document_tree(doc))
+    assert tree["inputs"] == tree["outputs"] == []
+    assert tree["labels"] == {"blue_actual": "11011", "human_blue": "11101"}
+    assert tree["examples"] == [
+        {"features": ["human_red"], "label": "human_blue"},
+        {"features": ["red_signal"], "label": "blue_actual"},
+    ]
+
+
 # -- realization errors ------------------------------------------------------
 
 

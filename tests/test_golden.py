@@ -59,6 +59,19 @@ _CENSUS_EXTRA = {
                               "--structured", "--exemplars", "10"],
     "census-5-2-time-budget-0": ["--n-states", "5", "--vocab-size", "2",
                                  "--time-budget", "0"],
+    # the six-program dedup walk: orbit keys over all 720 relabelings
+    "census-3-6-dedup": ["--n-states", "3", "--vocab-size", "6", "--dedup",
+                         "--exemplars", "5"],
+    # the dedup class sum over the cycles of all 120 relabelings
+    "census-3-5-dedup-structured": ["--n-states", "3", "--vocab-size", "5", "--dedup",
+                                    "--exemplars", "3", "--structured"],
+    # a dedup counting walk cut after 25 of its 52 orbits
+    "census-4-3-dedup-truncated": ["--n-states", "4", "--vocab-size", "3", "--dedup",
+                                   "--max-tasks", "100000", "--exemplars", "20"],
+    # an exemplar walk that meets languages already drawn
+    "census-3-4-shaped-exemplars": ["--n-states", "3", "--vocab-size", "4",
+                                    "--classification-shaped", "--exemplars", "200",
+                                    "--structured"],
 }
 
 
@@ -89,7 +102,11 @@ GOLDEN = {
     "census-3-3-plain": (0, "6c04cc8524136302861be115c8ba41cb04c57b710f174d14c78f5cd99ba5f861"),
     "census-3-3-shaped": (0, "9f513c8ad0a8426af26be22fd8732b9a5158d975a4f1aeed926df39b3af74009"),
     "census-3-3-truncated": (0, "8dd032962584f81ddda823ae1da73947116baceb6040178a6ed864532b5b374f"),
+    "census-3-4-shaped-exemplars": (0, "3fdd086b33c5b84101f000392e66eb6982f565d3f4b158ddc8bf86cd35f5eccc"),
+    "census-3-5-dedup-structured": (0, "162149ad5531ee8fe758c3477c9c7550dbb831b8f183a42e8b4f2b224fae1062"),
+    "census-3-6-dedup": (0, "33f9d5f8f032ac4efc860481402227dbdc5c24cf70c7bb2cf452e6108ddbd38c"),
     "census-4-3-dedup": (0, "19a595d4a5e3db4023f656f2ed994751dc6510988133b4765210d965ac77fa7a"),
+    "census-4-3-dedup-truncated": (0, "92d86a34b96315e4761e8d1bc2816063b887ae1aee1ca6a4449914cd6d29bee0"),
     "census-4-3-plain": (0, "790b5f1a2177f656f40f20c55f0d611dd7a48705db76c72267a508ab3eeed2d2"),
     "census-4-3-shaped": (0, "59d51fa786fffae055be35f7a747cdca49fc2e15660a246339b3936f78e601a9"),
     "census-4-3-structured": (0, "f7b090fb4ea59c11e84568909c3b3713edc426bfefeadc98f91b05f3fce47c1c"),

@@ -22,7 +22,7 @@ from vtask.core import (
     statement_key,
     statement_masks,
 )
-from vtask.errors import CapacityError
+from vtask.errors import CapacityError, DomainError
 from vtask.search import (
     SearchSpec,
     canonicalize_task,
@@ -202,7 +202,13 @@ def test_spec_caps():
 
 
 @pytest.mark.parametrize(
-    "limits", [{"max_tasks": -1}, {"time_budget": -1.0}, {"time_budget": float("nan")}]
+    "limits",
+    [
+        {"max_tasks": -1},
+        {"time_budget": -1.0},
+        {"time_budget": float("nan")},
+        {"exemplar_limit": -1},
+    ],
 )
 def test_spec_rejects_negative_or_nan_limits(limits):
     with pytest.raises(ValueError):
@@ -952,8 +958,8 @@ def test_census_memo_is_per_run(monkeypatch):
 
 def test_census_builds_languages_only_when_used(monkeypatch):
     # a language is built for each class with nonzero weight, over its
-    # realization, and for each vocabulary the exemplar walk draws from,
-    # never more; without exemplars no vocabulary is walked at all
+    # realization, and never more; without exemplars no vocabulary is
+    # walked at all
     built = []
     original = search.build_language
 
@@ -974,20 +980,26 @@ def test_census_builds_languages_only_when_used(monkeypatch):
     assert set(built) == set(realizations)
 
     built.clear()
+    masked = []
+    original_masks = search.statement_masks
+
+    def counted_masks(vocab):
+        masked.append(vocab)
+        return original_masks(vocab)
+
+    monkeypatch.setattr(search, "statement_masks", counted_masks)
     report = census(dataclasses.replace(spec, exemplar_limit=3))
-    exemplar_vocabs = [t.language.vocabulary for t in report.exemplars]
-    assert set(built[: len(realizations)]) == set(realizations)
-    walked = built[len(realizations):]
-    # the walk builds the first vocabulary of each language it meets and
-    # each exemplar's, and stops at the vocabulary of the last exemplar
-    first_of_language = {}
+    # the exemplar walk computes each walked vocabulary's statement masks
+    # once, builds its language from them, and stops at the vocabulary of
+    # the last exemplar
+    assert len(built) == 7
+    assert set(built) == set(realizations)
+    walked = []
     for vocab in enumerate_vocabularies(spec):
-        first_of_language.setdefault(statement_masks(vocab), vocab)
-        if vocab == exemplar_vocabs[-1]:
+        walked.append(vocab)
+        if vocab == report.exemplars[-1].language.vocabulary:
             break
-    assert len(walked) == len(set(walked))
-    assert set(walked) == set(first_of_language.values()) | set(exemplar_vocabs)
-    assert walked[-1] == exemplar_vocabs[-1]
+    assert masked == walked
 
 
 ORACLE_POINTS = (
@@ -1052,7 +1064,7 @@ DEDUP_ORACLE_POINTS = (
 
 @pytest.mark.parametrize("n_states, vocab_size, shaped", DEDUP_ORACLE_POINTS)
 def test_dedup_class_sum_matches_the_orbit_key_walk(n_states, vocab_size, shaped):
-    # the walk counts each orbit's least vocabulary, keyed by _orbit_key
+    # the walk counts each orbit's least vocabulary, keyed by its orbit key
     _check_class_sum_against_the_walk(
         SearchSpec(
             n_states, vocab_size, require_classification_shaped=shaped, dedup=True,
@@ -1240,6 +1252,12 @@ def test_identity_permutation_preserves_task(ref_task):
     same = permute_task(ref_task, tuple(range(5)))
     assert canonicalize_task(same) == canonicalize_task(ref_task)
     assert {s.members for s in same.inputs} == {s.members for s in ref_task.inputs}
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (0, 0, 1, 2, 3), (1, 2, 3, 4, 5)])
+def test_permute_task_rejects_a_non_permutation(ref_task, perm):
+    with pytest.raises(DomainError):
+        permute_task(ref_task, perm)
 
 
 @settings(max_examples=40, deadline=None)

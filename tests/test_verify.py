@@ -1,7 +1,13 @@
 import random
 
 from vtask.core import Program, StateSpace, Vocabulary
-from vtask.verify import RANDOM_VOCABULARY_COUNT, RANDOM_VOCABULARY_SEED, _random_vocabulary
+from vtask.errors import VTaskError
+from vtask.verify import (
+    RANDOM_VOCABULARY_COUNT,
+    RANDOM_VOCABULARY_SEED,
+    _random_vocabulary,
+    run_reference_checks,
+)
 
 
 def test_random_vocabularies_equal_the_built_ones():
@@ -19,3 +25,12 @@ def test_random_vocabularies_equal_the_built_ones():
         assert vocab.programs == built.programs
     # the same draws, and no more
     assert drawn.getstate() == replayed.getstate()
+
+
+def test_a_builder_that_fails_is_one_failing_check():
+    def broken(vocab):
+        raise VTaskError("no language today")
+
+    report = run_reference_checks(broken)
+    assert [(c.name, c.passed) for c in report.checks] == [("reference-construction", False)]
+    assert "no language today" in report.checks[0].detail
