@@ -25,6 +25,7 @@ _CENSUS_FLAGS = {
 _FILE_COMMANDS = {
     "lang": ["lang"],
     "check-empty": ["check", "--empty"],
+    "check-empty-structured": ["check", "--empty", "--structured"],
     "search-set-all": ["search", "--set-policies", "all", "--structured"],
     "encode": ["encode"],
 }
@@ -49,6 +50,17 @@ _SET_SEARCH = {
     f"search-set-2-up-closed{suffix}": [
         "search", str(UP_CLOSED_FILE), "--set-policies", "2", *extra
     ]
+    for suffix, extra in (("", []), ("-structured", ["--structured"]))
+}
+# one policy checked against the dense task: the one correct policy
+# {f1 ... f8} (exit 0) and {f1}, which selects 512 statements (exit 1),
+# in both formats
+_DENSE_CHECK = {
+    f"check-dense10-{verdict}{suffix}": [
+        "check", str(REFERENCE_FAMILY_FILE), "--policy", policy, *extra
+    ]
+    for verdict, policy in (("correct", ",".join(f"f{i}" for i in range(1, 9))),
+                            ("incorrect", "f1"))
     for suffix, extra in (("", []), ("-structured", ["--structured"]))
 }
 # census paths the sweep above misses
@@ -88,6 +100,7 @@ def _commands() -> dict[str, list[str]]:
     for name, extra in _CENSUS_EXTRA.items():
         commands[name] = ["census", *extra]
     commands.update(_DENSE_SEARCH)
+    commands.update(_DENSE_CHECK)
     commands.update(_DENSE_LANG)
     commands.update(_SET_SEARCH)
     commands["verify-paper"] = ["verify-paper"]
@@ -111,7 +124,13 @@ GOLDEN = {
     "census-4-3-shaped": (0, "59d51fa786fffae055be35f7a747cdca49fc2e15660a246339b3936f78e601a9"),
     "census-4-3-structured": (0, "f7b090fb4ea59c11e84568909c3b3713edc426bfefeadc98f91b05f3fce47c1c"),
     "census-5-2-time-budget-0": (0, "36ff1f3c5f6bc44fe8a8313cc76ab58bdb846b2b950037a1e2c18de7b64fa5c6"),
+    "check-dense10-correct": (0, "69ab760e46d997612906753bce04318b1b38fff0af68e7410d5940688bd13f78"),
+    "check-dense10-correct-structured": (0, "d4b185bc5c5370f21a14e34f50cfeca0f8bed3d9a2fd92d5e55aa37ed6336e39"),
+    "check-dense10-incorrect": (1, "e3816706601878464c52b0b5ca0dc539bb36c8ec89cd9dca7994303be73e267b"),
+    "check-dense10-incorrect-structured": (1, "4fa5df9bbd8cb3bc459dda05e08c5032fe3c3c839f2fac842a40d10cc4c28250"),
     "check-empty-box": (1, "b2b0e7a587e0caedfac0994f5bfd61425144e41bc0721f19e914d86a27313ae9"),
+    "check-empty-structured-box": (1, "2f574cf5a3d15c476d13ffacd1050dab65d51b8e85b6aa42840b70d309124ccc"),
+    "check-empty-structured-two-class": (1, "aa1b2d7bec4c5ca52868e2ae738ad3d3e977f50080f690585bf04f590c15393b"),
     "check-empty-two-class": (1, "98258905d5b2d4734d2ce7db48f26203a684a70ead18304ef13f9998bba97a30"),
     "encode-box": (0, "1a7b4e5a14c4617365c96bfd5bcec1c6ff6604d1bbd8b9d64861402ae7f7977b"),
     "encode-two-class": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
