@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Time `vtask search` on dense tasks of growing size: how far exhaustive
-policy search reaches within a wall-time budget.
+policy search, and the check of one policy, reach within a wall-time
+budget.
 
 Each task is from the reference family: k programs over k + 1 states,
 program i false in state i only, so all 2^k subsets are statements. The
 inputs are {f1} and {f2}; the outputs are the four completions of
 {f1 ... f(k-2)}, the one correct policy. For k from --min-k to --max-k,
-every search (exhaustive and pruned, text and --structured) runs in a
-fresh interpreter with stdout discarded. Each row gives its CLI wall time
-and the child's peak RSS. A search that overruns the budget is killed
-and not run at larger k. The last line names, for each search, the
-largest k that finished within the budget.
+every search (exhaustive and pruned, text and --structured) and
+`check --policy f1` run in a fresh interpreter with stdout discarded.
+{f1} selects 2^(k-1) statements and is not correct, so a finished check
+exits 1; a finished search exits 0. Each row gives its CLI wall time and
+the child's peak RSS. A run that overruns the budget is killed and not
+run at larger k. The last line names, for each run, the largest k that
+finished within the budget.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-SEARCHES = {
-    "exhaustive text": [],
-    "exhaustive structured": ["--structured"],
-    "pruned text": ["--mode", "pruned"],
-    "pruned structured": ["--mode", "pruned", "--structured"],
+# the vtask command line of each run, the task file going after the
+# command, and the exit code of a finished run
+RUNS = {
+    "exhaustive text": (["search"], 0),
+    "exhaustive structured": (["search", "--structured"], 0),
+    "pruned text": (["search", "--mode", "pruned"], 0),
+    "pruned structured": (["search", "--mode", "pruned", "--structured"], 0),
+    "check --policy f1": (["check", "--policy", "f1"], 1),
 }
 
 
@@ -49,14 +55,14 @@ def reference_family(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_search(path: Path, extra: list[str], budget: float) -> tuple[float, float, int | None]:
-    """Wall seconds, peak RSS in MB and exit code of one CLI search; the
-    exit code is None when the budget ran out and the search was killed."""
+def run_cli(path: Path, argv: list[str], budget: float) -> tuple[float, float, int | None]:
+    """Wall seconds, peak RSS in MB and exit code of one CLI run; the exit
+    code is None when the budget ran out and the run was killed."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     start = time.monotonic()
     proc = subprocess.Popen(
-        [sys.executable, "-m", "vtask", "search", str(path), *extra],
+        [sys.executable, "-m", "vtask", argv[0], str(path), *argv[1:]],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
     )
     timer = threading.Timer(budget, proc.kill)
@@ -81,21 +87,21 @@ def main() -> int:
         parser.error("need 3 <= --min-k <= --max-k <= 20 (the CLI's vocabulary cap)")
     if not args.budget > 0:
         parser.error("--budget must be positive")
-    reach: dict[str, int | None] = dict.fromkeys(SEARCHES)
-    live = set(SEARCHES)
-    print(f"{'k':>2} {'statements':>10}  {'search':<22} {'wall_s':>7} {'peak_rss_mb':>11}  exit")
+    reach: dict[str, int | None] = dict.fromkeys(RUNS)
+    live = set(RUNS)
+    print(f"{'k':>2} {'statements':>10}  {'run':<22} {'wall_s':>7} {'peak_rss_mb':>11}  exit")
     with tempfile.TemporaryDirectory() as tmp:
         for k in range(args.min_k, args.max_k + 1):
             path = Path(tmp) / f"reference_family_{k}.pvt"
             path.write_text(reference_family(k), encoding="utf-8")
-            for name, extra in SEARCHES.items():
+            for name, (argv, finished) in RUNS.items():
                 if name not in live:
                     continue
-                wall, rss, code = run_search(path, extra, args.budget)
+                wall, rss, code = run_cli(path, argv, args.budget)
                 shown = "killed" if code is None else str(code)
                 print(f"{k:>2} {1 << k:>10}  {name:<22} {wall:>7.2f} {rss:>11.1f}  {shown}",
                       flush=True)
-                if code == 0 and wall <= args.budget:
+                if code == finished and wall <= args.budget:
                     reach[name] = k
                 else:
                     live.discard(name)

@@ -951,10 +951,12 @@ def serialize_check(
     report: PolicyCheckReport, mode: str = "text", names: Sequence[str] | None = None
 ) -> bytes:
     task = report.task
-    vocab = task.language.vocabulary
+    lang = task.language
+    vocab = lang.vocabulary
     policy = [report.policy.statement.members]
-    selected = [s.members for s in report.selected]
-    outputs = _members(task.language, task.output_mask)
+    # language order is canonical order, so the rows need no sort
+    selected = _members(lang, report.selection_mask)
+    outputs = _members(lang, task.output_mask)
     if mode == "text":
         braced = _braced(_NameTable(vocab, names))
         out = [

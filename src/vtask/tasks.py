@@ -216,13 +216,17 @@ def _mask_key(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
-def selection(pi: Statement, task: Task) -> frozenset[Statement]:
-    """The statements a policy selects from the inputs' extension:
-    E_inputs ∩ E_policy."""
-    if pi not in task.language:
+def _require_in_language(pi: Statement, lang: Language) -> None:
+    if pi not in lang:
         raise DomainError(
             f"policy with member mask {pi.members:#x} is not in the task's language"
         )
+
+
+def selection(pi: Statement, task: Task) -> frozenset[Statement]:
+    """The statements a policy selects from the inputs' extension:
+    E_inputs ∩ E_policy."""
+    _require_in_language(pi, task.language)
     return frozenset(y for y in task.input_extension if pi.issubset(y))
 
 
@@ -233,19 +237,33 @@ def is_correct_policy(pi: Policy, task: Task) -> bool:
 
 @dataclass(frozen=True)
 class PolicyCheckReport:
-    """Outcome of checking one policy against one task: the statements it
-    selects, in canonical order, and whether they are exactly the outputs."""
+    """Outcome of checking one policy against one task: the mask, over
+    language positions, of the statements it selects, and whether they are
+    exactly the outputs. ``selected`` is a view of them in canonical order,
+    built on first use."""
 
     task: Task
     policy: Policy
-    selected: tuple[Statement, ...]
+    selection_mask: int
     correct: bool
+
+    @cached_property
+    def selected(self) -> tuple[Statement, ...]:
+        return self.task.language.statements_of(self.selection_mask)
 
 
 def check_policy(task: Task, statement: Statement) -> PolicyCheckReport:
-    """Check the policy of one statement against the task."""
-    selected = tuple(sorted(selection(statement, task), key=statement_key))
-    return PolicyCheckReport(task, Policy(statement), selected, frozenset(selected) == task.outputs)
+    """Check the policy of one statement against the task.
+
+    The selection E_inputs ∩ E_policy is a mask over language positions:
+    the task's extension mask ANDed with the positions of the statements
+    that contain the policy, from :func:`_extension_flags`. The policy is
+    correct exactly when that mask is the output mask."""
+    lang = task.language
+    _require_in_language(statement, lang)
+    completions = flags_mask(_extension_flags([statement.members], lang))
+    selected = task.extension_mask & completions
+    return PolicyCheckReport(task, Policy(statement), selected, selected == task.output_mask)
 
 
 def max_policy_length_bound(task: Task) -> int:

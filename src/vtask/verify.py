@@ -29,11 +29,13 @@ from .core import (
     build_language,
     extension_of_set,
     extension_of_statement,
+    flags_mask,
 )
 from .errors import VTaskError
 from .tasks import (
     Policy,
     Task,
+    _extension_flags,
     find_correct_policies,
     max_policy_length_bound,
     validate_task,
@@ -121,6 +123,15 @@ def _random_vocabulary(rng: random.Random) -> Vocabulary:
     return Vocabulary(tuple(sorted(values)), StateSpace(n))
 
 
+def _drawn(draw: int, vocab: Vocabulary) -> str:
+    """Names one of the random languages, for a failing check's detail."""
+    bits = ", ".join(f"{b:#x}" for b in vocab.bits)
+    return (
+        f"random language {draw} of {RANDOM_VOCABULARY_COUNT} "
+        f"(vocabulary bits [{bits}] over {vocab.space.n_states} states)"
+    )
+
+
 def run_reference_checks(
     language_builder: Callable[[Vocabulary], Language] = build_language,
 ) -> VerifyReport:
@@ -138,10 +149,13 @@ def run_reference_checks(
     lang = task.language
 
     check("language-size", len(lang) == 16, f"|language| = {len(lang)}, expected 16")
+    empty_member = Statement(0) in lang
     check(
         "empty-statement-member",
-        Statement(0) in lang,
-        "the empty statement belongs to the language",
+        empty_member,
+        "the empty statement belongs to the language"
+        if empty_member
+        else "the empty statement is missing from the reference language",
     )
 
     ext_f1f2 = extension_of_statement(
@@ -219,28 +233,38 @@ def run_reference_checks(
         f"checked {result.checked} policies, found {len(result.correct)} correct",
     )
 
+    # the language-wide facts on masks: the empty statement holds position
+    # 0, and the kernel that gives E_I puts every position in its extension
     rng = random.Random(RANDOM_VOCABULARY_SEED)
-    empty_member = True
-    empty_extension_total = True
-    for _ in range(RANDOM_VOCABULARY_COUNT):
+    missing = uncovered = ""
+    for draw in range(1, RANDOM_VOCABULARY_COUNT + 1):
         vocab = _random_vocabulary(rng)
         sample = language_builder(vocab)
-        if Statement(0) not in sample:
-            empty_member = False
+        if sample._position(0) < 0:
+            missing = _drawn(draw, vocab)
             break
-        if extension_of_statement(Statement(0), sample) != sample.statement_set():
-            empty_extension_total = False
+        covered = flags_mask(_extension_flags([0], sample))
+        if covered != (1 << len(sample)) - 1:
+            uncovered = (
+                f"{covered.bit_count()} of the {len(sample)} statements of {_drawn(draw, vocab)}"
+            )
             break
     check(
         "empty-statement-universal",
-        empty_member,
-        f"empty statement present in {RANDOM_VOCABULARY_COUNT} random languages",
+        not missing,
+        f"empty statement missing from {missing}"
+        if missing
+        else f"empty statement present in {RANDOM_VOCABULARY_COUNT} random languages",
     )
-    check(
-        "empty-extension-is-language",
-        empty_member and empty_extension_total,
-        "empty statement's extension equals the language in "
-        f"{RANDOM_VOCABULARY_COUNT} random languages",
-    )
+    if missing:
+        detail = f"not checked past {missing}, which lacks the empty statement"
+    elif uncovered:
+        detail = f"empty statement's extension holds only {uncovered}"
+    else:
+        detail = (
+            "empty statement's extension equals the language in "
+            f"{RANDOM_VOCABULARY_COUNT} random languages"
+        )
+    check("empty-extension-is-language", not (missing or uncovered), detail)
 
     return VerifyReport(tuple(checks))

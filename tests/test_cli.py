@@ -132,6 +132,16 @@ def test_check_unknown_name():
     assert b"unknown program name" in result.stderr
 
 
+def test_check_policy_outside_the_language_exits_2(tmp_path):
+    # f and g share no state, so {f g} is not a statement
+    f = tmp_path / "disjoint.pvt"
+    f.write_text("states 2\nprogram f 10\nprogram g 01\nprogram h 11\ninput f\noutput f h\n")
+    result = run_cli("check", str(f), "--policy", "f,g")
+    assert result.returncode == 2
+    assert b"not in the task's language" in result.stderr
+    assert result.stdout == b""
+
+
 def test_check_conflicting_flags_rejected():
     result = run_cli("check", ALPHA, "--policy", "f1", "--empty")
     assert result.returncode == 2

@@ -57,9 +57,12 @@ def test_search_reach_smoke():
     result = run_script("search_reach.py", "--min-k", "10", "--max-k", "10", "--budget", "60")
     assert result.returncode == 0, result.stderr
     _, *rows, last = result.stdout.splitlines()
-    # k, statements and exit code of each of the four searches
-    assert [(row.split()[:2], row.split()[-1]) for row in rows] == [(["10", "1024"], "0")] * 4
+    # k, statements and exit code of each of the four searches, then of
+    # the check of {f1}, which is not correct
+    assert [(row.split()[:2], row.split()[-1]) for row in rows] == (
+        [(["10", "1024"], "0")] * 4 + [(["10", "1024"], "1")]
+    )
     assert last == (
         "largest k within 60 s: exhaustive text 10, exhaustive structured 10, "
-        "pruned text 10, pruned structured 10"
+        "pruned text 10, pruned structured 10, check --policy f1 10"
     )

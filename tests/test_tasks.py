@@ -22,6 +22,7 @@ from vtask.errors import CapacityError, DomainError, TaskValidationError
 from vtask.tasks import (
     Policy,
     SetPolicy,
+    check_policy,
     decompose_binary,
     find_correct_policies,
     find_correct_set_policies,
@@ -197,6 +198,8 @@ def test_empty_policy_selects_whole_input_extension(ref_task):
 def test_policy_outside_language_is_domain_error(tiny, ref_task):
     with pytest.raises(DomainError):
         selection(Statement(0b1000000), ref_task)
+    with pytest.raises(DomainError, match="not in the task's language"):
+        check_policy(ref_task, Statement(0b1000000))
 
 
 def test_exhaustive_search_on_reference(ref_task, ref_index):
@@ -340,6 +343,44 @@ def test_policy_search_matches_selection_oracle(seed, kind):
             assert (policy in correct) == (selected == task.outputs)
         assert all(is_correct_policy(p, task) for p in result.correct)
         assert list(result.correct) == [p for p in examined if p in correct]
+
+
+def _planted_task(rng: random.Random, lang: Language):
+    """A task over the language whose outputs are the selection of a
+    random planted policy, so that policy is correct."""
+    while True:
+        inputs = rng.sample(lang.masks, rng.randint(1, min(3, len(lang) - 1)))
+        extension = [y for y in lang.masks if any(x & y == x for x in inputs)]
+        planted = rng.choice(lang.masks)
+        outputs = [y for y in extension if planted & y == planted]
+        if 0 < len(outputs) < len(extension):
+            return validate_task(inputs, outputs, lang), Statement(planted)
+
+
+@pytest.mark.parametrize("k", [None, 7, 8, 15, 16], ids=["random", "k7", "k8", "k15", "k16"])
+def test_check_policy_matches_selection_oracle(k):
+    """``check_policy`` computes the selection as a mask over language
+    positions; the selected statements, in canonical order, and the
+    verdict must be those of the definitional ``selection``. The dense
+    languages cross the 1-, 2- and 4-byte fields of the packed kernel."""
+    rng = random.Random(25 if k is None else k)
+    verdicts = set()
+    for _ in range(30 if k is None else 2):
+        planted = EMPTY_STATEMENT
+        if k is None:
+            task = random_task(rng, max_states=6, max_vocab=6)
+        else:
+            task, planted = _planted_task(rng, _dense_language(k))
+        lang = task.language
+        policies = {EMPTY_STATEMENT, planted, *rng.sample(lang.statements, min(3, len(lang)))}
+        for pi in sorted(policies, key=statement_key):
+            report = check_policy(task, pi)
+            selected = selection(pi, task)
+            assert report.policy == Policy(pi)
+            assert report.selected == tuple(sorted(selected, key=statement_key))
+            assert report.correct == (selected == task.outputs) == is_correct_policy(Policy(pi), task)
+            verdicts.add(report.correct)
+    assert verdicts == {True, False}
 
 
 # -- set policies ------------------------------------------------------------
