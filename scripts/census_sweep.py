@@ -3,8 +3,10 @@
 
 Edit SWEEP to taste; every run is exact (no sampling). Up to five
 programs the totals are a sum over classes of languages, with or without
---dedup, whose cost does not grow with the states, so even 64/5, at the
-64-state cap, takes seconds. A point that hits an engineering cap prints
+--dedup, whose cost does not grow with the states. Each class is counted
+from its statements, by one memoized recursion over its up-sets and a
+closed form for the solvable tasks, so even 64/5, at the 64-state cap,
+takes a fraction of a second. A point that hits an engineering cap prints
 a row naming the cap. With --classification the census is
 restricted to tasks shaped like encoded classification problems.
 """

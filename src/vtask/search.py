@@ -21,13 +21,15 @@ holding the statements i ∪ {p} for each program p outside the inputs'
 feature union. So there are Π(2^|C_i| − 1) − [∪C_i = E_I] valid outputs,
 and the solvable ones are the distinct selections ``E_policy ∩ E_I`` that
 are valid outputs. E_I is the up-set U = up(I), shared by the
-2^(|U| − |min U|) inputs between min U and U (one fewer when U is the
-whole language, which is no input), so the census counts once per up-set
-of the language, 168 for the 16-statement language against 65,536 input
-masks, and admits languages of up to 32 statements, every language of
-five programs. The shape filter does not change which tasks are
-enumerated; its ``valid`` and ``solvable`` come from two closed forms over
-the statements (:func:`_shaped_counts`). Only exemplars walk the task
+2^(|U| − |min U|) inputs between min U and U, so the enumerated count is
+a sum over the up-sets of the language. One memoized recursion over
+position masks (:func:`_up_set_sum`) gives it without walking them: the
+268,899 up-sets of the 200 classes of 10/5 take 38,593 memo entries, and
+the 7,828,354 of the 64-statement language, all subsets of six programs,
+take 92,906. The unfiltered ``solvable`` is a closed form over pairs of
+statements (:func:`_solvable_count`), and under the shape filter
+``valid`` and ``solvable`` are two closed forms over the statements
+(:func:`_shaped_counts`). Only exemplars walk the task
 stream, and only until the limit is reached: its input walk holds one
 entry per statement however far it is drawn, and the shaped stream skips
 at once the inputs whose features cover every program, which leave every
@@ -46,21 +48,26 @@ permutations (Burnside's lemma over the class's automorphisms), and
 No vocabulary is walked for the totals, and the states enter only the
 weights, so full and dedup 64/5 take seconds.
 
-Two kinds of run still count by walking vocabularies: runs with
-``max_tasks``, whose limit marks a prefix of the vocabularies, and
-six-program runs (about 7.8·10^6 labeled complexes, too many to list).
-A ``time_budget`` only bounds a run. The sum checks it before each class,
+Two kinds of run still count by walking vocabularies: runs with a
+``max_tasks`` that may bind, whose limit marks a prefix of the
+vocabularies, and six-program runs (about 7.8·10^6 labeled complexes, too
+many to list). Without a time budget, a run of at most five programs with
+a task limit takes the class sum first, and reports it when its ``valid``
+is below the limit: the walk would count every vocabulary too. A
+``time_budget`` only bounds a run. The sum checks it before each class,
 and a sum cut short reports the empty prefix, with no vocabulary. The
 walk keys a memo by statement masks (:func:`vtask.core.statement_masks`),
 so it counts each distinct language once, over a ``Language`` built from
 its key. It checks the time budget and the task limit before each
 vocabulary, so a truncated report counts the whole languages of its first
 ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by one
-language's tasks. Only six-program runs
-walk untruncated. Three states hold at most C(8, 6) = 28 program
-combinations; from four states on the walk must meet six programs that
-share a state, whose language of 64 statements is over the up-set cap,
-so the run fails on that cap before it walks any vocabulary.
+language's tasks. Only six-program runs walk untruncated, and the
+32-statement census cap admits them only over three states, which hold
+at most C(8, 6) = 28 program combinations. From four states on the walk
+must meet six programs that share a state, whose language has 64
+statements, so the run fails on that cap before it walks any vocabulary.
+What the cap bounds is the walk's length, C(2^n, 6) vocabularies, not the
+count of one language.
 
 Every run takes its exemplars from one more walk in census order. It
 computes each vocabulary's statement masks once, as both memo key and
@@ -88,7 +95,6 @@ from .core import (
     Program,
     StateSpace,
     Vocabulary,
-    bit_flags,
     build_language,
     statement_masks,
 )
@@ -219,23 +225,30 @@ def _language_cap(lang: Language, cap: int, cap_name: str, why: str) -> None:
         )
 
 
-def _up_sets(ext: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Every up-set U of a language's statements under inclusion, with the
-    mask of its non-minimal members, given each statement's extension mask.
-    Statements are decided largest first, since extensions only ever hold
-    larger indices, and one may join U only when all of its strict
-    extensions are in U already."""
-    strict = [e & ~(1 << j) for j, e in enumerate(ext)]
-    # each entry leaves out every statement below j that it does not push
-    # an inclusion for, so it yields one up-set
-    stack = [(len(strict), 0, 0)]
-    while stack:
-        j, up, covered = stack.pop()
-        while j:
-            j -= 1
-            if not strict[j] & ~up:
-                stack.append((j, up | 1 << j, covered | strict[j]))
-        yield up, covered
+def _up_set_sum(ext: Sequence[int], q: int, weighted: int, memo: dict[int, int]) -> int:
+    """Σ over the up-sets U of the positions in the mask ``q`` of
+    2^(2·|U| − |min U|) when ``weighted`` is 1, or of 1 when it is 0,
+    given each statement's extension mask. Extensions only ever hold
+    larger positions, so the lowest position x of q is minimal in q. The
+    up-sets without x are those of q ∖ {x}; those with x hold ↑x ∩ q and an
+    up-set U' of q ∖ ↑x, with x the one minimal member that U' lacks.
+    ``memo`` maps masks to sums, for one language and one weight."""
+    if not q:
+        return 1
+    total = memo.get(q)
+    if total is None:
+        low = q & -q
+        up = ext[low.bit_length() - 1] & q
+        rest = _up_set_sum(ext, q ^ low, weighted, memo)
+        if up == low:
+            # x is maximal in q too, so q ∖ ↑x is q ∖ {x}
+            total = rest + (rest << weighted)
+        else:
+            total = rest + (
+                _up_set_sum(ext, q & ~up, weighted, memo) << weighted * (2 * up.bit_count() - 1)
+            )
+        memo[q] = total
+    return total
 
 
 def _output_blocks(members: tuple[int, ...], i_mask: int, ei: int, feature_union: int) -> list[int]:
@@ -398,7 +411,7 @@ def _shaped_counts(lang: Language) -> tuple[int, int]:
     the last term for the empty input set. A solvable output is the
     selection {i ∪ {p} : i ∈ I} of one program p ∉ W, which exists exactly
     when I is a nonempty up-set of the link of p: the statements m ∌ p with
-    m ∪ {p} a statement."""
+    m ∪ {p} a statement, whose up-sets :func:`_up_set_sum` counts."""
     members = lang.masks
     statements = set(members)
     programs = sum(1 << p for p in range(len(lang.vocabulary)) if 1 << p in statements)
@@ -418,43 +431,74 @@ def _shaped_counts(lang: Language) -> tuple[int, int]:
         for inner in (0, *_ascending_submasks(w)):
             exponent = sum((inside[inner] & link).bit_count() for link in outside)
             valid += (-1) ** (w ^ inner).bit_count() << exponent
-    solvable = 0
-    for link in links:
-        link_masks = tuple(itertools.compress(members, bit_flags(link)))
-        ext = Language.from_masks(lang.vocabulary, link_masks).extension_masks()
-        solvable += sum(1 for _ in _up_sets(ext)) - 1
+    # the empty up-set is no input; a link is empty outside V
+    memo: dict[int, int] = {}
+    ext = lang.extension_masks()
+    solvable = sum(_up_set_sum(ext, link, 0, memo) - 1 for link in links)
     return valid, solvable
+
+
+def _solvable_count(lang: Language) -> int:
+    """The language's solvable task count without the shape filter, from
+    its statements alone. Each distinct nonempty selection E_s ∩ E_I is the
+    selection of one closed statement, the intersection of its members. Let
+    C_s be the statements i with i ∪ s a statement, and N_s the rest. The
+    input sets I ⊆ L in which s is closed and selects something are counted
+    by inclusion–exclusion over the programs t ∖ s that every selected
+    statement t ⊇ s holds: I ∩ C_s must be a nonempty subset of
+    X_{s,t∖s} = ↑(t ∖ s) ∩ C_s. So there are
+
+        Σ_s [Σ_{t ⊇ s} (−1)^|t ∖ s| · (2^(|N_s| + |X_{s,t∖s}|) − 2^|N_s|) − 1] − (2^|L| − 2)
+
+    solvable tasks: the −1 drops I = L, which is no input, and the last
+    term the selection E_I of each input, which is no valid output."""
+    members = lang.masks
+    ext = lang.extension_masks()
+    size = len(ext)
+    position = {m: j for j, m in enumerate(members)}
+    # i ∪ s is a statement when some facet holds both: C_s is the union of
+    # the down-sets of the facets that hold s
+    facets = [
+        (f, sum(1 << j for j, m in enumerate(members) if not m & ~f))
+        for f, e in zip(members, ext) if not e & (e - 1)
+    ]
+    # a −1 per statement drops I = L
+    solvable = 2 - (1 << size) - size
+    for s, up in zip(members, ext):
+        closure = 0
+        for f, below in facets:
+            if not s & ~f:
+                closure |= below
+        outside = 1 << (size - closure.bit_count())
+        while up:
+            low = up & -up
+            up ^= low
+            extra = members[low.bit_length() - 1] ^ s
+            term = (outside << (ext[position[extra]] & closure).bit_count()) - outside
+            solvable += -term if extra.bit_count() & 1 else term
+    return solvable
 
 
 def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
     """Census of one language: its enumerated, valid and solvable task
-    counts, from closed-form counts per up-set of its statements, or for
-    ``valid`` and ``solvable`` under the shape filter from
-    :func:`_shaped_counts`. No input or output set is walked."""
+    counts, from its statements alone; no input set, output set or up-set
+    is walked. An input I has 2^|E_I| − 2 outputs, and E_I is the up-set
+    U = up(I) of the 2^(|U| − |min U|) sets I between min U and U, so
+    F(L) = Σ_{I ⊆ L} 2^|E_I| = Σ_U 2^(2·|U| − |min U|), the weighted
+    :func:`_up_set_sum`. Leaving out I = ∅ and I = L, there are
+    F(L) − 1 − 2^|L| − 2·(2^|L| − 2) = F(L) − 3·(2^|L| − 1) tasks.
+    ``solvable`` comes from :func:`_solvable_count`, or with ``valid``
+    under the shape filter from :func:`_shaped_counts`."""
     _language_cap(
         lang, CENSUS_UPSET_CAP, "census_upset_cap",
-        "the count walks the language's up-sets, whose number grows "
-        "doubly exponentially with the programs",
+        "six-program censuses walk every vocabulary, and the cap admits "
+        "them only over three states",
     )
-    # E_I depends only on U = up(I), and the inputs with up(I) = U are the
-    # sets between min U and U; I = L is not an input
-    ext = lang.extension_masks()
-    full = (1 << len(ext)) - 1
-    enumerated = solvable = 0
-    for up, covered in _up_sets(ext):
-        size = up.bit_count()
-        if size < 2:
-            continue
-        inputs = (1 << covered.bit_count()) - (up == full)
-        enumerated += inputs * ((1 << size) - 2)
-        if not spec.require_classification_shaped:
-            selections = {e & up for e in ext}
-            selections.discard(0)
-            selections.discard(up)
-            solvable += inputs * len(selections)
+    everything = (1 << len(lang)) - 1
+    enumerated = _up_set_sum(lang.extension_masks(), everything, 1, {}) - 3 * everything
     if spec.require_classification_shaped:
         return (enumerated, *_shaped_counts(lang))
-    return enumerated, enumerated, solvable
+    return enumerated, enumerated, _solvable_count(lang)
 
 
 def _census_classes(spec: SearchSpec, deadline: float | None) -> _Totals:
@@ -506,7 +550,7 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
     if spec.max_tasks is None and deadline is None:
         if 1 << (spec.n_states - 1) >= spec.vocab_size > COMPLEX_MAX_VERTICES:
             # the walk must meet six programs that share a state, whose
-            # language of all 64 subsets is over the up-set cap
+            # language of all 64 subsets is over the census cap
             shared = Vocabulary(tuple(range(1, 2 * spec.vocab_size, 2)), StateSpace(spec.n_states))
             _census_language(spec, build_language(shared))
     totals = _Totals()
@@ -533,8 +577,10 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
 
 def census(spec: SearchSpec) -> CensusReport:
     """Run the census in one process. A run of at most five programs
-    without ``max_tasks`` sums over the classes of complexes; the other
-    runs walk the vocabularies. A time budget only bounds either one.
+    sums over the classes of complexes. Six-program runs walk the
+    vocabularies, and so do runs with ``max_tasks`` that also have a time
+    budget, or whose class sum reaches the limit. A time budget only
+    bounds either one.
     The exemplars come from :func:`_exemplars`, which stops as soon as it
     holds them: a truncated run counted a prefix of the vocabularies, so
     its first unsolvable tasks all lie in that prefix, unless the deadline
@@ -542,10 +588,16 @@ def census(spec: SearchSpec) -> CensusReport:
     """
     start = time.monotonic()
     deadline = start + spec.time_budget if spec.time_budget is not None else None
-    if spec.max_tasks is None and spec.vocab_size <= COMPLEX_MAX_VERTICES:
-        totals = _census_classes(spec, deadline)
-    else:
+    if spec.vocab_size > COMPLEX_MAX_VERTICES or (
+        spec.max_tasks is not None and deadline is not None
+    ):
         totals = _census_walk(spec, deadline)
+    else:
+        totals = _census_classes(spec, deadline)
+        # at equality the walk may stop before a last vocabulary without
+        # a valid task, so only a sum below the limit is the walk's report
+        if spec.max_tasks is not None and totals.valid >= spec.max_tasks:
+            totals = _census_walk(spec, deadline)
     unsolvable = totals.valid - totals.solvable
     limit = min(spec.exemplar_limit, unsolvable)
     if limit > CENSUS_EXEMPLAR_CAP:

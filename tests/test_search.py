@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vtask import search
 from vtask.complexes import class_weights, complex_classes
 from vtask.core import (
+    Language,
     Program,
     StateSpace,
     Statement,
@@ -456,6 +457,8 @@ def test_exemplars_over_64_states_match_brute_force(dedup):
             10, 5, 25_423_344_703_205_948_690_674_206_212_386,
             3_479_481_419_542_778_324, 4_078_172_906_959_215,
         ),
+        # six programs: the walk over the 28 vocabularies of three states
+        (3, 6, 1_845_129_742_360_500_004, 7_136_198, 5_196),
     ],
 )
 def test_shaped_census_pinned(n_states, vocab_size, enumerated, valid, solvable):
@@ -474,6 +477,15 @@ def test_dedup_shaped_census_10_5_pinned():
     assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
         9_637_611, 3_218_406_963_737, 3_842_280_964,
     )
+
+
+def test_dedup_census_3_6_pinned():
+    report = census(SearchSpec(3, 6, dedup=True))
+    assert not report.truncated
+    assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
+        9, 615_042_742_424_638_916, 31_434_772_390,
+    )
+    assert report.tasks_enumerated == report.tasks_valid
 
 
 # -- census ------------------------------------------------------------------
@@ -665,6 +677,92 @@ def test_shaped_walk_builds_blocks_only_for_inputs_missing_a_program(monkeypatch
     assert calls == 0
 
 
+def _up_sets(ext):
+    """Every up-set U of a language's statements under inclusion, with the
+    mask of its non-minimal members, given each statement's extension mask.
+    Statements are decided largest first, since extensions only ever hold
+    larger indices, and one may join U only when all of its strict
+    extensions are in U already."""
+    strict = [e & ~(1 << j) for j, e in enumerate(ext)]
+    # each entry leaves out every statement below j that it does not push
+    # an inclusion for, so it yields one up-set
+    stack = [(len(strict), 0, 0)]
+    while stack:
+        j, up, covered = stack.pop()
+        while j:
+            j -= 1
+            if not strict[j] & ~up:
+                stack.append((j, up | 1 << j, covered | strict[j]))
+        yield up, covered
+
+
+def _up_set_walk_census(spec, lang):
+    """The enumerated and solvable counts of one language, one term per
+    up-set U of its statements: the inputs I with up(I) = U are the sets
+    between min U and U (I = L is no input), and without the filter the
+    solvable outputs are the distinct selections E_s ∩ U but ∅ and U. With
+    the filter, solvable counts the nonempty up-sets of each program's
+    link, each walked over a language of its own."""
+    ext = lang.extension_masks()
+    full = (1 << len(ext)) - 1
+    enumerated = solvable = 0
+    for up, covered in _up_sets(ext):
+        size = up.bit_count()
+        if size < 2:
+            continue
+        inputs = (1 << covered.bit_count()) - (up == full)
+        enumerated += inputs * ((1 << size) - 2)
+        if not spec.require_classification_shaped:
+            solvable += inputs * len({e & up for e in ext} - {0, up})
+    if spec.require_classification_shaped:
+        members = lang.masks
+        statements = set(members)
+        for p in range(len(lang.vocabulary)):
+            link = tuple(m for m in members if not m >> p & 1 and m | 1 << p in statements)
+            link_ext = Language.from_masks(lang.vocabulary, link).extension_masks()
+            solvable += sum(1 for _ in _up_sets(link_ext)) - 1
+    return enumerated, solvable
+
+
+def _oracle_languages():
+    """Every realizable class of at most five programs, and every 3/6
+    vocabulary: (its spec's state count, its program count, its language)."""
+    for k in range(6):
+        for cls in _realizable_classes(k):
+            yield cls.realization.space.n_states, k, build_language(cls.realization)
+    for vocab in enumerate_vocabularies(SearchSpec(3, 6)):
+        yield 3, 6, build_language(vocab)
+
+
+@pytest.mark.parametrize("shaped", [False, True])
+def test_census_counts_match_the_up_set_walk(shaped):
+    checked = 0
+    for n_states, k, lang in _oracle_languages():
+        spec = SearchSpec(n_states, k, require_classification_shaped=shaped)
+        enumerated, _, solvable = search._census_language(spec, lang)
+        assert (enumerated, solvable) == _up_set_walk_census(spec, lang)
+        checked += 1
+    assert checked == 238 + 28
+
+
+@pytest.mark.parametrize(
+    "k, dedekind", enumerate([2, 3, 6, 20, 168, 7_581, 7_828_354])
+)
+def test_up_set_count_gives_the_dedekind_numbers(k, dedekind):
+    # k programs that share a state have all 2^k subsets as statements, and
+    # the up-sets of that cube are the monotone Boolean functions of k
+    # variables (OEIS A000372)
+    vocab = Vocabulary.build(
+        [Program(b, 4) for b in range(1, 2 * k, 2)], StateSpace(4)
+    )
+    lang = build_language(vocab)
+    assert len(lang) == 1 << k
+    full = (1 << len(lang)) - 1
+    assert search._up_set_sum(lang.extension_masks(), full, 0, {}) == dedekind
+    if k <= 5:
+        assert sum(1 for _ in _up_sets(lang.extension_masks())) == dedekind
+
+
 def _five_program_vocabulary(n_statements):
     """Five programs over four states with a language of ``n_statements``:
     24, where states 0 and 1 each hold four programs, or 32, where state 0
@@ -787,7 +885,7 @@ def test_census_cap_errors_name_their_caps(monkeypatch):
         census(SearchSpec(n_states=3, vocab_size=3))
     assert (info.value.cap_name, info.value.cap_value) == ("census_upset_cap", 4)
     assert "4-statement census cap" in str(info.value)
-    assert "up-sets" in str(info.value)
+    assert "six-program censuses walk every vocabulary" in str(info.value)
 
 
 def test_census_vocab_size_zero_is_empty():
@@ -1111,28 +1209,72 @@ def test_six_programs_still_walk_vocabularies(monkeypatch):
     "limits", [{"dedup": True}, {"max_tasks": 10**9}, {"time_budget": 60.0}]
 )
 def test_dedup_and_truncatable_runs_walk_vocabularies(monkeypatch, limits):
-    # only a task limit walks vocabularies for the totals: the limit marks a
-    # prefix of the vocabularies, which only the walk finds. A dedup run
-    # walks them only for its exemplars, and a time budget bounds the class
-    # sum without choosing the walk
+    # only a task limit that binds walks vocabularies for the totals: the
+    # limit marks a prefix of the vocabularies, which only the walk finds,
+    # and the class sum shows that 10^9 is above every 3/3 total. A dedup
+    # run walks them only for its exemplars, and a time budget bounds the
+    # class sum without choosing the walk
     def wrong_way(*args):
         raise AssertionError("this run takes its totals the other way")
 
-    walks = "max_tasks" in limits
-    monkeypatch.setattr(search, "class_weights" if walks else "_census_walk", wrong_way)
+    monkeypatch.setattr(search, "_census_walk", wrong_way)
     report = census(SearchSpec(n_states=3, vocab_size=3, **limits))
     assert not report.truncated
     assert report.tasks_valid == (134_770 if "dedup" in limits else 509_154)
 
 
 def test_a_task_limit_truncates_the_walk(monkeypatch):
-    def no_sum(*args):
-        raise AssertionError("a run with a task limit walks vocabularies")
+    # the class sum reaches the limit, so the run walks vocabularies
+    walks = 0
+    original = search._census_walk
 
-    monkeypatch.setattr(search, "class_weights", no_sum)
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return original(*args)
+
+    monkeypatch.setattr(search, "_census_walk", counted)
     report = census(SearchSpec(n_states=3, vocab_size=3, max_tasks=1000))
+    assert walks == 1
     assert report.truncated
     assert report.tasks_valid < 509_154
+
+
+@pytest.mark.parametrize(
+    "n_states, vocab_size, flags",
+    [
+        (3, 3, {}),
+        (3, 3, {"require_classification_shaped": True}),
+        (3, 3, {"dedup": True}),
+        (4, 4, {"exemplar_limit": 10}),
+        (6, 4, {"dedup": True, "require_classification_shaped": True}),
+    ],
+)
+def test_a_task_limit_that_cannot_bind_changes_no_report(monkeypatch, n_states, vocab_size, flags):
+    # a limit above the class sum's valid total reports that sum, which
+    # is what the walk would count; a limit equal to it walks
+    unlimited = census(SearchSpec(n_states, vocab_size, **flags))
+    valid = unlimited.tasks_valid
+    if n_states < 6:
+        spec = SearchSpec(n_states, vocab_size, max_tasks=valid + 1, **flags)
+        totals = search._census_walk(spec, None)
+        assert (totals.truncated, totals.vocabularies, totals.valid, totals.solvable) == (
+            False, unlimited.vocabularies, valid, unlimited.tasks_solvable,
+        )
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "_census_walk", lambda *args: pytest.fail("walked"))
+        for limit in (valid + 1, 10**30):
+            spec = SearchSpec(n_states, vocab_size, max_tasks=limit, **flags)
+            report = census(spec)
+            assert dataclasses.replace(report, elapsed_seconds=0.0) == dataclasses.replace(
+                unlimited, spec=spec, elapsed_seconds=0.0
+            )
+    walked = []
+    monkeypatch.setattr(
+        search, "_census_walk", lambda *args: walked.append(args) or search._Totals()
+    )
+    census(SearchSpec(n_states, vocab_size, max_tasks=valid, **{**flags, "exemplar_limit": 0}))
+    assert len(walked) == 1
 
 
 def _no_walk(*args):
