@@ -217,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument(
         "--max-tasks",
         type=int,
-        help="stop before the next vocabulary once this many valid tasks are counted",
+        help="stop before the next vocabulary once this many valid tasks are "
+        "counted; a limit the run reaches, and any six-program run, walks one "
+        "vocabulary at a time with no other bound, so pass --time-budget too",
     )
     p_census.add_argument(
         "--time-budget",

@@ -61,13 +61,13 @@ so it counts each distinct language once, over a ``Language`` built from
 its key. It checks the time budget and the task limit before each
 vocabulary, so a truncated report counts the whole languages of its first
 ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by one
-language's tasks. Only six-program runs walk untruncated, and the
-32-statement census cap admits them only over three states, which hold
-at most C(8, 6) = 28 program combinations. From four states on the walk
-must meet six programs that share a state, whose language has 64
-statements, so the run fails on that cap before it walks any vocabulary.
-What the cap bounds is the walk's length, C(2^n, 6) vocabularies, not the
-count of one language.
+language's tasks. Only six-program runs walk untruncated, and nothing
+but the walk's length bounds them: C(2^n, 6) program combinations, which
+dedup walks too, to find each orbit's first. A run with neither limit
+fails before it walks when they exceed the 10,000-combination walk cap,
+which admits 8,008 at four states and refuses 906,192 at five. A task
+limit alone walks until the run's valid total reaches it, which may take
+indefinitely long; a time budget bounds any walk.
 
 Every run takes its exemplars from one more walk in census order. It
 computes each vocabulary's statement masks once, as both memo key and
@@ -103,7 +103,7 @@ from .tasks import Task, validate_task
 
 CENSUS_MAX_VOCAB = 6
 CENSUS_LANGUAGE_CAP = 16
-CENSUS_UPSET_CAP = 32
+CENSUS_WALK_CAP = 10_000
 CENSUS_EXEMPLAR_CAP = 100_000
 CANON_MAX_PROGRAMS = 8
 
@@ -119,7 +119,9 @@ class SearchSpec:
     checked before each vocabulary of a walk, so a truncated run counts
     whole languages, and the budget before each class of the class sum,
     which then reports no vocabulary, and before each vocabulary of the
-    exemplar walk. States are capped as in ``StateSpace``.
+    exemplar walk. ``max_tasks`` alone bounds no time: a six-program run,
+    or one whose limit binds, walks until it reaches the limit, so pass a
+    ``time_budget`` too. States are capped as in ``StateSpace``.
     """
 
     n_states: int
@@ -212,19 +214,6 @@ def enumerate_vocabularies(spec: SearchSpec) -> Iterator[Vocabulary]:
         yield Vocabulary(combo, space)
 
 
-def _language_cap(lang: Language, cap: int, cap_name: str, why: str) -> None:
-    """Raise a :class:`CapacityError` when the language exceeds ``cap``
-    statements."""
-    m = len(lang)
-    if m > cap:
-        raise CapacityError(
-            f"language of {m} statements exceeds the {cap}-statement census "
-            f"cap ({why}); reduce n_states or vocab_size",
-            cap_name=cap_name,
-            cap_value=cap,
-        )
-
-
 def _up_set_sum(ext: Sequence[int], q: int, weighted: int, memo: dict[int, int]) -> int:
     """Σ over the up-sets U of the positions in the mask ``q`` of
     2^(2·|U| − |min U|) when ``weighted`` is 1, or of 1 when it is 0,
@@ -315,10 +304,14 @@ def enumerate_task_masks(
     """The language's task stream: (input mask, output mask,
     input-extension mask) triples over language indices, one per valid
     task, in census order. Applies the spec's task filter when given."""
-    _language_cap(
-        lang, CENSUS_LANGUAGE_CAP, "census_language_cap",
-        "the stream walks 2^|language| input sets",
-    )
+    if len(lang) > CENSUS_LANGUAGE_CAP:
+        raise CapacityError(
+            f"language of {len(lang)} statements exceeds the {CENSUS_LANGUAGE_CAP}-statement "
+            "census cap (the stream walks 2^|language| input sets); reduce "
+            "n_states or vocab_size",
+            cap_name="census_language_cap",
+            cap_value=CENSUS_LANGUAGE_CAP,
+        )
     return _task_masks(lang, spec)
 
 
@@ -489,11 +482,6 @@ def _census_language(spec: SearchSpec, lang: Language) -> tuple[int, int, int]:
     F(L) − 1 − 2^|L| − 2·(2^|L| − 2) = F(L) − 3·(2^|L| − 1) tasks.
     ``solvable`` comes from :func:`_solvable_count`, or with ``valid``
     under the shape filter from :func:`_shaped_counts`."""
-    _language_cap(
-        lang, CENSUS_UPSET_CAP, "census_upset_cap",
-        "six-program censuses walk every vocabulary, and the cap admits "
-        "them only over three states",
-    )
     everything = (1 << len(lang)) - 1
     enumerated = _up_set_sum(lang.extension_masks(), everything, 1, {}) - 3 * everything
     if spec.require_classification_shaped:
@@ -547,12 +535,6 @@ def _exemplars(spec: SearchSpec, limit: int, deadline: float | None) -> list[Tas
 def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
     """Totals from the vocabulary walk, each distinct language counted once.
     The deadline and the task limit are checked before each vocabulary."""
-    if spec.max_tasks is None and deadline is None:
-        if 1 << (spec.n_states - 1) >= spec.vocab_size > COMPLEX_MAX_VERTICES:
-            # the walk must meet six programs that share a state, whose
-            # language of all 64 subsets is over the census cap
-            shared = Vocabulary(tuple(range(1, 2 * spec.vocab_size, 2)), StateSpace(spec.n_states))
-            _census_language(spec, build_language(shared))
     totals = _Totals()
     # keyed by statement masks; it lives for one call, so a later census
     # in the same process starts afresh
@@ -580,7 +562,8 @@ def census(spec: SearchSpec) -> CensusReport:
     sums over the classes of complexes. Six-program runs walk the
     vocabularies, and so do runs with ``max_tasks`` that also have a time
     budget, or whose class sum reaches the limit. A time budget only
-    bounds either one.
+    bounds either one. A walk with neither limit fails on the walk cap
+    when it has more than ``CENSUS_WALK_CAP`` program combinations.
     The exemplars come from :func:`_exemplars`, which stops as soon as it
     holds them: a truncated run counted a prefix of the vocabularies, so
     its first unsolvable tasks all lie in that prefix, unless the deadline
@@ -591,6 +574,16 @@ def census(spec: SearchSpec) -> CensusReport:
     if spec.vocab_size > COMPLEX_MAX_VERTICES or (
         spec.max_tasks is not None and deadline is not None
     ):
+        combinations = math.comb(1 << spec.n_states, spec.vocab_size)
+        if spec.max_tasks is None and deadline is None and combinations > CENSUS_WALK_CAP:
+            raise CapacityError(
+                f"an untruncated census walks all C(2^{spec.n_states}, {spec.vocab_size}), "
+                f"about {combinations:.3g}, program combinations, over the "
+                f"{CENSUS_WALK_CAP}-combination census walk cap; pass a time budget "
+                "to walk a prefix, or reduce n_states",
+                cap_name="census_walk_cap",
+                cap_value=CENSUS_WALK_CAP,
+            )
         totals = _census_walk(spec, deadline)
     else:
         totals = _census_classes(spec, deadline)

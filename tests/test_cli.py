@@ -369,9 +369,11 @@ def test_census_workers_flag_keeps_the_capacity_exit(monkeypatch, capsys):
     # --workers has no effect, so a run over a census cap exits 3 with two
     # workers as with one
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code = cli.main(["census", "--n-states", "4", "--vocab-size", "6", "--workers", "2"])
+    code = cli.main(["census", "--n-states", "5", "--vocab-size", "6", "--workers", "2"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("vtask: capacity:")
+    err = capsys.readouterr().err
+    assert err.startswith("vtask: capacity:")
+    assert "census walk cap" in err
 
 
 def test_census_cli_zero_budget_truncates():

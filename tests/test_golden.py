@@ -80,6 +80,8 @@ _CENSUS_EXTRA = {
     # a dedup counting walk cut after 25 of its 52 orbits
     "census-4-3-dedup-truncated": ["--n-states", "4", "--vocab-size", "3", "--dedup",
                                    "--max-tasks", "100000", "--exemplars", "20"],
+    # the six-program walk over all C(16, 6) = 8,008 combinations
+    "census-4-6": ["--n-states", "4", "--vocab-size", "6"],
     # an exemplar walk that meets languages already drawn
     "census-3-4-shaped-exemplars": ["--n-states", "3", "--vocab-size", "4",
                                     "--classification-shaped", "--exemplars", "200",
@@ -123,6 +125,7 @@ GOLDEN = {
     "census-4-3-plain": (0, "790b5f1a2177f656f40f20c55f0d611dd7a48705db76c72267a508ab3eeed2d2"),
     "census-4-3-shaped": (0, "59d51fa786fffae055be35f7a747cdca49fc2e15660a246339b3936f78e601a9"),
     "census-4-3-structured": (0, "f7b090fb4ea59c11e84568909c3b3713edc426bfefeadc98f91b05f3fce47c1c"),
+    "census-4-6": (0, "9fe5db9a9ed9ab6e8ef0afebada577004257f65d6ccc69f7ca4a198ab4345a34"),
     "census-5-2-time-budget-0": (0, "36ff1f3c5f6bc44fe8a8313cc76ab58bdb846b2b950037a1e2c18de7b64fa5c6"),
     "check-dense10-correct": (0, "69ab760e46d997612906753bce04318b1b38fff0af68e7410d5940688bd13f78"),
     "check-dense10-correct-structured": (0, "d4b185bc5c5370f21a14e34f50cfeca0f8bed3d9a2fd92d5e55aa37ed6336e39"),

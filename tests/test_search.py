@@ -488,6 +488,79 @@ def test_dedup_census_3_6_pinned():
     assert report.tasks_enumerated == report.tasks_valid
 
 
+def _program_set_orbits(n, k):
+    """Orbits of the k-sets of the 2^n programs over n states under state
+    permutations, by Burnside's lemma: a permutation fixes the k-sets that
+    are unions of its cycles on the programs, as many as the coefficient
+    of t^k in the product of (1 + t^|cycle|) over those cycles."""
+    fixed = 0
+    for perm in itertools.permutations(range(n)):
+        poly = [1] + [0] * k
+        seen = set()
+        for program in range(1 << n):
+            length = 0
+            while program not in seen:
+                seen.add(program)
+                program = _apply_perm(program, perm)
+                length += 1
+            if length:
+                for degree in range(k, length - 1, -1):
+                    poly[degree] += poly[degree - length]
+        fixed += poly[k]
+    return fixed // math.factorial(n)
+
+
+def test_program_set_orbits_match_the_dedup_stream():
+    for n_states, vocab_size in ((2, 2), (3, 3), (3, 6), (4, 2)):
+        spec = SearchSpec(n_states, vocab_size, dedup=True)
+        assert _program_set_orbits(n_states, vocab_size) == sum(
+            1 for _ in enumerate_vocabularies(spec)
+        )
+    assert _program_set_orbits(3, 6) == 9
+    assert _program_set_orbits(4, 6) == 477
+
+
+@pytest.mark.parametrize(
+    "flags, enumerated, valid, solvable",
+    [
+        ({}, 20_250_997_994_219_823_988_661_526_808_076_421_395_408,
+         20_250_997_994_219_823_988_661_526_808_076_421_395_408,
+         130_175_473_589_025_672_634_869),
+        ({"require_classification_shaped": True},
+         20_250_997_994_219_823_988_661_526_808_076_421_395_408,
+         10_857_122_105_738, 12_452_463),
+        ({"dedup": True}, 1_627_312_418_485_544_892_675_933_187_614_510_503_716,
+         1_627_312_418_485_544_892_675_933_187_614_510_503_716,
+         10_460_813_019_935_573_766_822),
+    ],
+    ids=["plain", "shaped", "dedup"],
+)
+def test_census_4_6_pinned(flags, enumerated, valid, solvable):
+    # the walk's C(16, 6) = 8,008 combinations are within the walk cap
+    report = census(SearchSpec(4, 6, **flags))
+    vocabularies = _program_set_orbits(4, 6) if flags.get("dedup") else math.comb(16, 6)
+    assert not report.truncated
+    assert len(report.exemplars) == 3
+    assert (
+        report.vocabularies, report.tasks_enumerated, report.tasks_valid, report.tasks_solvable
+    ) == (vocabularies, enumerated, valid, solvable)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_a_budgeted_six_program_run_walks_within_its_budget(dedup):
+    # no cap refuses a walk that a budget bounds: 10/6 has about 1.6·10^15
+    # combinations, and the run reports the prefix its budget walked. The
+    # dedup walk checks the budget only at each orbit's first combination,
+    # so only the plain walk is held to the budget
+    start = time.monotonic()
+    report = census(SearchSpec(10, 6, dedup=dedup, time_budget=0.5))
+    elapsed = time.monotonic() - start
+    assert report.truncated
+    assert report.vocabularies > 0
+    if not dedup:
+        assert elapsed < 1.5
+
+
 # -- census ------------------------------------------------------------------
 
 
@@ -512,7 +585,7 @@ def test_full_census_4_4_pinned():
 
 def test_full_census_4_5_pinned():
     # five-program languages have up to 32 statements: past the input walk's
-    # 16-statement cap, within the up-set count's 32
+    # 16-statement cap, which the count does not take
     report = census(SearchSpec(n_states=4, vocab_size=5))
     assert not report.truncated
     assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
@@ -880,12 +953,17 @@ def test_exemplar_walk_past_the_input_walk_cap_stops_when_filled(monkeypatch):
 
 
 def test_census_cap_errors_name_their_caps(monkeypatch):
-    monkeypatch.setattr(search, "CENSUS_UPSET_CAP", 4)
+    # 3/6 walks C(8, 6) = 28 combinations, one more than the patched cap
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 27)
     with pytest.raises(CapacityError) as info:
-        census(SearchSpec(n_states=3, vocab_size=3))
-    assert (info.value.cap_name, info.value.cap_value) == ("census_upset_cap", 4)
-    assert "4-statement census cap" in str(info.value)
-    assert "six-program censuses walk every vocabulary" in str(info.value)
+        census(SearchSpec(n_states=3, vocab_size=6))
+    assert (info.value.cap_name, info.value.cap_value) == ("census_walk_cap", 27)
+    assert "C(2^3, 6), about 28, program combinations" in str(info.value)
+    assert "27-combination census walk cap" in str(info.value)
+    assert "pass a time budget to walk a prefix" in str(info.value)
+    # a walk of exactly the cap is admitted
+    monkeypatch.setattr(search, "CENSUS_WALK_CAP", 28)
+    assert census(SearchSpec(n_states=3, vocab_size=6)).vocabularies == 28
 
 
 def test_census_vocab_size_zero_is_empty():
@@ -976,28 +1054,24 @@ def test_census_truncates_between_vocabularies(kind, exemplar_limit):
     assert report.exemplars == tuple(unsolvable[:exemplar_limit])
 
 
-def test_six_program_runs_over_a_statement_cap_fail_before_walking(monkeypatch):
-    # from four states on, six programs can share a state, and their
-    # language of all 64 subsets is over the up-set cap
+def test_six_program_runs_over_the_walk_cap_fail_before_walking(monkeypatch):
+    # from five states on, C(2^n, 6) is over the walk cap: 906,192 at five
     def no_walk(spec):
         raise AssertionError("a capped census walks no vocabulary")
 
-    caps = {
-        "full": ("census_upset_cap", search.CENSUS_UPSET_CAP),
-        "dedup": ("census_upset_cap", search.CENSUS_UPSET_CAP),
-        "shaped": ("census_upset_cap", search.CENSUS_UPSET_CAP),
-    }
-    flags = {"full": {}, "dedup": {"dedup": True}, "shaped": {"require_classification_shaped": True}}
+    cap = ("census_walk_cap", search.CENSUS_WALK_CAP)
+    flags = ({}, {"dedup": True}, {"require_classification_shaped": True})
     with monkeypatch.context() as patched:
         patched.setattr(search, "enumerate_vocabularies", no_walk)
-        for n_states in [*range(4, 11), 64]:
-            for mode, cap in caps.items():
+        for n_states in [*range(5, 11), 64]:
+            for mode in flags:
                 with pytest.raises(CapacityError) as info:
-                    census(SearchSpec(n_states, 6, **flags[mode]))
+                    census(SearchSpec(n_states, 6, **mode))
                 assert (info.value.cap_name, info.value.cap_value) == cap
-    # three states hold at most four programs each, so 3/6 still walks its
-    # C(8, 6) = 28 combinations, the complements of the program pairs, and
-    # with dedup the complements of the nine orbits of pairs
+    # 3/6 walks its C(8, 6) = 28 combinations, the complements of the
+    # program pairs, and with dedup the complements of the nine orbits of
+    # pairs; 4/6, which walks 8,008, is pinned below
+    assert math.comb(2**4, 6) <= search.CENSUS_WALK_CAP < math.comb(2**5, 6)
     assert census(SearchSpec(3, 6)).vocabularies == 28
     assert census(SearchSpec(3, 6, dedup=True)).vocabularies == 9
 
@@ -1006,15 +1080,15 @@ def test_untruncated_walk_over_the_cap_fails_before_walking(monkeypatch):
     def no_walk(spec):
         raise AssertionError("a capped census walks no vocabulary")
 
-    upset = ("census_upset_cap", search.CENSUS_UPSET_CAP)
+    cap = ("census_walk_cap", search.CENSUS_WALK_CAP)
     with monkeypatch.context() as patched:
         patched.setattr(search, "enumerate_vocabularies", no_walk)
         for spec in (SearchSpec(10, 6), SearchSpec(5, 6, dedup=True)):
             with pytest.raises(CapacityError) as info:
                 census(spec)
-            assert (info.value.cap_name, info.value.cap_value) == upset
+            assert (info.value.cap_name, info.value.cap_value) == cap
     # a walk with a task limit or a budget may stop early, so it is not
-    # probed; the same runs walk a prefix that ends before any vocabulary
+    # capped; the same runs walk a prefix that ends before any vocabulary
     for spec in (
         SearchSpec(10, 6, max_tasks=0),
         SearchSpec(10, 6, time_budget=0.0),
@@ -1344,19 +1418,6 @@ def test_exemplar_cap_fires_before_the_walk(monkeypatch):
     assert (info.value.cap_name, info.value.cap_value) == ("census_exemplar_cap", 100_000)
     report = census(SearchSpec(n_states=2, vocab_size=2, exemplar_limit=10**19))
     assert len(report.exemplars) == report.tasks_unsolvable == 189
-
-
-def test_a_budgeted_sum_meets_its_cap(monkeypatch):
-    # the 3/5 classes include languages of more than 16 statements, so a
-    # budgeted sum under a 16-statement cap exits on it
-    monkeypatch.setattr(search, "_census_walk", _no_walk)
-    monkeypatch.setattr(search, "CENSUS_UPSET_CAP", 16)
-    spec = SearchSpec(
-        n_states=3, vocab_size=5, require_classification_shaped=True, time_budget=60.0
-    )
-    with pytest.raises(CapacityError) as info:
-        census(spec)
-    assert (info.value.cap_name, info.value.cap_value) == ("census_upset_cap", 16)
 
 
 def test_reference_vocabulary_census_has_unsolvable_tasks():
