@@ -928,6 +928,29 @@ def test_task_streams_pinned():
     assert digest.hexdigest() == "004dbea6a2de9432b5077cab0e997169d0cf6b18e097f253cb2cbc38c8fc7df7"
 
 
+def test_task_streams_past_16_statements_pinned():
+    # as above, the first 1,000 triples of each stream of every realizable
+    # class with 13 to 32 statements, then of the 64-statement language of
+    # six programs that share a state
+    languages = []
+    for k in range(6):
+        for cls in _realizable_classes(k):
+            lang = build_language(cls.realization)
+            if 13 <= len(lang) <= 32:
+                languages.append((lang, cls.realization.space.n_states, k))
+    vocab = Vocabulary.build([Program(b, 4) for b in range(1, 12, 2)], StateSpace(4))
+    languages.append((build_language(vocab), 4, 6))
+    assert len(languages) == 156 and len(languages[-1][0]) == 64
+    digest = hashlib.sha256()
+    for lang, n_states, k in languages:
+        for shaped in (False, True):
+            spec = SearchSpec(n_states, k, require_classification_shaped=shaped)
+            for triple in itertools.islice(search._task_masks(lang, spec), 1000):
+                digest.update(b"%d %d %d\n" % triple)
+            digest.update(b"\n")
+    assert digest.hexdigest() == "17bb6f90a79056a6d54302210dd9cdc7b0a0abbc91983a68e18f5468a03e4669"
+
+
 def test_exemplar_walk_past_the_input_walk_cap_stops_when_filled(monkeypatch):
     drawn = 0
     original = search._inputs
