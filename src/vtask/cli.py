@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -232,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="no effect: the census runs in one process; accepted, at most "
-        "the number of CPUs, so that existing command lines keep working",
+        help="accepted and ignored: the census runs in one process; kept so "
+        "that existing command lines keep working",
     )
     p_census.add_argument(
         "--exemplars",
@@ -262,14 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_census_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject out-of-range census arguments as usage errors, before the
-    library sees them, and worker counts above the machine's CPUs."""
-    cpus = os.cpu_count() or 1
+    library sees them."""
     if args.n_states < 1:
         parser.error("--n-states must be at least 1")
     if args.vocab_size < 0:
         parser.error("--vocab-size must be nonnegative")
-    if not 1 <= args.workers <= cpus:
-        parser.error(f"--workers must be between 1 and {cpus}, the number of CPUs")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     if args.exemplars < 0:
         parser.error("--exemplars must be nonnegative")
     if args.max_tasks is not None and args.max_tasks < 0:

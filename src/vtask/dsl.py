@@ -49,7 +49,6 @@ from .tasks import (
     SEARCH_MODES,
     PolicyCheckReport,
     PolicySearchResult,
-    SetPolicy,
     Task,
     validate_task,
 )
@@ -674,8 +673,9 @@ def _members(lang: Language, mask: int) -> list[int]:
     return list(compress(lang.masks, bit_flags(mask)))
 
 
-def _statement_masks(policy: SetPolicy) -> list[int]:
-    return [s.members for s in policy.sorted_statements()]
+def _set_policy_masks(report: PolicySearchResult) -> list[list[int]]:
+    """The member masks of each correct set policy, in canonical order."""
+    return [[s.members for s in p.sorted_statements()] for p in report.correct]
 
 
 def _to_bytes(pieces: list[str]) -> bytes:
@@ -784,12 +784,15 @@ def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> byt
         counts = report.counts
         out += braced(lang.masks[: len(counts)], "\n  ", counts, ": {}")
         return _to_bytes(out)
-    for p in report.correct:
-        out += ["\n  [", *_listed(braced(_statement_masks(p))), "]"]
-    if report.per_policy_selection_counts:
+    rows = [_listed(braced(masks)) for masks in _set_policy_masks(report)]
+    for row in rows:
+        out += ["\n  [", *row, "]"]
+    if rows:
+        # every correct set policy selects exactly the outputs
         out.append("\nselection counts:")
-        for p, n in report.per_policy_selection_counts.items():
-            out += ["\n  [", *_listed(braced(_statement_masks(p))), f"]: {n}"]
+        selected = f"]: {task.output_mask.bit_count()}"
+        for row in rows:
+            out += ["\n  [", *row, selected]
     return _to_bytes(out)
 
 
@@ -806,16 +809,19 @@ def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) 
         correct = statements([p.statement.members for p in report.correct])
         rows = _selection_rows_json(table, lang.masks, report.counts)
     else:
+        policies = _set_policy_masks(report)
         members = _json_statements(table, _LINE[3])
         correct = [
             piece
-            for p in report.correct
-            for piece in ("," + _LINE[2], *_json_list(members(_statement_masks(p)), _LINE[2]))
+            for masks in policies
+            for piece in ("," + _LINE[2], *_json_list(members(masks), _LINE[2]))
         ]
         policy = _json_statements(table, _LINE[4])
+        # every correct set policy selects exactly the outputs
+        selected = task.output_mask.bit_count()
         rows = [
-            {"policy": _json_list(policy(_statement_masks(p)), _LINE[3]), "selected": n}
-            for p, n in report.per_policy_selection_counts.items()
+            {"policy": _json_list(policy(masks), _LINE[3]), "selected": selected}
+            for masks in policies
         ]
     tree = {
         "inputs": _json_list(statements(_members(lang, task.input_mask)), _LINE[1]),

@@ -2,16 +2,17 @@
 which tasks admit correct policies.
 
 The task space is doubly exponential (subsets of a language of subsets),
-so everything here is capped and the caps fail loudly. A census covers
-every vocabulary of a given size, every nonempty proper subset of each
-language as inputs, and every nonempty proper subset of the input
+so every walk here is lazy or capped, and the caps fail loudly. A census
+covers every vocabulary of a given size, every nonempty proper subset of
+each language as inputs, and every nonempty proper subset of the input
 extension as outputs, in a fixed order:
 
     vocabulary ordinal asc, then input mask asc, then output mask asc,
 
 where masks index the language's canonical statement order. A ``Task``
 holds three such masks, and :func:`enumerate_task_masks` is a language's
-one stream of them. "First" always means first in this order.
+one stream of them, drawn lazily and with no cap on the language's size.
+"First" always means first in this order.
 
 Counting walks no output set, and the census no input set. Fix the
 inputs I, with input extension E_I. The valid outputs are the sets inside
@@ -102,7 +103,6 @@ from .errors import CapacityError, DomainError
 from .tasks import Task, validate_task
 
 CENSUS_MAX_VOCAB = 6
-CENSUS_LANGUAGE_CAP = 16
 CENSUS_WALK_CAP = 10_000
 CENSUS_EXEMPLAR_CAP = 100_000
 CANON_MAX_PROGRAMS = 8
@@ -303,23 +303,9 @@ def enumerate_task_masks(
 ) -> Iterator[tuple[int, int, int]]:
     """The language's task stream: (input mask, output mask,
     input-extension mask) triples over language indices, one per valid
-    task, in census order. Applies the spec's task filter when given."""
-    if len(lang) > CENSUS_LANGUAGE_CAP:
-        raise CapacityError(
-            f"language of {len(lang)} statements exceeds the {CENSUS_LANGUAGE_CAP}-statement "
-            "census cap (the stream walks 2^|language| input sets); reduce "
-            "n_states or vocab_size",
-            cap_name="census_language_cap",
-            cap_value=CENSUS_LANGUAGE_CAP,
-        )
-    return _task_masks(lang, spec)
-
-
-def _task_masks(
-    lang: Language, spec: SearchSpec | None
-) -> Iterator[tuple[int, int, int]]:
-    """:func:`enumerate_task_masks` without its cap, for walks that stop
-    early. A plain input has the one block E_I."""
+    task, in census order, filtered by the spec when given (a plain input
+    has the one block E_I). The stream is lazy and takes no cap: its input
+    walk holds one entry per statement however far it is drawn."""
     shaped = spec is not None and spec.require_classification_shaped
     members = lang.masks
     programs = 0
@@ -386,7 +372,7 @@ def _unsolvable_triples(
     stops when the limit fills, however large the language."""
     ext = lang.extension_masks()
     unsolvable = (
-        (i_mask, o_mask, ei) for i_mask, o_mask, ei in _task_masks(lang, spec)
+        (i_mask, o_mask, ei) for i_mask, o_mask, ei in enumerate_task_masks(lang, spec)
         if all(e & ei != o_mask for e in ext)
     )
     return list(itertools.islice(unsolvable, limit))

@@ -81,8 +81,8 @@ def test_six_positions_are_capped():
 @pytest.mark.parametrize("k", range(6))
 def test_weights_sum_to_the_ordered_vocabularies(k):
     # class_weights has no state cap, so the count of maps that use every
-    # facet is checked past the census's ten states too
-    for n_states in (*range(1, 11), 11, 16, 32, 64):
+    # facet is checked past the census's 64 states too, up to 4,096
+    for n_states in (*range(1, 11), 11, 16, 32, 64, 1000, 4096):
         total = sum(weight for _, weight in class_weights(n_states, k))
         assert total == math.factorial(k) * math.comb(1 << n_states, k)
 

@@ -175,6 +175,15 @@ def _dedup_pairs(n):
     return (math.comb(n + 3, 3) - (n + 1) + fixed) // 2
 
 
+@pytest.mark.parametrize("n_states", [1000, 4096])
+def test_dedup_weights_past_the_state_cap_match_closed_forms(n_states):
+    # class_weights takes no state cap; its dedup weights sum to k! times
+    # the orbits
+    assert sum(weight for _, weight in class_weights(n_states, 1, dedup=True)) == n_states + 1
+    two = sum(weight for _, weight in class_weights(n_states, 2, dedup=True))
+    assert two == 2 * _dedup_pairs(n_states)
+
+
 @pytest.mark.parametrize("n_states", [11, 32, 64])
 def test_dedup_orbits_past_ten_states_match_closed_forms(n_states):
     one = census(SearchSpec(n_states, 1, dedup=True, exemplar_limit=0))
@@ -282,16 +291,16 @@ def test_enumerate_task_masks_order_is_ascending():
     assert len(triples) == len(set((i, o) for i, o, _ in triples))
 
 
-def test_enumerate_tasks_language_cap():
+def test_enumerate_tasks_draws_past_16_statements():
     vocab = Vocabulary.build(
         [Program(0b10000 | (1 << i), 5) for i in range(4)] + [Program(0b10000, 5)],
         StateSpace(5),
     )
-    # the first draw raises: with the cap gone, it would yield the first of
-    # the 32-statement language's tasks instead
-    with pytest.raises(CapacityError) as info:
-        next(enumerate_tasks(vocab))
-    assert info.value.cap_name == "census_language_cap"
+    # all 32 subsets of the five programs, which share state 4: the first
+    # task has the empty statement as input and as output
+    lang = build_language(vocab)
+    assert len(lang) == 32
+    assert next(enumerate_tasks(vocab)) == Task(lang, 1, 1, 2**32 - 1)
 
 
 def test_stream_contains_reference_task():
@@ -584,8 +593,8 @@ def test_full_census_4_4_pinned():
 
 
 def test_full_census_4_5_pinned():
-    # five-program languages have up to 32 statements: past the input walk's
-    # 16-statement cap, which the count does not take
+    # five-program languages have up to 32 statements, and the count walks
+    # no input set of them
     report = census(SearchSpec(n_states=4, vocab_size=5))
     assert not report.truncated
     assert (report.vocabularies, report.tasks_valid, report.tasks_solvable) == (
@@ -945,7 +954,7 @@ def test_task_streams_past_16_statements_pinned():
     for lang, n_states, k in languages:
         for shaped in (False, True):
             spec = SearchSpec(n_states, k, require_classification_shaped=shaped)
-            for triple in itertools.islice(search._task_masks(lang, spec), 1000):
+            for triple in itertools.islice(enumerate_task_masks(lang, spec), 1000):
                 digest.update(b"%d %d %d\n" % triple)
             digest.update(b"\n")
     assert digest.hexdigest() == "17bb6f90a79056a6d54302210dd9cdc7b0a0abbc91983a68e18f5468a03e4669"
