@@ -349,14 +349,15 @@ def test_census_infinite_time_budget_is_a_usage_error(budget, capsys):
     assert out == "" and "--time-budget" in err
 
 
-def test_census_workers_ignore_the_cpu_count(monkeypatch, capsys):
-    # --workers has no effect, so two workers on one CPU print the run
-    # without the flag
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+@pytest.mark.parametrize("cpus", [3, None])
+def test_census_workers_ignore_the_cpu_count(cpus, monkeypatch, capsys):
+    # --workers has no effect, so more workers than CPUs (one CPU when the
+    # count is unknown) print the run without the flag
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     argv = ["census", "--n-states", "5", "--vocab-size", "3"]
     assert cli.main(argv) == 0
     alone = capsys.readouterr().out
-    assert cli.main([*argv, "--workers", "2"]) == 0
+    assert cli.main([*argv, "--workers", str((cpus or 1) + 1)]) == 0
     assert capsys.readouterr().out == alone
 
 
