@@ -10,6 +10,7 @@ To re-pin after a deliberate output change, run
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -165,6 +166,120 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_digest(name):
     assert _run(COMMANDS[name]) == GOLDEN[name]
+
+
+# --- many-output task files --------------------------------------------------
+#
+# Generated files whose outputs run to thousands of lines: planted dense
+# tasks, whose outputs are every completion of {f1 f2 f3}, and seeded
+# random tasks over eight states, whose outputs are every completion of a
+# planted policy of one to three programs in the inputs' extension. The
+# lines list their names in shuffled order, some twice, some lines repeat,
+# and comments, labels and CRLF line ends appear. A few files are invalid,
+# so their diagnostics are pinned too. One SHA-256 covers each command's exit
+# code, stdout and stderr.
+
+
+def _language(n_states: int, bits: list[int]) -> list[int]:
+    """Member masks of every subset of programs that share a state."""
+    inter = [(1 << n_states) - 1]
+    for b in bits:
+        inter += [value & b for value in inter]
+    return [m for m, value in enumerate(inter) if value]
+
+
+def _many_output_file(rng, n_states, programs, inputs, outputs, newline="\n") -> str:
+    names = [name for name, _ in programs]
+
+    def line(keyword, mask):
+        members = [names[i] for i in range(len(names)) if mask >> i & 1]
+        members += rng.sample(members, rng.randint(0, min(2, len(members))))
+        rng.shuffle(members)
+        return f"{keyword} " + " ".join(members) + rng.choice(["", "  # note"])
+
+    lines = [f"# generated task file\nstates {n_states}"]
+    # the last program is declared as a label, which I/O lines may name too
+    lines += [
+        f"{'label' if i == len(programs) - 1 else 'program'} {name} "
+        + "".join(str(bits >> s & 1) for s in range(n_states))
+        for i, (name, bits) in enumerate(programs)
+    ]
+    body = [line("input", m) for m in inputs] + [line("output", m) for m in outputs]
+    body += rng.sample(body, 3)
+    rng.shuffle(body)
+    return newline.join(lines + body) + newline
+
+
+def _many_output_files() -> dict[str, tuple[str, str]]:
+    """label -> (file text, a program set that is a correct policy)."""
+    rng = random.Random(29)
+    files = {}
+    for k in range(9, 15):
+        n = k + 1
+        programs = [(f"f{i}", ((1 << n) - 1) & ~(1 << (i - 1))) for i in range(1, k + 1)]
+        outputs = [0b111 | rest << 3 for rest in range(1 << (k - 3))]
+        text = _many_output_file(rng, n, programs, [0b1, 0b10], outputs, "\r\n" if k % 2 else "\n")
+        files[f"dense{k}"] = text, "f1,f2,f3"
+    while len(files) < 10:
+        k = rng.randint(9, 12)
+        # programs true in about 70% of the states share many states
+        values = {sum(1 << s for s in range(8) if rng.random() < 0.7) for _ in range(k)}
+        if 0 in values or len(values) < k:
+            continue
+        bits = sorted(values)
+        rng.shuffle(bits)
+        lang = _language(8, bits)
+        a, b = rng.sample(range(k), 2)
+        extension = [y for y in lang if y >> a & 1 or y >> b & 1]
+        size = rng.randint(1, 3)
+        candidates = [p for p in extension if p >> a & 1 and p.bit_count() == size]
+        if not candidates:
+            continue
+        policy = rng.choice(candidates)
+        outputs = [y for y in extension if y & policy == policy]
+        if len(outputs) in (1, len(extension)):
+            continue
+        programs = [(f"p{i}", v) for i, v in zip(rng.sample(range(10, 100), k), bits)]
+        text = _many_output_file(rng, 8, programs, [1 << a, 1 << b], outputs)
+        members = ",".join(programs[i][0] for i in range(k) if policy >> i & 1)
+        files[f"random{len(files)}"] = text, members
+    # invalid files: an undeclared name, an invalid name, and an output
+    # outside the inputs' extension
+    dense, _ = files["dense10"]
+    files["undeclared"] = dense.replace("output f1", "output f1 nope", 2), "f1"
+    files["invalid-name"] = dense.replace("output f2", "output f2 9x", 1), "f1"
+    files["outside"] = dense + "output f5\n", "f1"
+    return files
+
+
+def _many_output_commands(path: str, policy: str) -> dict[str, list[str]]:
+    commands = {
+        f"search-{mode}{suffix}": ["search", path, "--mode", mode, *extra]
+        for mode in ("exhaustive", "pruned")
+        for suffix, extra in (("", []), ("-structured", ["--structured"]))
+    }
+    commands["lang"] = ["lang", path]
+    commands["check"] = ["check", path, "--policy", policy]
+    commands["check-f1-structured"] = ["check", path, "--policy", policy.split(",")[0],
+                                       "--structured"]
+    return commands
+
+
+def test_many_output_files_match_pinned_digest(tmp_path):
+    digest = hashlib.sha256()
+    for label, (text, policy) in sorted(_many_output_files().items()):
+        path = tmp_path / f"{label}.pvt"
+        path.write_bytes(text.encode())
+        for name, argv in _many_output_commands(str(path), policy).items():
+            buffer = io.BytesIO()
+            stdout, stderr = io.TextIOWrapper(buffer), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            stdout.flush()
+            digest.update(f"{label} {name} {code}\n".encode())
+            digest.update(buffer.getvalue())
+            digest.update(stderr.getvalue().encode())
+    assert digest.hexdigest() == "3495f56e4a8cc1134874df634eb502bb2a7cca9078fc3aadc77ef6c1eb4eb06c"
 
 
 if __name__ == "__main__":
