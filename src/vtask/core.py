@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -253,15 +253,26 @@ class Language:
         """The statements as objects, in language order."""
         return tuple(map(Statement, self.masks))
 
+    @cached_property
+    def _run_starts(self) -> tuple[int, ...]:
+        """The position where the run of masks with each member count
+        starts, for counts 0 to the vocabulary size, then the language's
+        length."""
+        masks = self.masks
+        starts = [bisect_left(masks, c, key=int.bit_count) for c in range(len(self.vocabulary) + 1)]
+        return (*starts, len(masks))
+
     def _position(self, mask: int) -> int:
         """The language position of the statement with this member mask,
-        or -1 when it is not one: bisections find the run of masks with
-        its member count, then the mask among them."""
+        or -1 when it is not one: one bisection finds the mask in the run
+        of masks with its member count."""
         masks = self.masks
+        starts = self._run_starts
         count = mask.bit_count()
-        start = bisect_left(masks, count, key=int.bit_count)
-        end = bisect_right(masks, count, start, key=int.bit_count)
-        j = bisect_left(masks, mask, start, end)
+        if count >= len(starts) - 1:
+            return -1
+        end = starts[count + 1]
+        j = bisect_left(masks, mask, starts[count], end)
         return j if j < end and masks[j] == mask else -1
 
     def index_of(self, statement: Statement) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -79,13 +80,19 @@ def parse_program_literal(text: str, space: StateSpace) -> Program:
 
 @dataclass(frozen=True)
 class TaskDocument:
-    """Normalized contents of a task file."""
+    """Normalized contents of a task file.
+
+    Each input and output line is held as its member mask: bit i stands
+    for ``names[i]``, the declared programs and labels in the order of the
+    vocabulary :func:`realize_document` builds of them (ascending program).
+    ``input_masks`` and ``output_masks`` are sorted and distinct. The name
+    tuples ``inputs`` and ``outputs`` are built on first use."""
 
     n_states: int
     programs: tuple[tuple[str, Program], ...]
     labels: tuple[tuple[str, Program], ...]
-    inputs: tuple[tuple[str, ...], ...]
-    outputs: tuple[tuple[str, ...], ...]
+    input_masks: tuple[int, ...]
+    output_masks: tuple[int, ...]
     examples: tuple[tuple[tuple[str, ...], str], ...]
 
     @classmethod
@@ -98,12 +105,38 @@ class TaskDocument:
         outputs: Iterable[Iterable[str]] = (),
         examples: Iterable[tuple[Iterable[str], str]] = (),
     ) -> "TaskDocument":
+        """The document of these declarations and lines; every name an
+        input or output line holds must be declared."""
+        programs = tuple(programs)
+        labels = tuple(labels)
+        bit = _member_bits(programs + labels)
+        return cls._normalized(
+            n_states,
+            programs,
+            labels,
+            {_line_mask(bit, line) for line in inputs},
+            {_line_mask(bit, line) for line in outputs},
+            examples,
+        )
+
+    @classmethod
+    def _normalized(
+        cls,
+        n_states: int,
+        programs: Iterable[tuple[str, Program]],
+        labels: Iterable[tuple[str, Program]],
+        input_masks: set[int],
+        output_masks: set[int],
+        examples: Iterable[tuple[Iterable[str], str]],
+    ) -> "TaskDocument":
+        """The document of these parts, sorted, the masks given as sets and
+        duplicate examples dropped."""
         return cls(
             n_states=n_states,
             programs=tuple(sorted(programs)),
             labels=tuple(sorted(labels)),
-            inputs=tuple(sorted({tuple(sorted(set(line))) for line in inputs})),
-            outputs=tuple(sorted({tuple(sorted(set(line))) for line in outputs})),
+            input_masks=tuple(sorted(input_masks)),
+            output_masks=tuple(sorted(output_masks)),
             examples=tuple(
                 sorted({(tuple(sorted(set(f))), lbl) for f, lbl in examples})
             ),
@@ -114,18 +147,60 @@ class TaskDocument:
         table.update(self.labels)
         return table
 
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The declared names, each at its program's vocabulary index."""
+        return _vocabulary_names(self.programs + self.labels)
+
+    @cached_property
+    def inputs(self) -> tuple[tuple[str, ...], ...]:
+        """The input lines as sorted name tuples, in sorted order."""
+        return self._name_lines(self.input_masks)
+
+    @cached_property
+    def outputs(self) -> tuple[tuple[str, ...], ...]:
+        """The output lines as sorted name tuples, in sorted order."""
+        return self._name_lines(self.output_masks)
+
+    def _name_lines(self, masks: tuple[int, ...]) -> tuple[tuple[str, ...], ...]:
+        names = self.names
+        return tuple(sorted(tuple(sorted(compress(names, bit_flags(m)))) for m in masks))
+
+
+def _vocabulary_names(declared: Iterable[tuple[str, Program]]) -> tuple[str, ...]:
+    """Declared names in the order of their programs' state masks, the
+    order in which :meth:`Vocabulary.build` indexes them."""
+    return tuple(name for _, name in sorted((p.bits, name) for name, p in declared))
+
+
+def _member_bits(declared: Iterable[tuple[str, Program]]) -> dict[str, int]:
+    """Each declared name mapped to the member bit of its vocabulary
+    index."""
+    return {name: 1 << i for i, name in enumerate(_vocabulary_names(declared))}
+
+
+def _line_mask(bit: dict[str, int], names: Iterable[str]) -> int:
+    """The member mask of a line's names; a name ``bit`` lacks raises
+    ``KeyError``."""
+    mask = 0
+    for name in names:
+        mask |= bit[name]
+    return mask
+
 
 @dataclass
 class _LineParse:
     """Raw per-line records collected before semantic checks. A record
-    keeps its comment-stripped line, from which :func:`_columns` finds a
-    token's column once a diagnostic needs it."""
+    keeps its comment-stripped line, or for an input or output line its
+    names; :func:`_columns` finds a token's column in the comment-stripped
+    line once a diagnostic needs it."""
 
+    lines: list[str]
     states: list[tuple[int, int]]
     programs: list[tuple[int, str, str, str]]  # line, name, literal, line body
     labels: list[tuple[int, str, str, str]]
-    inputs: list[tuple[int, list[str], str]]  # line, names, line body
-    outputs: list[tuple[int, list[str], str]]
+    inputs: list[tuple[int, list[str]]]  # line, names
+    outputs: list[tuple[int, list[str]]]
     examples: list[tuple[int, list[tuple[str, int]], tuple[str, int]]]
     first_directive_line: int | None
 
@@ -149,9 +224,16 @@ def _columns(body: str, tokens: list[str]) -> list[int]:
     return columns
 
 
+def _split_lines(text: str) -> list[str]:
+    """The lines of a task file: a line ends at ``\\n``, ``\\r\\n`` or
+    ``\\r``, and at no other character ``str.splitlines`` breaks at."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _scan_lines(text: str, errors: list[ParseDiagnostic]) -> _LineParse:
-    parsed = _LineParse([], [], [], [], [], [], None)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = _split_lines(text)
+    parsed = _LineParse(lines, [], [], [], [], [], [], None)
+    for line_no, raw in enumerate(lines, start=1):
         body = raw.partition("#")[0]
         tokens = body.split()
         if not tokens:
@@ -167,15 +249,9 @@ def _scan_lines(text: str, errors: list[ParseDiagnostic]) -> _LineParse:
                         line_no, _columns(body, tokens)[0], f"{keyword} needs at least one name"
                     )
                 )
-            # _is_name of every name, in C loops: these lines are most of a large file
-            elif all(map(str.isidentifier, rest)) and all(map(str.isascii, rest)):
-                (parsed.inputs if keyword == "input" else parsed.outputs).append(
-                    (line_no, rest, body)
-                )
             else:
-                for name, col in zip(rest, _columns(body, tokens)[1:]):
-                    if not _is_name(name):
-                        errors.append(ParseDiagnostic(line_no, col, f"invalid name {name!r}"))
+                # the names are checked once the declarations are known
+                (parsed.inputs if keyword == "input" else parsed.outputs).append((line_no, rest))
         elif keyword in ("program", "label"):
             if len(rest) != 2:
                 errors.append(
@@ -376,20 +452,36 @@ def parse_task_file(text: str) -> TaskDocument:
             return False
         return True
 
-    def declared_lines(records: list[tuple[int, list[str], str]]) -> list[list[str]]:
-        """The name lists of the lines whose names are all declared; a line
-        reports its first undeclared name."""
-        kept = []
-        for line_no, names, body in records:
-            if all(map(declared.__contains__, names)):
-                kept.append(names)
-                continue
-            j = next(j for j, name in enumerate(names) if name not in declared)
-            check_reference(line_no, names[j], _columns(body, body.split())[j + 1])
-        return kept
+    # a name with a bad or duplicate literal is declared, but the file then
+    # has errors and its masks go unused: it takes bit 0
+    bit = dict.fromkeys(declared, 0)
+    bit.update(_member_bits(programs + labels))
 
-    inputs = declared_lines(parsed.inputs)
-    outputs = declared_lines(parsed.outputs)
+    def io_masks(records: list[tuple[int, list[str]]]) -> tuple[set[int], int | None]:
+        """The member masks of the lines whose names are all declared, and
+        the first line whose names are all valid. Any other line reports
+        each of its invalid names, or else its first undeclared one."""
+        masks = set()
+        first = None
+        for line_no, names in records:
+            try:
+                masks.add(_line_mask(bit, names))
+            except KeyError:
+                body = parsed.lines[line_no - 1].partition("#")[0]
+                columns = _columns(body, body.split())[1:]
+                if not all(map(_is_name, names)):
+                    for name, col in zip(names, columns):
+                        if not _is_name(name):
+                            errors.append(ParseDiagnostic(line_no, col, f"invalid name {name!r}"))
+                    continue
+                j = next(j for j, name in enumerate(names) if name not in declared)
+                check_reference(line_no, names[j], columns[j])
+            if first is None:
+                first = line_no
+        return masks, first
+
+    inputs, first_input = io_masks(parsed.inputs)
+    outputs, first_output = io_masks(parsed.outputs)
     examples = []
     for line_no, features, (label, label_col) in parsed.examples:
         ok = True
@@ -418,41 +510,29 @@ def parse_task_file(text: str) -> TaskDocument:
         if ok:
             examples.append(([n for n, _ in features], label))
 
-    io_lines = parsed.inputs + parsed.outputs
+    io_lines = [line for line in (first_input, first_output) if line is not None]
     if io_lines and parsed.examples:
-        first_io = min(line for line, *_ in io_lines)
         first_example = min(line for line, *_ in parsed.examples)
         errors.append(
             ParseDiagnostic(
-                max(first_io, first_example),
+                max(min(io_lines), first_example),
                 None,
                 "cannot mix input/output lines with example lines",
             )
         )
-    elif parsed.inputs and not parsed.outputs:
+    elif first_input is not None and first_output is None:
         errors.append(
-            ParseDiagnostic(
-                parsed.inputs[0][0], None, "input lines present but no output lines"
-            )
+            ParseDiagnostic(first_input, None, "input lines present but no output lines")
         )
-    elif parsed.outputs and not parsed.inputs:
+    elif first_output is not None and first_input is None:
         errors.append(
-            ParseDiagnostic(
-                parsed.outputs[0][0], None, "output lines present but no input lines"
-            )
+            ParseDiagnostic(first_output, None, "output lines present but no input lines")
         )
 
     # a missing state count is always among the errors
     if errors or n_states is None:
         raise TaskFileError(tuple(sorted(errors, key=lambda d: (d.line, d.column or 0))))
-    return TaskDocument.build(
-        n_states=n_states,
-        programs=programs,
-        labels=labels,
-        inputs=inputs,
-        outputs=outputs,
-        examples=examples,
-    )
+    return TaskDocument._normalized(n_states, programs, labels, inputs, outputs, examples)
 
 
 def serialize_task_document(doc: TaskDocument) -> str:
@@ -506,7 +586,6 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
     a document. Capacity, encoding, and task-invariant errors propagate.
     """
     space = StateSpace(doc.n_states)
-    declared = doc.declared()
     classification = None
     task = None
     if doc.examples:
@@ -520,25 +599,13 @@ def realize_document(doc: TaskDocument) -> RealizedDocument:
         task = encode_classification(classification)
         language = task.language
     else:
-        language = build_language(Vocabulary.build(declared.values(), space))
-    by_value = {program.bits: name for name, program in declared.items()}
-    names = tuple(by_value[b] for b in language.vocabulary.bits)
-    if not doc.examples and (doc.inputs or doc.outputs):
-        bit = {name: 1 << i for i, name in enumerate(names)}
-
-        def member_mask(line: tuple[str, ...]) -> int:
-            mask = 0
-            for name in line:
-                mask |= bit[name]
-            return mask
-
-        task = validate_task(
-            map(member_mask, doc.inputs), map(member_mask, doc.outputs), language
-        )
+        language = build_language(Vocabulary.build(doc.declared().values(), space))
+        if doc.input_masks or doc.output_masks:
+            task = validate_task(doc.input_masks, doc.output_masks, language)
     return RealizedDocument(
         document=doc,
         language=language,
-        names=names,
+        names=doc.names,
         task=task,
         classification=classification,
     )

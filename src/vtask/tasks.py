@@ -135,15 +135,14 @@ def validate_task(
     same code every time. The input extension E_I is computed over
     language positions by :func:`_extension_flags`.
     """
-    input_masks = sorted(_member_masks(inputs), key=_mask_key)
-    output_masks = sorted(_member_masks(outputs), key=_mask_key)
+    input_masks = _canonical_masks(inputs)
+    output_masks = _canonical_masks(outputs)
     if not input_masks:
         raise TaskValidationError("empty-inputs", "a task needs at least one input")
     if not output_masks:
         raise TaskValidationError("empty-outputs", "a task needs at least one output")
     input_flags = bytearray(len(lang))
-    for x in input_masks:
-        j = lang._position(x)
+    for x, j in zip(input_masks, map(lang._position, input_masks)):
         if j < 0:
             raise TaskValidationError(
                 "input-not-statement",
@@ -157,8 +156,7 @@ def validate_task(
         )
     in_extension = _extension_flags(input_masks, lang)
     output_flags = bytearray(len(lang))
-    for o in output_masks:
-        j = lang._position(o)
+    for o, j in zip(output_masks, map(lang._position, output_masks)):
         if j < 0 or not in_extension[j]:
             raise TaskValidationError(
                 "output-outside-extension",
@@ -174,8 +172,12 @@ def validate_task(
     return Task(lang, *map(flags_mask, (input_flags, output_flags, in_extension)))
 
 
-def _member_masks(items: Iterable[Statement | int]) -> set[int]:
-    return {x if isinstance(x, int) else x.members for x in items}
+def _canonical_masks(items: Iterable[Statement | int]) -> list[int]:
+    """The distinct member masks of statements or masks in canonical
+    (``statement_key``) order: ascending, then stably by member count."""
+    masks = sorted({x if isinstance(x, int) else x.members for x in items})
+    masks.sort(key=int.bit_count)
+    return masks
 
 
 def _extension_flags(input_masks: Iterable[int], lang: Language) -> bytes:
@@ -209,11 +211,6 @@ def _extension_flags(input_masks: Iterable[int], lang: Language) -> bytes:
         missed &= (fields & spread ^ spread) + carry
     in_extension = (missed ^ tops) >> top
     return in_extension.to_bytes(width * len(packed), "little")[::width]
-
-
-def _mask_key(mask: int) -> tuple[int, int]:
-    """:func:`statement_key` of the statement with this member mask."""
-    return mask.bit_count(), mask
 
 
 def _require_in_language(pi: Statement, lang: Language) -> None:

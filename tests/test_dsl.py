@@ -1,12 +1,13 @@
 import json
 import random
+import re
 import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtask import dsl, encoder
-from vtask.core import Program, StateSpace, Statement, build_language
+from vtask.core import Program, StateSpace, Statement, Vocabulary, build_language
 from vtask.dsl import (
     TaskDocument,
     parse_program_literal,
@@ -18,9 +19,9 @@ from vtask.dsl import (
     serialize_report,
     serialize_task_document,
 )
-from vtask.errors import CapacityError, ParseError, TaskFileError
+from vtask.errors import CapacityError, ParseError, TaskFileError, TaskValidationError
 from vtask.search import SearchSpec, census
-from vtask.tasks import check_policy, find_correct_policies
+from vtask.tasks import check_policy, find_correct_policies, validate_task
 
 from conftest import COLORED_BOX_FILE, INVALID_DOCUMENTS, TWO_CLASS_FILE
 
@@ -219,6 +220,197 @@ def test_comments_and_blank_lines_ignored():
     doc = parse_task_file(text)
     assert doc.n_states == 2
     assert doc.inputs == (("f",),)
+
+
+# the characters other than \n and \r that str.splitlines breaks at
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newline_and_carriage_return_end_a_line(char):
+    # the character sits inside a comment, so line 2 holds the bad literal
+    diagnostics = diagnostics_of(f"states 2 # note{char} more\nprogram a 1x\n")
+    assert [(d.line, d.column, d.message) for d in diagnostics] == [
+        (2, 12, "invalid character 'x' in program literal (expected 0 or 1)")
+    ]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_each_line_end_counts_one_line(newline):
+    text = newline.join(["states 2", "", "program a 1x", "input a", "output a", ""])
+    diagnostics = diagnostics_of(text)
+    assert [(d.line, d.column) for d in diagnostics] == [(3, 12)]
+
+
+# -- the reader against the name-tuple route ----------------------------------
+#
+# The oracle is the route the reader took before it read lines straight to
+# member masks: each input and output line becomes the sorted tuple of its
+# distinct names, and names become masks only when the task is built,
+# through the vocabulary's program order, before validate_task.
+
+_NAMES = ["a", "b", "f1", "f2", "g", "x_1", "Red", "_u", "label"]
+
+
+def _oracle_read(text: str):
+    """(states, programs, labels, input lines, output lines) of a file
+    without errors, each line as ``tuple(sorted(set(names)))``."""
+    n_states, programs, labels, inputs, outputs = None, [], [], set(), set()
+    for raw in re.split("\r\n|\r|\n", text):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        keyword, *rest = tokens
+        if keyword == "states":
+            n_states = int(rest[0])
+        elif keyword in ("program", "label"):
+            name, literal = rest
+            program = Program(int(literal[::-1], 2), n_states)
+            (programs if keyword == "program" else labels).append((name, program))
+        else:
+            (inputs if keyword == "input" else outputs).add(tuple(sorted(set(rest))))
+    return n_states, programs, labels, tuple(sorted(inputs)), tuple(sorted(outputs))
+
+
+def _oracle_task(n_states, programs, labels, inputs, outputs):
+    """The names in vocabulary order, and the task's (input, output,
+    extension) masks or the code of the invariant it breaks."""
+    declared = dict(programs + labels)
+    vocab = Vocabulary.build(declared.values(), StateSpace(n_states))
+    by_value = {p.bits: name for name, p in declared.items()}
+    names = tuple(by_value[b] for b in vocab.bits)
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    masks = [[sum(bit[name] for name in line) for line in lines] for lines in (inputs, outputs)]
+    try:
+        task = validate_task(*masks, build_language(vocab))
+    except TaskValidationError as err:
+        return names, err.code
+    return names, (task.input_mask, task.output_mask, task.extension_mask)
+
+
+def _random_lines(rng: random.Random) -> list[list[str]]:
+    """The token lists of a random file: programs and labels, two to five
+    input and output lines each, with names repeated within a line and
+    lines repeated, and some declarations after the lines that name them."""
+    n = rng.randint(2, 6)
+    k = rng.randint(2, min(7, (1 << n) - 1))
+    values = rng.sample(range(1, 1 << n), k)
+    names = rng.sample(_NAMES, k)
+    n_labels = rng.randint(0, 2)
+    decls = [
+        ["label" if i < n_labels else "program", name, format(v, f"0{n}b")[::-1]]
+        for i, (name, v) in enumerate(zip(names, values))
+    ]
+    rng.shuffle(decls)
+    io = []
+    for keyword in ("input", "output"):
+        for _ in range(rng.randint(2, 5)):
+            chosen = rng.sample(names, rng.randint(1, min(3, k)))
+            chosen += rng.choices(chosen, k=rng.randint(0, 2))
+            rng.shuffle(chosen)
+            io.append([keyword, *chosen])
+    io += rng.sample(io, 2)
+    rng.shuffle(io)
+    late = rng.randint(0, len(decls))
+    return [["states", str(n)], *decls[:late], *io, *decls[late:]]
+
+
+def _render(lines: list[list[str]], rng: random.Random) -> tuple[str, list[list[int]]]:
+    """The text of token lists, spaced by runs of blanks, some with a
+    comment, ended by LF, CRLF or CR; and the 1-based column of every
+    token."""
+    rendered, columns = [], []
+    for tokens in lines:
+        text = rng.choice(["", " ", "\t"])
+        cols = []
+        for token in tokens:
+            if cols:
+                text += "".join(rng.choices(" \t", k=rng.randint(1, 2)))
+            cols.append(len(text) + 1)
+            text += token
+        rendered.append(text + rng.choice(["", " # note", "#c"]))
+        columns.append(cols)
+    newline = rng.choice(["\n", "\r\n", "\r"])
+    return newline.join(rendered) + newline, columns
+
+
+def test_reader_matches_the_name_tuple_route_on_random_files():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(400):
+        text, _ = _render(_random_lines(rng), rng)
+        doc = parse_task_file(text)
+        n_states, programs, labels, inputs, outputs = _oracle_read(text)
+        expected = TaskDocument.build(n_states, programs, labels, inputs, outputs)
+        assert doc == expected and hash(doc) == hash(expected)
+        assert (doc.inputs, doc.outputs) == (inputs, outputs)
+        names, outcome = _oracle_task(n_states, programs, labels, inputs, outputs)
+        try:
+            realized = realize_document(doc)
+        except TaskValidationError as err:
+            assert err.code == outcome
+        else:
+            task = realized.task
+            assert realized.names == names
+            assert (task.input_mask, task.output_mask, task.extension_mask) == outcome
+        outcomes.add(outcome if isinstance(outcome, str) else "valid")
+    assert "valid" in outcomes and len(outcomes) > 2
+
+
+def _with_fault(rng: random.Random, lines: list[list[str]], fault: str):
+    """The lines with one fault put in, and the diagnostics it raises as
+    (line index, token index, message, offset into the token)."""
+    lines = [list(tokens) for tokens in lines]
+    io = [i for i, tokens in enumerate(lines) if tokens[0] in ("input", "output")]
+    decls = [i for i, tokens in enumerate(lines) if tokens[0] in ("program", "label")]
+    i = rng.choice(io)
+    if fault == "undeclared":
+        # every undeclared name of a line is replaced; the first reports
+        at = sorted(rng.sample(range(1, len(lines[i])), rng.randint(1, len(lines[i]) - 1)))
+        for j in at:
+            lines[i][j] = "nope"
+        return lines, [(i, at[0], "reference to undeclared name 'nope'", 0)]
+    if fault == "invalid":
+        # each invalid name reports; the line's undeclared ones do not
+        at = sorted(rng.sample(range(1, len(lines[i])), rng.randint(1, len(lines[i]) - 1)))
+        bad = rng.choice(["9x", "$a", "b-c", "é"])
+        for j in at:
+            lines[i][j] = bad
+        if len(lines[i]) > 2 and at[-1] < len(lines[i]) - 1:
+            lines[i][-1] = "nope"
+        return lines, [(i, j, f"invalid name {bad!r}", 0) for j in at]
+    d = rng.choice(decls)
+    literal = lines[d][2]
+    if fault == "bad-literal":
+        # the name stays declared, so the line naming it reports nothing
+        at = rng.randrange(len(literal))
+        lines[d][2] = literal[:at] + "x" + literal[at + 1 :]
+        lines[i][1] = lines[d][1]
+        message = "invalid character 'x' in program literal (expected 0 or 1)"
+        return lines, [(d, 2, message, at)]
+    # a program with the states of one before it, named by a later line
+    first = min(j for j in decls if lines[j][0] == "program") if lines[d][0] == "label" else d
+    lines.insert(first + 1, ["program", "dup", lines[first][2]])
+    i = rng.choice([j for j, tokens in enumerate(lines) if tokens[0] in ("input", "output")])
+    lines[i][1] = "dup"
+    message = f"program 'dup' duplicates the states of {lines[first][1]!r} (line {first + 1})"
+    return lines, [(first + 1, 2, message, 0)]
+
+
+@pytest.mark.parametrize("fault", ["undeclared", "invalid", "bad-literal", "duplicate-literal"])
+def test_reader_diagnostics_on_random_files(fault):
+    rng = random.Random(fault)
+    for _ in range(200):
+        lines = _random_lines(rng)
+        if fault == "duplicate-literal" and all(tokens[0] != "program" for tokens in lines):
+            continue
+        lines, faults = _with_fault(rng, lines, fault)
+        text, columns = _render(lines, rng)
+        expected = [
+            (i + 1, columns[i][j] + offset, message) for i, j, message, offset in faults
+        ]
+        diagnostics = diagnostics_of(text)
+        assert [(d.line, d.column, d.message) for d in diagnostics] == expected
 
 
 # -- serialization round trips -----------------------------------------------

@@ -57,12 +57,15 @@ def test_search_reach_smoke():
     result = run_script("search_reach.py", "--min-k", "10", "--max-k", "10", "--budget", "60")
     assert result.returncode == 0, result.stderr
     _, *rows, last = result.stdout.splitlines()
-    # k, statements and exit code of each of the four searches, then of
-    # the check of {f1}, which is not correct
-    assert [(row.split()[:2], row.split()[-1]) for row in rows] == (
-        [(["10", "1024"], "0")] * 4 + [(["10", "1024"], "1")]
-    )
-    assert last == (
-        "largest k within 60 s: exhaustive text 10, exhaustive structured 10, "
-        "pruned text 10, pruned structured 10, check --policy f1 10"
+    # k, statements, family and exit code of each of the four searches,
+    # then of the check of {f1}, which is not correct, in each family
+    assert [(row.split()[:3], row.split()[-1]) for row in rows] == [
+        (["10", "1024", family], code)
+        for family in ("reference", "planted")
+        for code in ("0",) * 4 + ("1",)
+    ]
+    runs = ("exhaustive text", "exhaustive structured", "pruned text", "pruned structured",
+            "check --policy f1")
+    assert last == "largest k within 60 s: " + ", ".join(
+        f"{family} {run} 10" for family in ("reference", "planted") for run in runs
     )

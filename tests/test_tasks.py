@@ -113,8 +113,8 @@ def _validation_oracle(inputs: list[int], outputs: list[int], lang: Language):
     the documented order from the definitions, or the task's
     (input, output, extension) masks over language positions."""
     members = lang.masks
-    ins = sorted(set(inputs), key=tasks._mask_key)
-    outs = sorted(set(outputs), key=tasks._mask_key)
+    ins = sorted(set(inputs), key=lambda m: (m.bit_count(), m))
+    outs = sorted(set(outputs), key=lambda m: (m.bit_count(), m))
     if not ins:
         return "empty-inputs"
     if not outs:
