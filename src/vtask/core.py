@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -253,27 +253,30 @@ class Language:
         """The statements as objects, in language order."""
         return tuple(map(Statement, self.masks))
 
-    @cached_property
-    def _run_starts(self) -> tuple[int, ...]:
-        """The position where the run of masks with each member count
-        starts, for counts 0 to the vocabulary size, then the language's
-        length."""
-        masks = self.masks
-        starts = [bisect_left(masks, c, key=int.bit_count) for c in range(len(self.vocabulary) + 1)]
-        return (*starts, len(masks))
-
     def _position(self, mask: int) -> int:
         """The language position of the statement with this member mask,
-        or -1 when it is not one: one bisection finds the mask in the run
-        of masks with its member count."""
+        or -1 when it is not one: bisections find the run of masks with
+        its member count, then the mask among them."""
         masks = self.masks
-        starts = self._run_starts
         count = mask.bit_count()
-        if count >= len(starts) - 1:
-            return -1
-        end = starts[count + 1]
-        j = bisect_left(masks, mask, starts[count], end)
+        start = bisect_left(masks, count, key=int.bit_count)
+        end = bisect_right(masks, count, start, key=int.bit_count)
+        j = bisect_left(masks, mask, start, end)
         return j if j < end and masks[j] == mask else -1
+
+    def _positions(self, masks: Iterable[int]) -> Iterator[int]:
+        """:meth:`_position` of each mask, for many masks: the run of a
+        member count is found only when the count changes, so masks in
+        canonical (``statement_key``) order cost one bisection each."""
+        members = self.masks
+        count = start = end = -1
+        for mask in masks:
+            if mask.bit_count() != count:
+                count = mask.bit_count()
+                start = bisect_left(members, count, key=int.bit_count)
+                end = bisect_right(members, count, start, key=int.bit_count)
+            j = bisect_left(members, mask, start, end)
+            yield j if j < end and members[j] == mask else -1
 
     def index_of(self, statement: Statement) -> int:
         j = self._position(statement.members)

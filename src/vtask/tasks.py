@@ -142,7 +142,7 @@ def validate_task(
     if not output_masks:
         raise TaskValidationError("empty-outputs", "a task needs at least one output")
     input_flags = bytearray(len(lang))
-    for x, j in zip(input_masks, map(lang._position, input_masks)):
+    for x, j in zip(input_masks, lang._positions(input_masks)):
         if j < 0:
             raise TaskValidationError(
                 "input-not-statement",
@@ -156,7 +156,7 @@ def validate_task(
         )
     in_extension = _extension_flags(input_masks, lang)
     output_flags = bytearray(len(lang))
-    for o, j in zip(output_masks, map(lang._position, output_masks)):
+    for o, j in zip(output_masks, lang._positions(output_masks)):
         if j < 0 or not in_extension[j]:
             raise TaskValidationError(
                 "output-outside-extension",
