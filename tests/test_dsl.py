@@ -249,7 +249,8 @@ def test_each_line_end_counts_one_line(newline):
 # distinct names, and names become masks only when the task is built,
 # through the vocabulary's program order, before validate_task.
 
-_NAMES = ["a", "b", "f1", "f2", "g", "x_1", "Red", "_u", "label"]
+# "label" and "output" are valid names as well as directives
+_NAMES = ["a", "b", "f1", "f2", "g", "x_1", "Red", "_u", "label", "output"]
 
 
 def _oracle_read(text: str):
