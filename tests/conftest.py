@@ -113,6 +113,41 @@ def _random_outputs(rng, inputs, lang):
     return validate_task(inputs, outputs, lang)
 
 
+def random_classification_file(rng: random.Random) -> str:
+    """The text of a classification task file over a few states: examples
+    of one to three features, some of them named twice, some examples
+    repeated, one label that no example uses, comments, and LF or CRLF
+    line ends. Most such files encode to a valid task."""
+    n_states = rng.randint(4, 6)
+    n_features, n_labels = rng.randint(2, 5), rng.randint(2, 3)
+    values: list[int] = []
+    while len(values) < n_features + n_labels:
+        bits = sum(1 << s for s in range(n_states) if rng.random() < 0.75)
+        if bits and bits not in values:
+            values.append(bits)
+    ids = rng.sample(range(10, 100), n_features + n_labels)
+    names = [("f" if i < n_features else "y") + str(j) for i, j in enumerate(ids)]
+    features, labels = names[:n_features], names[n_features:]
+    lines = ["# generated classification file", f"states {n_states}"]
+    for name, bits in zip(names, values):
+        literal = "".join(str(bits >> s & 1) for s in range(n_states))
+        lines.append(f"{'program' if name in features else 'label'} {name} {literal}")
+    body = []
+    for _ in range(rng.randint(1, 5)):
+        chosen = rng.sample(features, rng.randint(1, min(3, n_features)))
+        chosen += rng.sample(chosen, rng.randint(0, 1))
+        rng.shuffle(chosen)
+        label = rng.choice(labels[:-1])
+        body.append(
+            "example " + rng.choice([",", ", "]).join(chosen) + f" -> {label}"
+            + rng.choice(["", "  # note"])
+        )
+    body += rng.sample(body, rng.randint(0, min(2, len(body))))
+    rng.shuffle(body)
+    newline = rng.choice(["\n", "\r\n"])
+    return newline.join(lines + body) + newline
+
+
 def run_cli(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
     """Run ``python -m vtask`` on this checkout's sources."""
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))

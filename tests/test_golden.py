@@ -16,7 +16,13 @@ import pytest
 
 from vtask import cli
 
-from conftest import COLORED_BOX_FILE, REFERENCE_FAMILY_FILE, TWO_CLASS_FILE, UP_CLOSED_FILE
+from conftest import (
+    COLORED_BOX_FILE,
+    REFERENCE_FAMILY_FILE,
+    TWO_CLASS_FILE,
+    UP_CLOSED_FILE,
+    random_classification_file,
+)
 
 _CENSUS_FLAGS = {
     "plain": [],
@@ -29,6 +35,7 @@ _FILE_COMMANDS = {
     "check-empty-structured": ["check", "--empty", "--structured"],
     "search-set-all": ["search", "--set-policies", "all", "--structured"],
     "encode": ["encode"],
+    "encode-structured": ["encode", "--structured"],
 }
 _FILES = {"box": COLORED_BOX_FILE, "two-class": TWO_CLASS_FILE}
 # policy search over a dense language (all 2^10 statements): every
@@ -87,6 +94,10 @@ _CENSUS_EXTRA = {
     "census-3-4-shaped-exemplars": ["--n-states", "3", "--vocab-size", "4",
                                     "--classification-shaped", "--exemplars", "200",
                                     "--structured"],
+    # both limits set: the spec's int, float and bool fields, none None
+    "census-3-3-limits-structured": ["--n-states", "3", "--vocab-size", "3", "--dedup",
+                                     "--max-tasks", "1000", "--time-budget", "600.5",
+                                     "--exemplars", "2", "--structured"],
 }
 
 
@@ -115,6 +126,7 @@ COMMANDS = _commands()
 # name -> (exit code, SHA-256 of stdout)
 GOLDEN = {
     "census-3-3-dedup": (0, "bed4c3595327294918633e6e99d593c793d61ee37ca580112c585de20c1537a5"),
+    "census-3-3-limits-structured": (0, "1c2f293d14c2279a8277090fb2690055bcf720a315465ebb4f5f603d6c0d6639"),
     "census-3-3-plain": (0, "6c04cc8524136302861be115c8ba41cb04c57b710f174d14c78f5cd99ba5f861"),
     "census-3-3-shaped": (0, "9f513c8ad0a8426af26be22fd8732b9a5158d975a4f1aeed926df39b3af74009"),
     "census-3-3-truncated": (0, "8dd032962584f81ddda823ae1da73947116baceb6040178a6ed864532b5b374f"),
@@ -137,6 +149,8 @@ GOLDEN = {
     "check-empty-structured-two-class": (1, "aa1b2d7bec4c5ca52868e2ae738ad3d3e977f50080f690585bf04f590c15393b"),
     "check-empty-two-class": (1, "98258905d5b2d4734d2ce7db48f26203a684a70ead18304ef13f9998bba97a30"),
     "encode-box": (0, "1a7b4e5a14c4617365c96bfd5bcec1c6ff6604d1bbd8b9d64861402ae7f7977b"),
+    "encode-structured-box": (0, "c4af35f2760bc43e7e5b42ac2d07248c04aef5bf79ea48a6f6c9e6bac97d3698"),
+    "encode-structured-two-class": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "encode-two-class": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "lang-box": (0, "a0454a84a83da5267e02e5c636656a1c08201936b155ff3d79ebc14f41f7595a"),
     "lang-dense10": (0, "9eafea498ed0c83d6415feea82dd55b206319268cf7c5a3b318c64c939d5c3a1"),
@@ -154,13 +168,19 @@ GOLDEN = {
 }
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _capture(argv: list[str]) -> tuple[int, bytes, str]:
+    """The exit code, stdout and stderr of ``cli.main(argv)``."""
     buffer = io.BytesIO()
-    stdout = io.TextIOWrapper(buffer)
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.TextIOWrapper(buffer), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     stdout.flush()
-    return code, hashlib.sha256(buffer.getvalue()).hexdigest()
+    return code, buffer.getvalue(), stderr.getvalue()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    code, out, _ = _capture(argv)
+    return code, hashlib.sha256(out).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -271,15 +291,28 @@ def test_many_output_files_match_pinned_digest(tmp_path):
         path = tmp_path / f"{label}.pvt"
         path.write_bytes(text.encode())
         for name, argv in _many_output_commands(str(path), policy).items():
-            buffer = io.BytesIO()
-            stdout, stderr = io.TextIOWrapper(buffer), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-            stdout.flush()
+            code, out, err = _capture(argv)
             digest.update(f"{label} {name} {code}\n".encode())
-            digest.update(buffer.getvalue())
-            digest.update(stderr.getvalue().encode())
+            digest.update(out)
+            digest.update(err.encode())
     assert digest.hexdigest() == "3495f56e4a8cc1134874df634eb502bb2a7cca9078fc3aadc77ef6c1eb4eb06c"
+
+
+def test_generated_classification_files_encode_to_pinned_digest(tmp_path):
+    """``encode`` in both formats on seeded classification files (see
+    :func:`conftest.random_classification_file`), some of which do not
+    encode; one SHA-256 covers each command's exit code, stdout and
+    stderr."""
+    digest = hashlib.sha256()
+    for seed in range(12):
+        path = tmp_path / f"classification{seed}.pvt"
+        path.write_bytes(random_classification_file(random.Random(seed)).encode())
+        for extra in ([], ["--structured"]):
+            code, out, err = _capture(["encode", str(path), *extra])
+            digest.update(f"{seed} {extra} {code}\n".encode())
+            digest.update(out)
+            digest.update(err.encode())
+    assert digest.hexdigest() == "e7c931c714f5f6246b71a7035dd9d96edab22aed00a712f24f709c3987fddc6d"
 
 
 if __name__ == "__main__":
