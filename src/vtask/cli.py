@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dsl
@@ -30,13 +32,22 @@ def _output_mode(args: argparse.Namespace) -> str:
 
 
 def _emit(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError as err:
+        # the reader is gone; the null device takes what is still buffered,
+        # so the interpreter's flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise VTaskError("cannot write to stdout: its reader has closed it") from err
 
 
 def _load(path: str) -> dsl.RealizedDocument:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as err:
         raise VTaskError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:
@@ -120,15 +131,15 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         raise VTaskError(
             "encode needs a classification file (label and example lines)"
         )
-    task = _require_task(realized, "encode")
-    doc = realized.document
-    names = realized.names
-    explicit = dsl.TaskDocument.build(
-        n_states=doc.n_states,
-        programs=doc.programs,
-        labels=doc.labels,
-        inputs=[[names[i] for i in s.indices()] for s in task.sorted_inputs()],
-        outputs=[[names[i] for i in s.indices()] for s in task.sorted_outputs()],
+    # the encoder indexes the declared programs in the ascending order that
+    # the document's member bits use, so a statement's mask is its line's
+    task = realized.task
+    lang = task.language
+    explicit = replace(
+        realized.document,
+        input_masks=tuple(sorted(lang.member_masks(task.input_mask))),
+        output_masks=tuple(sorted(lang.member_masks(task.output_mask))),
+        examples=(),
     )
     if args.structured:
         _emit(dsl.serialize_document_tree(explicit))

@@ -290,9 +290,14 @@ class Language:
     def statement_set(self) -> frozenset[Statement]:
         return frozenset(self.statements)
 
+    def member_masks(self, position_mask: int) -> tuple[int, ...]:
+        """The member masks of the statements at a mask's set bits (over
+        language positions), in language order."""
+        return tuple(compress(self.masks, bit_flags(position_mask)))
+
     def statements_of(self, mask: int) -> tuple[Statement, ...]:
         """The statements at a mask's set bits, in language order."""
-        return tuple(map(Statement, compress(self.masks, bit_flags(mask))))
+        return tuple(map(Statement, self.member_masks(mask)))
 
     def extension_masks(self) -> tuple[int, ...]:
         """For each statement, the bitmask (over language indices) of its

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
@@ -86,7 +86,8 @@ class TaskDocument:
     for ``names[i]``, the declared programs and labels in the order of the
     vocabulary :func:`realize_document` builds of them (ascending program).
     ``input_masks`` and ``output_masks`` are sorted and distinct. The name
-    tuples ``inputs`` and ``outputs`` are built on first use."""
+    tuples ``inputs`` and ``outputs`` are built on first use. Read through
+    :func:`parse_task_file`."""
 
     n_states: int
     programs: tuple[tuple[str, Program], ...]
@@ -94,53 +95,6 @@ class TaskDocument:
     input_masks: tuple[int, ...]
     output_masks: tuple[int, ...]
     examples: tuple[tuple[tuple[str, ...], str], ...]
-
-    @classmethod
-    def build(
-        cls,
-        n_states: int,
-        programs: Iterable[tuple[str, Program]] = (),
-        labels: Iterable[tuple[str, Program]] = (),
-        inputs: Iterable[Iterable[str]] = (),
-        outputs: Iterable[Iterable[str]] = (),
-        examples: Iterable[tuple[Iterable[str], str]] = (),
-    ) -> "TaskDocument":
-        """The document of these declarations and lines; every name an
-        input or output line holds must be declared."""
-        programs = tuple(programs)
-        labels = tuple(labels)
-        bit = _member_bits(programs + labels)
-        return cls._normalized(
-            n_states,
-            programs,
-            labels,
-            {_line_mask(bit, line) for line in inputs},
-            {_line_mask(bit, line) for line in outputs},
-            examples,
-        )
-
-    @classmethod
-    def _normalized(
-        cls,
-        n_states: int,
-        programs: Iterable[tuple[str, Program]],
-        labels: Iterable[tuple[str, Program]],
-        input_masks: set[int],
-        output_masks: set[int],
-        examples: Iterable[tuple[Iterable[str], str]],
-    ) -> "TaskDocument":
-        """The document of these parts, sorted, the masks given as sets and
-        duplicate examples dropped."""
-        return cls(
-            n_states=n_states,
-            programs=tuple(sorted(programs)),
-            labels=tuple(sorted(labels)),
-            input_masks=tuple(sorted(input_masks)),
-            output_masks=tuple(sorted(output_masks)),
-            examples=tuple(
-                sorted({(tuple(sorted(set(f))), lbl) for f, lbl in examples})
-            ),
-        )
 
     def declared(self) -> dict[str, Program]:
         table = dict(self.programs)
@@ -171,12 +125,6 @@ def _vocabulary_names(declared: Iterable[tuple[str, Program]]) -> tuple[str, ...
     """Declared names in the order of their programs' state masks, the
     order in which :meth:`Vocabulary.build` indexes them."""
     return tuple(name for _, name in sorted((p.bits, name) for name, p in declared))
-
-
-def _member_bits(declared: Iterable[tuple[str, Program]]) -> dict[str, int]:
-    """Each declared name mapped to the member bit of its vocabulary
-    index."""
-    return {name: 1 << i for i, name in enumerate(_vocabulary_names(declared))}
 
 
 def _line_mask(bit: dict[str, int], names: Iterable[str]) -> int:
@@ -455,7 +403,7 @@ def parse_task_file(text: str) -> TaskDocument:
     # a name with a bad or duplicate literal is declared, but the file then
     # has errors and its masks go unused: it takes bit 0
     bit = dict.fromkeys(declared, 0)
-    bit.update(_member_bits(programs + labels))
+    bit.update({name: 1 << i for i, name in enumerate(_vocabulary_names(programs + labels))})
 
     def io_masks(records: list[tuple[int, list[str]]]) -> tuple[set[int], int | None]:
         """The member masks of the lines whose names are all declared, and
@@ -532,7 +480,14 @@ def parse_task_file(text: str) -> TaskDocument:
     # a missing state count is always among the errors
     if errors or n_states is None:
         raise TaskFileError(tuple(sorted(errors, key=lambda d: (d.line, d.column or 0))))
-    return TaskDocument._normalized(n_states, programs, labels, inputs, outputs, examples)
+    return TaskDocument(
+        n_states=n_states,
+        programs=tuple(sorted(programs)),
+        labels=tuple(sorted(labels)),
+        input_masks=tuple(sorted(inputs)),
+        output_masks=tuple(sorted(outputs)),
+        examples=tuple(sorted({(tuple(sorted(set(f))), lbl) for f, lbl in examples})),
+    )
 
 
 def serialize_task_document(doc: TaskDocument) -> str:
@@ -735,11 +690,6 @@ def _json_list(pieces: list[str], newline: str) -> _Written:
     return _Written([*_listed(pieces, "["), newline + "]"])
 
 
-def _members(lang: Language, mask: int) -> list[int]:
-    """The member masks of the statements at a mask's set bits."""
-    return list(compress(lang.masks, bit_flags(mask)))
-
-
 def _set_policy_masks(report: PolicySearchResult) -> list[list[int]]:
     """The member masks of each correct set policy, in canonical order."""
     return [[s.members for s in p.sorted_statements()] for p in report.correct]
@@ -836,9 +786,9 @@ def _search_text(report: PolicySearchResult, names: Sequence[str] | None) -> byt
     braced = _braced(table)
     out = [
         "inputs: ",
-        *_listed(braced(_members(lang, task.input_mask))),
+        *_listed(braced(lang.member_masks(task.input_mask))),
         "\noutputs: ",
-        *_listed(braced(_members(lang, task.output_mask))),
+        *_listed(braced(lang.member_masks(task.output_mask))),
         f"\nlanguage: {len(lang)} statements",
         f"\nmode: {report.mode}",
         f"\nchecked: {report.checked}",
@@ -891,8 +841,8 @@ def _search_structured(report: PolicySearchResult, names: Sequence[str] | None) 
             for masks in policies
         ]
     tree = {
-        "inputs": _json_list(statements(_members(lang, task.input_mask)), _LINE[1]),
-        "outputs": _json_list(statements(_members(lang, task.output_mask)), _LINE[1]),
+        "inputs": _json_list(statements(lang.member_masks(task.input_mask)), _LINE[1]),
+        "outputs": _json_list(statements(lang.member_masks(task.output_mask)), _LINE[1]),
         "language_size": len(lang),
         "mode": report.mode,
         "checked": report.checked,
@@ -915,35 +865,28 @@ def _selection_rows_json(table: _NameTable, masks: Sequence[int], counts: Sequen
     return _json_list(policies(masks[: len(counts)], lead, counts, count_format), _LINE[1])
 
 
-def _census_spec_fields(report: CensusReport) -> list[tuple[str, object]]:
-    spec = report.spec
-    return [
-        ("n_states", spec.n_states),
-        ("vocab_size", spec.vocab_size),
-        ("require_classification_shaped", spec.require_classification_shaped),
-        ("dedup", spec.dedup),
-        ("max_tasks", spec.max_tasks),
-        ("time_budget", spec.time_budget),
-        ("exemplar_limit", spec.exemplar_limit),
-    ]
+# the totals of a census report, in the order its text lists them; the
+# exemplars come last
+_CENSUS_TOTALS = (
+    "vocabularies",
+    "tasks_enumerated",
+    "tasks_valid",
+    "tasks_solvable",
+    "tasks_unsolvable",
+    "truncated",
+)
 
 
 def _census_text(report: CensusReport) -> bytes:
-    lines = [
-        "census:",
-    ]
-    for key, value in _census_spec_fields(report):
-        rendered = "none" if value is None else str(value).lower() if isinstance(value, bool) else str(value)
-        lines.append(f"  {key}: {rendered}")
+    # str().lower() writes None, bools, ints and finite floats as the text
+    # layout does: none, true, 42, 1.5
+    spec = report.spec
+    lines = ["census:"]
+    lines += [f"  {f.name}: {str(getattr(spec, f.name)).lower()}" for f in fields(spec)]
     lines += [
-        f"vocabularies: {report.vocabularies}",
-        f"tasks enumerated: {report.tasks_enumerated}",
-        f"tasks valid: {report.tasks_valid}",
-        f"tasks solvable: {report.tasks_solvable}",
-        f"tasks unsolvable: {report.tasks_unsolvable}",
-        f"truncated: {str(report.truncated).lower()}",
-        f"exemplars: {len(report.exemplars)}",
+        f"{key.replace('_', ' ')}: {str(getattr(report, key)).lower()}" for key in _CENSUS_TOTALS
     ]
+    lines.append(f"exemplars: {len(report.exemplars)}")
     out = ["\n".join(lines)]
     for programs, inputs, outputs in _census_exemplars(report, structured=False):
         out.append("\n  vocabulary [" + " ".join(programs) + "]")
@@ -971,7 +914,8 @@ def _census_exemplars(
                 write = _braced(_NameTable(vocab, None))
             rendered[vocab] = programs, write
         programs, write = rendered[vocab]
-        yield programs, write(_members(lang, task.input_mask)), write(_members(lang, task.output_mask))
+        inputs, outputs = lang.member_masks(task.input_mask), lang.member_masks(task.output_mask)
+        yield programs, write(inputs), write(outputs)
 
 
 def _census_structured(report: CensusReport) -> bytes:
@@ -983,18 +927,8 @@ def _census_structured(report: CensusReport) -> bytes:
         }
         for programs, inputs, outputs in _census_exemplars(report, structured=True)
     ]
-    tree = dict(_census_spec_fields(report))
-    tree.update(
-        {
-            "vocabularies": report.vocabularies,
-            "tasks_enumerated": report.tasks_enumerated,
-            "tasks_valid": report.tasks_valid,
-            "tasks_solvable": report.tasks_solvable,
-            "tasks_unsolvable": report.tasks_unsolvable,
-            "truncated": report.truncated,
-            "exemplars": exemplars,
-        }
-    )
+    tree = {f.name: getattr(report.spec, f.name) for f in fields(report.spec)}
+    tree.update({key: getattr(report, key) for key in _CENSUS_TOTALS}, exemplars=exemplars)
     return _json_bytes(tree)
 
 
@@ -1028,8 +962,8 @@ def serialize_check(
     vocab = lang.vocabulary
     policy = [report.policy.statement.members]
     # language order is canonical order, so the rows need no sort
-    selected = _members(lang, report.selection_mask)
-    outputs = _members(lang, task.output_mask)
+    selected = lang.member_masks(report.selection_mask)
+    outputs = lang.member_masks(task.output_mask)
     if mode == "text":
         braced = _braced(_NameTable(vocab, names))
         out = [

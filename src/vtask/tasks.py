@@ -26,7 +26,6 @@ from .core import (
     Language,
     Statement,
     _superset_sums,
-    bit_flags,
     extension_of_set,
     extension_of_statement,
     flags_mask,
@@ -269,8 +268,7 @@ def max_policy_length_bound(task: Task) -> int:
     Every output must complete the policy, so the policy is a subset of
     each output; the shortest output bounds the policy's size.
     """
-    outputs = compress(task.language.masks, bit_flags(task.output_mask))
-    return min(map(int.bit_count, outputs))
+    return min(map(int.bit_count, task.language.member_masks(task.output_mask)))
 
 
 def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchResult:
@@ -295,10 +293,9 @@ def find_correct_policies(task: Task, mode: str = "exhaustive") -> PolicySearchR
         raise ValueError(f"unknown search mode {mode!r}; expected one of {SEARCH_MODES}")
     lang = task.language
     masks = lang.masks
-    extension = compress(masks, bit_flags(task.extension_mask))
-    selected = superset_counts(len(lang.vocabulary), extension)
+    selected = superset_counts(len(lang.vocabulary), lang.member_masks(task.extension_mask))
     common = lang.vocabulary.member_mask
-    for o in compress(masks, bit_flags(task.output_mask)):
+    for o in lang.member_masks(task.output_mask):
         common &= o
     checked = len(lang)
     if mode == "pruned":
@@ -389,10 +386,9 @@ def find_correct_set_policies(task: Task, cap: int | None = None) -> PolicySearc
             cap_name="set_policy_table_bits",
             cap_value=SET_POLICY_TABLE_BITS,
         )
-    extension = compress(lang.masks, bit_flags(task.extension_mask))
-    weights = dict.fromkeys(extension, 1 << n_outputs)
-    for j, o in enumerate(task.sorted_outputs()):
-        weights[o.members] = 1 << j
+    weights = dict.fromkeys(lang.member_masks(task.extension_mask), 1 << n_outputs)
+    for j, o in enumerate(lang.member_masks(task.output_mask)):
+        weights[o] = 1 << j
     selected = _superset_sums(lang, weights)
     o_bits = (1 << n_outputs) - 1
     admissible = [(1 << i, selected[m]) for i, m in enumerate(lang.masks) if selected[m] <= o_bits]

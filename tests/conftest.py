@@ -13,6 +13,7 @@ from vtask.core import (
     Vocabulary,
     build_language,
 )
+from vtask.dsl import TaskDocument
 from vtask.tasks import Task, validate_task
 from vtask.verify import reference_task
 
@@ -113,6 +114,32 @@ def _random_outputs(rng, inputs, lang):
     return validate_task(inputs, outputs, lang)
 
 
+def document_of_names(
+    n_states: int, programs=(), labels=(), inputs=(), outputs=(), examples=()
+) -> TaskDocument:
+    """The document of these declarations, name lines and examples, each
+    line's names mapped to member bits through :meth:`Vocabulary.build`
+    and :meth:`Vocabulary.index_of`, and every part sorted and made
+    distinct as the reader does; every name a line holds must be
+    declared."""
+    programs, labels = tuple(sorted(programs)), tuple(sorted(labels))
+    declared = dict(programs + labels)
+    vocab = Vocabulary.build(declared.values(), StateSpace(n_states))
+
+    def masks(lines) -> tuple[int, ...]:
+        indices = [[vocab.index_of(declared[name]) for name in line] for line in lines]
+        return tuple(sorted({Statement.from_indices(line).members for line in indices}))
+
+    return TaskDocument(
+        n_states=n_states,
+        programs=programs,
+        labels=labels,
+        input_masks=masks(inputs),
+        output_masks=masks(outputs),
+        examples=tuple(sorted({(tuple(sorted(set(f))), label) for f, label in examples})),
+    )
+
+
 def random_classification_file(rng: random.Random) -> str:
     """The text of a classification task file over a few states: examples
     of one to three features, some of them named twice, some examples
@@ -148,12 +175,14 @@ def random_classification_file(rng: random.Random) -> str:
     return newline.join(lines + body) + newline
 
 
-def run_cli(*args: str, cwd: str | None = None) -> subprocess.CompletedProcess:
-    """Run ``python -m vtask`` on this checkout's sources."""
+def run_cli(*args: str, cwd: str | None = None, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run ``python -m vtask`` on this checkout's sources, capturing stderr
+    and, unless given somewhere else to go, stdout."""
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "vtask", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )

@@ -2,17 +2,29 @@ import contextlib
 import io
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vtask import cli
 from vtask.core import Program, StateSpace, Statement, Vocabulary, build_language
-from vtask.dsl import parse_task_file, realize_document
-from vtask.errors import CapacityError
+from vtask.dsl import (
+    parse_task_file,
+    realize_document,
+    serialize_document_tree,
+    serialize_task_document,
+)
+from vtask.errors import CapacityError, EncodingError, TaskValidationError
 from vtask.verify import run_reference_checks
 
-from conftest import COLORED_BOX_FILE, TWO_CLASS_FILE, run_cli
+from conftest import (
+    COLORED_BOX_FILE,
+    TWO_CLASS_FILE,
+    document_of_names,
+    random_classification_file,
+    run_cli,
+)
 
 ALPHA = str(TWO_CLASS_FILE)
 BOX = str(COLORED_BOX_FILE)
@@ -458,6 +470,45 @@ def test_encode_structured():
     assert ["red_signal"] in tree["inputs"]
 
 
+def _main(*argv: str) -> tuple[int, bytes]:
+    """The exit code and stdout bytes of ``cli.main(argv)``, run in-process."""
+    buffer = io.BytesIO()
+    stdout = io.TextIOWrapper(buffer)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    stdout.flush()
+    return code, buffer.getvalue()
+
+
+def test_encode_round_trips_generated_classification_files(tmp_path):
+    """On seeded classification files, encode's output reads back to the
+    file's own task, and in both formats it is byte for byte the document
+    built from the task's statements as name lines."""
+    path = tmp_path / "classification.pvt"
+    encoded = 0
+    for seed in range(200):
+        text = random_classification_file(random.Random(seed))
+        path.write_bytes(text.encode())
+        try:
+            realized = realize_document(parse_task_file(text))
+        except (EncodingError, TaskValidationError):
+            continue
+        task, names, doc = realized.task, realized.names, realized.document
+        expected = document_of_names(
+            doc.n_states,
+            doc.programs,
+            doc.labels,
+            inputs=[[names[i] for i in s.indices()] for s in task.sorted_inputs()],
+            outputs=[[names[i] for i in s.indices()] for s in task.sorted_outputs()],
+        )
+        code, out = _main("encode", str(path))
+        assert (code, out) == (0, serialize_task_document(expected).encode())
+        assert _main("encode", str(path), "--structured") == (0, serialize_document_tree(expected))
+        assert realize_document(parse_task_file(out.decode())).task == task
+        encoded += 1
+    assert encoded > 100
+
+
 def test_verify_paper_passes_and_is_deterministic():
     first = run_cli("verify-paper")
     second = run_cli("verify-paper")
@@ -490,6 +541,27 @@ def test_non_utf8_file_is_usage_error(tmp_path):
     assert result.returncode == 2
     assert b"UTF-8" in result.stderr
     assert b"Traceback" not in result.stderr
+
+
+def test_a_leading_byte_order_mark_is_read_past(tmp_path):
+    f = tmp_path / "box.pvt"
+    f.write_bytes(b"\xef\xbb\xbf" + COLORED_BOX_FILE.read_bytes())
+    for command in ("search", "lang", "encode"):
+        with_mark, plain = run_cli(command, str(f)), run_cli(command, BOX)
+        assert (with_mark.returncode, with_mark.stdout) == (plain.returncode, plain.stdout)
+        assert with_mark.stderr == b""
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_cli("verify-paper", stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"vtask: error: cannot write to stdout")
+    assert b"Traceback" not in result.stderr and b"Exception ignored" not in result.stderr
 
 
 def test_no_command_is_usage_error():

@@ -23,7 +23,7 @@ from vtask.errors import CapacityError, ParseError, TaskFileError, TaskValidatio
 from vtask.search import SearchSpec, census
 from vtask.tasks import check_policy, find_correct_policies, validate_task
 
-from conftest import COLORED_BOX_FILE, INVALID_DOCUMENTS, TWO_CLASS_FILE
+from conftest import COLORED_BOX_FILE, INVALID_DOCUMENTS, TWO_CLASS_FILE, document_of_names
 
 
 # -- program literals --------------------------------------------------------
@@ -342,7 +342,7 @@ def test_reader_matches_the_name_tuple_route_on_random_files():
         text, _ = _render(_random_lines(rng), rng)
         doc = parse_task_file(text)
         n_states, programs, labels, inputs, outputs = _oracle_read(text)
-        expected = TaskDocument.build(n_states, programs, labels, inputs, outputs)
+        expected = document_of_names(n_states, programs, labels, inputs, outputs)
         assert doc == expected and hash(doc) == hash(expected)
         assert (doc.inputs, doc.outputs) == (inputs, outputs)
         names, outcome = _oracle_task(n_states, programs, labels, inputs, outputs)
@@ -449,7 +449,7 @@ def random_document(rng: random.Random) -> TaskDocument:
             examples.append(
                 (tuple(rng.sample([f for f, _ in features], k)), rng.choice(labels)[0])
             )
-        return TaskDocument.build(
+        return document_of_names(
             n_states=n, programs=features, labels=labels, examples=examples
         )
     n_lines = rng.randint(0, 3)
@@ -458,7 +458,7 @@ def random_document(rng: random.Random) -> TaskDocument:
     for _ in range(n_lines):
         inputs.append(rng.sample([f for f, _ in programs], rng.randint(1, len(programs))))
         outputs.append(rng.sample([f for f, _ in programs], rng.randint(1, len(programs))))
-    return TaskDocument.build(
+    return document_of_names(
         n_states=n, programs=programs, inputs=inputs, outputs=outputs
     )
 

@@ -20,7 +20,6 @@ import pytest
 from vtask import cli
 from vtask.core import Program, StateSpace, Statement, Vocabulary, build_language
 from vtask.dsl import (
-    TaskDocument,
     render_statement,
     serialize_check,
     serialize_language,
@@ -37,6 +36,8 @@ from vtask.tasks import (
     find_correct_set_policies,
     validate_task,
 )
+
+from conftest import document_of_names
 
 KS = range(11)
 # a task needs a language of two statements or more, so a program or more
@@ -207,7 +208,7 @@ def test_search_cli_matches_the_oracle(k, tmp_path):
     one program, every task has the empty statement as input.)"""
     _, task, names = _case(k, True, writable=True)
     vocab = task.language.vocabulary
-    doc = TaskDocument.build(
+    doc = document_of_names(
         n_states=vocab.space.n_states,
         programs=zip(names, vocab.programs),
         inputs=[[names[i] for i in s.indices()] for s in task.sorted_inputs()],
