@@ -46,8 +46,9 @@ def _emit(data: bytes) -> None:
 
 def _load(path: str) -> dsl.RealizedDocument:
     try:
-        # utf-8-sig drops a leading byte-order mark
-        text = Path(path).read_text(encoding="utf-8-sig")
+        # a leading byte-order mark is dropped after decoding, so that the
+        # offset of a byte that is not UTF-8 counts it
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as err:
         raise VTaskError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:

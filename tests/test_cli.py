@@ -550,6 +550,9 @@ def test_a_leading_byte_order_mark_is_read_past(tmp_path):
         with_mark, plain = run_cli(command, str(f)), run_cli(command, BOX)
         assert (with_mark.returncode, with_mark.stdout) == (plain.returncode, plain.stdout)
         assert with_mark.stderr == b""
+    # the mark's three bytes count in the offset of a byte that is not UTF-8
+    f.write_bytes(b"\xef\xbb\xbfstates 2\n\xff\n")
+    assert b"not UTF-8 text (byte 12:" in run_cli("lang", str(f)).stderr
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():
