@@ -504,7 +504,10 @@ def test_encode_round_trips_generated_classification_files(tmp_path):
         code, out = _main("encode", str(path))
         assert (code, out) == (0, serialize_task_document(expected).encode())
         assert _main("encode", str(path), "--structured") == (0, serialize_document_tree(expected))
-        assert realize_document(parse_task_file(out.decode())).task == task
+        read = realize_document(parse_task_file(out.decode())).task
+        assert (read.input_mask, read.output_mask, read.extension_mask) == (
+            task.input_mask, task.output_mask, task.extension_mask)
+        assert read == task
         encoded += 1
     assert encoded > 100
 

@@ -257,8 +257,9 @@ def test_mask_language_matches_linear_scans():
                     lang.index_of(Statement(m))
         for _ in range(5):
             mask = rng.getrandbits(len(masks))
-            expected = tuple(Statement(m) for j, m in enumerate(masks) if mask >> j & 1)
-            assert lang.statements_of(mask) == expected
+            expected = tuple(m for j, m in enumerate(masks) if mask >> j & 1)
+            assert lang.member_masks(mask) == expected
+            assert lang.statements_of(mask) == tuple(map(Statement, expected))
 
 
 def test_language_from_statements_keeps_canonical_order():
