@@ -242,6 +242,104 @@ def test_each_line_end_counts_one_line(newline):
     assert [(d.line, d.column) for d in diagnostics] == [(3, 12)]
 
 
+# -- where declarations may stand ----------------------------------------------
+
+_UNKNOWN = "(expected one of states, program, label, input, output, example)"
+_BEFORE = "the states declaration must come before other directives"
+
+# (file, every diagnostic): directives that only start like a declaration,
+# declarations of the wrong length between input and output lines, an
+# indented states line after another directive, and example lines that
+# name a label as a feature or a program as a label among input lines
+_DECLARATION_PLACES = {
+    "not-keywords": (
+        "states 3\nprogram a 011\nstatesman 3\n  programs a 01\nlabel_x b 11\n"
+        "\tstates_ 2\ninput a\noutput a\n",
+        [
+            (3, 1, f"unknown directive 'statesman' {_UNKNOWN}"),
+            (4, 3, f"unknown directive 'programs' {_UNKNOWN}"),
+            (5, 1, f"unknown directive 'label_x' {_UNKNOWN}"),
+            (6, 2, f"unknown directive 'states_' {_UNKNOWN}"),
+        ],
+    ),
+    "arity-between-io": (
+        "states 2\nprogram a 01\ninput a\nprogram b\nlabel c 11 extra\n  states\n"
+        "states 2 3\nlabel\noutput a\n",
+        [
+            (4, 1, "program takes a name and a literal"),
+            (5, 1, "label takes a name and a literal"),
+            (6, 3, "states takes exactly one number"),
+            (7, 1, "states takes exactly one number"),
+            (8, 1, "label takes a name and a literal"),
+        ],
+    ),
+    "indented-states-after-program": (
+        "program a 011\n \t states 3\ninput a\noutput a\n",
+        [(1, None, _BEFORE)],
+    ),
+    # a label is declared after the programs, whatever its line
+    "indented-states-and-duplicate": (
+        "label a 01\n  states 2\nprogram a 10\n",
+        [(1, None, _BEFORE), (1, None, "duplicate declaration of 'a' (first declared on line 3)")],
+    ),
+    "indented-states-and-io": (
+        "input a\n\x0cstates 2\nprogram a 01\n",
+        [(1, None, _BEFORE), (1, None, "input lines present but no output lines")],
+    ),
+    "example-kinds-among-inputs": (
+        "states 2\nprogram f 01\nlabel g 11\ninput f\nexample g -> g\ninput f\n"
+        "example f,g -> f\nexample f -> g\noutput f\n",
+        [
+            (5, None, "cannot mix input/output lines with example lines"),
+            (5, 9, "'g' is a label and cannot be a feature"),
+            (7, 11, "'g' is a label and cannot be a feature"),
+            (7, 16, "'f' is a program; example labels must be declared with 'label'"),
+        ],
+    ),
+    "example-kinds-before-declarations": (
+        "states 2\ninput f\nexample f -> f\ninput g\nexample g,f -> g\nprogram f 01\n"
+        "label g 11\n",
+        [
+            (3, None, "cannot mix input/output lines with example lines"),
+            (3, 14, "'f' is a program; example labels must be declared with 'label'"),
+            (5, 9, "'g' is a label and cannot be a feature"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _DECLARATION_PLACES)
+def test_declaration_places_are_pinned(name):
+    text, expected = _DECLARATION_PLACES[name]
+    assert [(d.line, d.column, d.message) for d in diagnostics_of(text)] == expected
+
+
+# whitespace that str.split breaks at but no line end
+_SPLIT_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", " "]
+
+
+@pytest.mark.parametrize("char", _SPLIT_ONLY, ids=lambda c: f"U+{ord(c):04X}")
+def test_late_declarations_led_by_split_whitespace(char):
+    text = (
+        f"states 3\ninput a b\noutput a\n{char}output b a\n{char}program a 011\n"
+        f"{char}label b 110\n"
+    )
+    doc = parse_task_file(text)
+    # b (states 1 and 2) comes before a (states 2 and 3) in the vocabulary
+    assert (doc.input_masks, doc.output_masks) == ((3,), (2, 3))
+    assert serialize_task_document(doc) == (
+        "states 3\nprogram a 011\nlabel b 110\ninput a b\noutput a\noutput a b\n"
+    )
+    late_states = (
+        f"{char}input a b\n{char}states 3\noutput a\n{char}program a 011\n"
+        f"{char}label b 110\n{char}states 3\n"
+    )
+    assert [(d.line, d.column, d.message) for d in diagnostics_of(late_states)] == [
+        (1, None, _BEFORE),
+        (6, None, "duplicate states declaration"),
+    ]
+
+
 # -- the reader against the name-tuple route ----------------------------------
 #
 # The oracle is the route the reader took before it read lines straight to
