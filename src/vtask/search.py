@@ -52,14 +52,14 @@ weights, so full and dedup 64/5 take seconds.
 Two kinds of run still count by walking vocabularies: runs with a
 ``max_tasks`` that may bind, whose limit marks a prefix of the
 vocabularies, and six-program runs (about 7.8·10^6 labeled complexes, too
-many to list). Without a time budget, a run of at most five programs with
-a task limit takes the class sum first, and reports it when its ``valid``
-is below the limit: the walk would count every vocabulary too. A
-``time_budget`` only bounds a run. The sum checks it before each class,
-and a sum cut short reports the empty prefix, with no vocabulary. The
-walk keys a memo by statement masks (:func:`vtask.core.statement_masks`),
-so it counts each distinct language once, over a ``Language`` built from
-its key. It checks the time budget and the task limit before each
+many to list). A run of at most five programs with a task limit takes the
+class sum first, and reports it when its ``valid`` is below the limit:
+the walk would count every vocabulary too. A ``time_budget`` only bounds
+a run, and never sends it to the walk. The sum checks it before each
+class, and a sum cut short reports the empty prefix, with no vocabulary.
+The walk keys a memo by statement masks
+(:func:`vtask.core.statement_masks`), so it counts each distinct
+language once, over a ``Language`` built from its key. It checks the time budget and the task limit before each
 vocabulary, so a truncated report counts the whole languages of its first
 ``vocabularies`` vocabularies, and may overshoot ``max_tasks`` by one
 language's tasks. Only six-program runs walk untruncated, and nothing
@@ -546,10 +546,10 @@ def _census_walk(spec: SearchSpec, deadline: float | None) -> _Totals:
 def census(spec: SearchSpec) -> CensusReport:
     """Run the census in one process. A run of at most five programs
     sums over the classes of complexes. Six-program runs walk the
-    vocabularies, and so do runs with ``max_tasks`` that also have a time
-    budget, or whose class sum reaches the limit. A time budget only
-    bounds either one. A walk with neither limit fails on the walk cap
-    when it has more than ``CENSUS_WALK_CAP`` program combinations.
+    vocabularies, and so do runs whose class sum reaches ``max_tasks``.
+    A time budget only bounds either one. A walk with neither limit fails
+    on the walk cap when it has more than ``CENSUS_WALK_CAP`` program
+    combinations.
     The exemplars come from :func:`_exemplars`, which stops as soon as it
     holds them: a truncated run counted a prefix of the vocabularies, so
     its first unsolvable tasks all lie in that prefix, unless the deadline
@@ -557,9 +557,7 @@ def census(spec: SearchSpec) -> CensusReport:
     """
     start = time.monotonic()
     deadline = start + spec.time_budget if spec.time_budget is not None else None
-    if spec.vocab_size > COMPLEX_MAX_VERTICES or (
-        spec.max_tasks is not None and deadline is not None
-    ):
+    if spec.vocab_size > COMPLEX_MAX_VERTICES:
         combinations = math.comb(1 << spec.n_states, spec.vocab_size)
         if spec.max_tasks is None and deadline is None and combinations > CENSUS_WALK_CAP:
             raise CapacityError(

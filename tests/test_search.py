@@ -1312,14 +1312,20 @@ def test_six_programs_still_walk_vocabularies(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "limits", [{"dedup": True}, {"max_tasks": 10**9}, {"time_budget": 60.0}]
+    "limits",
+    [
+        {"dedup": True},
+        {"max_tasks": 10**9},
+        {"time_budget": 60.0},
+        {"max_tasks": 10**9, "time_budget": 60.0},
+    ],
 )
 def test_dedup_and_truncatable_runs_walk_vocabularies(monkeypatch, limits):
     # only a task limit that binds walks vocabularies for the totals: the
     # limit marks a prefix of the vocabularies, which only the walk finds,
     # and the class sum shows that 10^9 is above every 3/3 total. A dedup
     # run walks them only for its exemplars, and a time budget bounds the
-    # class sum without choosing the walk
+    # class sum without choosing the walk, with a task limit or without
     def wrong_way(*args):
         raise AssertionError("this run takes its totals the other way")
 
