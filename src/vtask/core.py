@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, DomainError, MalformedInputError
 
@@ -351,7 +351,7 @@ def _superset_sums(lang: Language, weights: Mapping[int, int]) -> dict[int, int]
     return sums
 
 
-def superset_counts(n_bits: int, members: Iterable[int]) -> array:
+def superset_counts(n_bits: int, members: Sequence[int]) -> array:
     """For every mask below ``2**n_bits``, the number of ``members`` (distinct
     masks) that are its supersets, indexed by mask.
 
@@ -363,7 +363,6 @@ def superset_counts(n_bits: int, members: Iterable[int]) -> array:
     the number of members, so 2-byte fields hold fewer than 2^16 members
     and 4-byte fields hold the 2^MAX_VOCAB of any language.
     """
-    members = list(members)
     width = 2 if len(members) < 1 << 16 else 4
     cells = bytearray(width << n_bits)
     for m in members:
