@@ -55,7 +55,8 @@ from .tasks import (
 )
 from .verify import VerifyReport
 
-_DIRECTIVES = ("states", "program", "label", "input", "output", "example")
+_DECLARATIONS = ("states", "program", "label")
+_DIRECTIVES = (*_DECLARATIONS, "input", "output", "example")
 
 
 def parse_program_literal(text: str, space: StateSpace) -> Program:
@@ -127,32 +128,6 @@ def _vocabulary_names(declared: Iterable[tuple[str, Program]]) -> tuple[str, ...
     return tuple(name for _, name in sorted((p.bits, name) for name, p in declared))
 
 
-def _line_mask(bit: dict[str, int], names: Iterable[str]) -> int:
-    """The member mask of a line's names; a name ``bit`` lacks raises
-    ``KeyError``."""
-    mask = 0
-    for name in names:
-        mask |= bit[name]
-    return mask
-
-
-@dataclass
-class _LineParse:
-    """Raw per-line records collected before semantic checks. A record
-    keeps its comment-stripped line, or for an input or output line its
-    names; :func:`_columns` finds a token's column in the comment-stripped
-    line once a diagnostic needs it."""
-
-    lines: list[str]
-    states: list[tuple[int, int]]
-    programs: list[tuple[int, str, str, str]]  # line, name, literal, line body
-    labels: list[tuple[int, str, str, str]]
-    inputs: list[tuple[int, list[str]]]  # line, names
-    outputs: list[tuple[int, list[str]]]
-    examples: list[tuple[int, list[tuple[str, int]], tuple[str, int]]]
-    first_directive_line: int | None
-
-
 def _is_name(token: str) -> bool:
     """True when the token matches ``[A-Za-z_][A-Za-z0-9_]*``."""
     return token.isascii() and token.isidentifier()
@@ -178,65 +153,11 @@ def _split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _scan_lines(text: str, errors: list[ParseDiagnostic]) -> _LineParse:
-    lines = _split_lines(text)
-    parsed = _LineParse(lines, [], [], [], [], [], [], None)
-    for line_no, raw in enumerate(lines, start=1):
-        body = raw.partition("#")[0]
-        tokens = body.split()
-        if not tokens:
-            continue
-        keyword = tokens[0]
-        rest = tokens[1:]
-        if parsed.first_directive_line is None:
-            parsed.first_directive_line = line_no
-        if keyword in ("input", "output"):
-            if not rest:
-                errors.append(
-                    ParseDiagnostic(
-                        line_no, _columns(body, tokens)[0], f"{keyword} needs at least one name"
-                    )
-                )
-            else:
-                # the names are checked once the declarations are known
-                (parsed.inputs if keyword == "input" else parsed.outputs).append((line_no, rest))
-        elif keyword in ("program", "label"):
-            if len(rest) != 2:
-                errors.append(
-                    ParseDiagnostic(
-                        line_no, _columns(body, tokens)[0], f"{keyword} takes a name and a literal"
-                    )
-                )
-                continue
-            name, literal = rest
-            if not _is_name(name):
-                errors.append(
-                    ParseDiagnostic(line_no, _columns(body, tokens)[1], f"invalid name {name!r}")
-                )
-                continue
-            record = (line_no, name, literal, body)
-            (parsed.programs if keyword == "program" else parsed.labels).append(record)
-        elif keyword == "states":
-            _scan_states(line_no, body, tokens, parsed, errors)
-        elif keyword == "example":
-            _scan_example(line_no, body, tokens, parsed, errors)
-        else:
-            errors.append(
-                ParseDiagnostic(
-                    line_no,
-                    _columns(body, tokens)[0],
-                    f"unknown directive {keyword!r} (expected one of "
-                    f"{', '.join(_DIRECTIVES)})",
-                )
-            )
-    return parsed
-
-
 def _scan_states(
     line_no: int,
     body: str,
     tokens: list[str],
-    parsed: _LineParse,
+    states: list[tuple[int, int]],
     errors: list[ParseDiagnostic],
 ) -> None:
     """A state count is ASCII digits; one with more digits than Python
@@ -262,219 +183,252 @@ def _scan_states(
             cap_name="max_states",
             cap_value=MAX_STATES,
         )
-    parsed.states.append((line_no, int(digits)))
+    states.append((line_no, int(digits)))
 
 
-def _scan_example(
+def _undeclared(line_no: int, column: int, name: str) -> ParseDiagnostic:
+    return ParseDiagnostic(line_no, column, f"reference to undeclared name {name!r}")
+
+
+def _read_example(
     line_no: int,
     body: str,
     tokens: list[str],
-    parsed: _LineParse,
+    kinds: dict[str, str],
+    examples: set[tuple[tuple[str, ...], str]],
     errors: list[ParseDiagnostic],
-) -> None:
+) -> bool:
+    """Read an example line: its form and names, then what its names are.
+    ``kinds`` maps each declared name to "program" or "label", or to ""
+    when its declaration failed. A line without errors joins ``examples``.
+    Returns whether the form and the names were valid."""
     columns = _columns(body, tokens)
-    key_col = columns[0]
     rest = list(zip(tokens[1:], columns[1:]))
     arrows = [i for i, (tok, _) in enumerate(rest) if tok == "->"]
-    if len(arrows) != 1:
-        errors.append(
-            ParseDiagnostic(
-                line_no, key_col, "example needs exactly one '->' separator"
-            )
-        )
-        return
-    arrow = arrows[0]
-    feature_tokens, label_tokens = rest[:arrow], rest[arrow + 1 :]
-    if not feature_tokens or len(label_tokens) != 1:
+    if len(arrows) != 1 or not 0 < arrows[0] == len(rest) - 2:
         errors.append(
             ParseDiagnostic(
                 line_no,
-                key_col,
-                "example form is: example <feat>[,<feat>...] -> <label>",
+                columns[0],
+                "example needs exactly one '->' separator"
+                if len(arrows) != 1
+                else "example form is: example <feat>[,<feat>...] -> <label>",
             )
         )
-        return
-    features: list[tuple[str, int]] = []
-    ok = True
-    for chunk, col in feature_tokens:
-        offset = 0
+        return False
+    # the comma-separated pieces of the feature tokens, then the label
+    pieces = []
+    for chunk, col in rest[:-2]:
         for piece in chunk.split(","):
             if piece:
-                if _is_name(piece):
-                    features.append((piece, col + offset))
-                else:
-                    errors.append(
-                        ParseDiagnostic(
-                            line_no, col + offset, f"invalid name {piece!r}"
-                        )
-                    )
-                    ok = False
-            offset += len(piece) + 1
-    label, label_col = label_tokens[0]
-    if not _is_name(label):
-        errors.append(ParseDiagnostic(line_no, label_col, f"invalid name {label!r}"))
-        ok = False
-    if ok and features:
-        parsed.examples.append((line_no, features, (label, label_col)))
-    elif ok:
-        errors.append(
-            ParseDiagnostic(line_no, key_col, "example needs at least one feature")
+                pieces.append((piece, col))
+            col += len(piece) + 1
+    pieces.append(rest[-1])
+    invalid = [
+        ParseDiagnostic(line_no, col, f"invalid name {name!r}")
+        for name, col in pieces
+        if not _is_name(name)
+    ]
+    errors += invalid
+    if invalid:
+        return False
+    if len(pieces) == 1:
+        errors.append(ParseDiagnostic(line_no, columns[0], "example needs at least one feature"))
+        return False
+    *features, (label, label_col) = pieces
+    wrong = []
+    for name, col in features:
+        if name not in kinds:
+            wrong.append(_undeclared(line_no, col, name))
+        elif kinds[name] == "label":
+            wrong.append(
+                ParseDiagnostic(line_no, col, f"{name!r} is a label and cannot be a feature")
+            )
+    if label not in kinds:
+        wrong.append(_undeclared(line_no, label_col, label))
+    elif kinds[label] == "program":
+        wrong.append(
+            ParseDiagnostic(
+                line_no,
+                label_col,
+                f"{label!r} is a program; example labels must be declared with 'label'",
+            )
         )
+    errors += wrong
+    if not wrong:
+        examples.add((tuple(sorted({name for name, _ in features})), label))
+    return True
 
 
 def parse_task_file(text: str) -> TaskDocument:
-    """Parse a task file, collecting every diagnostic before failing."""
+    """Parse a task file, collecting every diagnostic before failing.
+
+    Declarations may come after the lines that name them, so a first pass
+    reads only the ``states``, ``program`` and ``label`` lines. A second
+    pass reads every other line once, against the finished table of
+    declared names: an input or output line becomes its member mask, or
+    its diagnostics, as it is read."""
     errors: list[ParseDiagnostic] = []
-    parsed = _scan_lines(text, errors)
+    lines = _split_lines(text)
+    states: list[tuple[int, int]] = []
+    # keyword, line, name, literal and comment-stripped line of each
+    # program and label declaration
+    records: list[tuple[str, int, str, str, str]] = []
+    for line_no, raw in enumerate(lines, start=1):
+        # str.lstrip strips the whitespace str.split breaks at, so no
+        # declaration fails this test
+        if not raw.lstrip().startswith(_DECLARATIONS):
+            continue
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        keyword = tokens[0]
+        if keyword == "states":
+            _scan_states(line_no, body, tokens, states, errors)
+        elif keyword in ("program", "label"):
+            if len(tokens) != 3:
+                errors.append(
+                    ParseDiagnostic(
+                        line_no, _columns(body, tokens)[0], f"{keyword} takes a name and a literal"
+                    )
+                )
+            elif not _is_name(tokens[1]):
+                errors.append(
+                    ParseDiagnostic(line_no, _columns(body, tokens)[1], f"invalid name {tokens[1]!r}")
+                )
+            else:
+                records.append((keyword, line_no, tokens[1], tokens[2], body))
 
     n_states: int | None = None
-    if not parsed.states:
+    if not states:
         errors.append(ParseDiagnostic(1, None, "missing states declaration"))
     else:
-        states_line, n_states = parsed.states[0]
-        for line_no, _ in parsed.states[1:]:
+        (states_line, n_states), *duplicates = states
+        for line_no, _ in duplicates:
             errors.append(
                 ParseDiagnostic(line_no, None, "duplicate states declaration")
             )
-        if parsed.first_directive_line != states_line:
+        first = next(n for n, raw in enumerate(lines, start=1) if raw.partition("#")[0].split())
+        if first != states_line:
             errors.append(
                 ParseDiagnostic(
-                    parsed.first_directive_line or 1,
-                    None,
-                    "the states declaration must come before other directives",
+                    first, None, "the states declaration must come before other directives"
                 )
             )
 
     declared: dict[str, int] = {}  # name -> line of its first declaration
-    declarations = parsed.programs or parsed.labels
+    # what each declared name is: "program", "label", or "" when its
+    # literal is bad or duplicates another
+    kinds: dict[str, str] = {}
     literal_lines: dict[int, tuple[int, str]] = {}
     programs: list[tuple[str, Program]] = []
     labels: list[tuple[str, Program]] = []
-    space = StateSpace(n_states) if n_states is not None and declarations else None
-    for is_label, records in ((False, parsed.programs), (True, parsed.labels)):
-        for line_no, name, literal, body in records:
-            if name in declared:
-                errors.append(
-                    ParseDiagnostic(
-                        line_no,
-                        None,
-                        f"duplicate declaration of {name!r} "
-                        f"(first declared on line {declared[name]})",
-                    )
-                )
-                continue
-            # a name with a bad or duplicate literal is still declared, so
-            # the lines that name it report nothing more
-            declared[name] = line_no
-            program = None
-            if space is not None:
-                try:
-                    program = parse_program_literal(literal, space)
-                except ParseError as err:
-                    column = _columns(body, body.split())[2] + (err.column or 1) - 1
-                    errors.append(ParseDiagnostic(line_no, column, str(err)))
-            if program is None:
-                continue
-            if program.bits in literal_lines:
-                prev_line, prev_name = literal_lines[program.bits]
-                errors.append(
-                    ParseDiagnostic(
-                        line_no,
-                        _columns(body, body.split())[2],
-                        f"program {name!r} duplicates the states of "
-                        f"{prev_name!r} (line {prev_line})",
-                    )
-                )
-                continue
-            literal_lines[program.bits] = (line_no, name)
-            (labels if is_label else programs).append((name, program))
-
-    label_names = {name for name, _ in labels}
-    program_names = {name for name, _ in programs}
-
-    def check_reference(line_no: int, name: str, col: int) -> bool:
-        if name not in declared:
+    space = StateSpace(n_states) if n_states is not None and records else None
+    # the programs are declared before the labels, whatever their lines
+    for keyword, line_no, name, literal, body in sorted(records, key=lambda r: r[0] == "label"):
+        if name in declared:
             errors.append(
-                ParseDiagnostic(line_no, col, f"reference to undeclared name {name!r}")
+                ParseDiagnostic(
+                    line_no,
+                    None,
+                    f"duplicate declaration of {name!r} "
+                    f"(first declared on line {declared[name]})",
+                )
             )
-            return False
-        return True
+            continue
+        # a name with a bad or duplicate literal is still declared, so
+        # the lines that name it report nothing more
+        declared[name] = line_no
+        kinds[name] = ""
+        program = None
+        if space is not None:
+            try:
+                program = parse_program_literal(literal, space)
+            except ParseError as err:
+                column = _columns(body, body.split())[2] + (err.column or 1) - 1
+                errors.append(ParseDiagnostic(line_no, column, str(err)))
+        if program is None:
+            continue
+        if program.bits in literal_lines:
+            prev_line, prev_name = literal_lines[program.bits]
+            errors.append(
+                ParseDiagnostic(
+                    line_no,
+                    _columns(body, body.split())[2],
+                    f"program {name!r} duplicates the states of "
+                    f"{prev_name!r} (line {prev_line})",
+                )
+            )
+            continue
+        literal_lines[program.bits] = (line_no, name)
+        kinds[name] = keyword
+        (labels if keyword == "label" else programs).append((name, program))
 
     # a name with a bad or duplicate literal is declared, but the file then
     # has errors and its masks go unused: it takes bit 0
     bit = dict.fromkeys(declared, 0)
     bit.update({name: 1 << i for i, name in enumerate(_vocabulary_names(programs + labels))})
-
-    def io_masks(records: list[tuple[int, list[str]]]) -> tuple[set[int], int | None]:
-        """The member masks of the lines whose names are all declared, and
-        the first line whose names are all valid. Any other line reports
-        each of its invalid names, or else its first undeclared one."""
-        masks = set()
-        first = None
-        for line_no, names in records:
+    masks: dict[str, set[int]] = {"input": set(), "output": set()}
+    examples: set[tuple[tuple[str, ...], str]] = set()
+    # the first input, output and example line whose names are all valid
+    firsts: dict[str, int] = {}
+    for line_no, raw in enumerate(lines, start=1):
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if not tokens:
+            continue
+        keyword = tokens[0]
+        if keyword in masks:
+            names = tokens[1:]
+            if not names:
+                errors.append(
+                    ParseDiagnostic(
+                        line_no, _columns(body, tokens)[0], f"{keyword} needs at least one name"
+                    )
+                )
+                continue
+            mask = 0
             try:
-                masks.add(_line_mask(bit, names))
+                for name in names:
+                    mask |= bit[name]
             except KeyError:
-                body = parsed.lines[line_no - 1].partition("#")[0]
-                columns = _columns(body, body.split())[1:]
+                # each invalid name reports, or else the first undeclared one
+                columns = _columns(body, tokens)[1:]
                 if not all(map(_is_name, names)):
                     for name, col in zip(names, columns):
                         if not _is_name(name):
                             errors.append(ParseDiagnostic(line_no, col, f"invalid name {name!r}"))
                     continue
-                j = next(j for j, name in enumerate(names) if name not in declared)
-                check_reference(line_no, names[j], columns[j])
-            if first is None:
-                first = line_no
-        return masks, first
-
-    inputs, first_input = io_masks(parsed.inputs)
-    outputs, first_output = io_masks(parsed.outputs)
-    examples = []
-    for line_no, features, (label, label_col) in parsed.examples:
-        ok = True
-        for name, col in features:
-            if not check_reference(line_no, name, col):
-                ok = False
-            elif name in label_names:
-                errors.append(
-                    ParseDiagnostic(
-                        line_no, col, f"{name!r} is a label and cannot be a feature"
-                    )
-                )
-                ok = False
-        if not check_reference(line_no, label, label_col):
-            ok = False
-        elif label in program_names:
+                j = next(j for j, name in enumerate(names) if name not in bit)
+                errors.append(_undeclared(line_no, columns[j], names[j]))
+            else:
+                masks[keyword].add(mask)
+            firsts.setdefault(keyword, line_no)
+        elif keyword == "example":
+            if _read_example(line_no, body, tokens, kinds, examples, errors):
+                firsts.setdefault(keyword, line_no)
+        elif keyword not in _DECLARATIONS:
             errors.append(
                 ParseDiagnostic(
                     line_no,
-                    label_col,
-                    f"{label!r} is a program; example labels must be declared "
-                    "with 'label'",
+                    _columns(body, tokens)[0],
+                    f"unknown directive {keyword!r} (expected one of "
+                    f"{', '.join(_DIRECTIVES)})",
                 )
             )
-            ok = False
-        if ok:
-            examples.append(([n for n, _ in features], label))
 
-    io_lines = [line for line in (first_input, first_output) if line is not None]
-    if io_lines and parsed.examples:
-        first_example = min(line for line, *_ in parsed.examples)
+    io = [firsts[k] for k in masks if k in firsts]
+    if io and "example" in firsts:
         errors.append(
             ParseDiagnostic(
-                max(min(io_lines), first_example),
+                max(min(io), firsts["example"]),
                 None,
                 "cannot mix input/output lines with example lines",
             )
         )
-    elif first_input is not None and first_output is None:
+    elif len(io) == 1:
+        present, missing = ("input", "output") if "input" in firsts else ("output", "input")
         errors.append(
-            ParseDiagnostic(first_input, None, "input lines present but no output lines")
-        )
-    elif first_output is not None and first_input is None:
-        errors.append(
-            ParseDiagnostic(first_output, None, "output lines present but no input lines")
+            ParseDiagnostic(io[0], None, f"{present} lines present but no {missing} lines")
         )
 
     # a missing state count is always among the errors
@@ -484,9 +438,9 @@ def parse_task_file(text: str) -> TaskDocument:
         n_states=n_states,
         programs=tuple(sorted(programs)),
         labels=tuple(sorted(labels)),
-        input_masks=tuple(sorted(inputs)),
-        output_masks=tuple(sorted(outputs)),
-        examples=tuple(sorted({(tuple(sorted(set(f))), lbl) for f, lbl in examples})),
+        input_masks=tuple(sorted(masks["input"])),
+        output_masks=tuple(sorted(masks["output"])),
+        examples=tuple(sorted(examples)),
     )
 
 

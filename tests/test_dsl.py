@@ -2,6 +2,7 @@ import json
 import random
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -510,6 +511,33 @@ def test_reader_diagnostics_on_random_files(fault):
         ]
         diagnostics = diagnostics_of(text)
         assert [(d.line, d.column, d.message) for d in diagnostics] == expected
+
+
+def _planted_file(k: int) -> str:
+    """A k-program task file whose 2^(k-3) output lines are every
+    completion of {f1 f2 f3}; program fi is false in state i only."""
+    lines = [f"states {k + 1}"] + [
+        f"program f{i} " + "".join("0" if s == i else "1" for s in range(1, k + 2))
+        for i in range(1, k + 1)
+    ]
+    lines += ["input f1", "input f2"]
+    for rest in range(1 << (k - 3)):
+        lines.append("output f1 f2 f3" + "".join(f" f{i + 4}" for i in range(k - 3) if rest >> i & 1))
+    return "\n".join(lines) + "\n"
+
+
+def test_reading_holds_no_line_beyond_its_mask():
+    text = _planted_file(14)
+    assert (len(text), text.count("\n")) == (72_091, 2_065)
+    tracemalloc.start()
+    try:
+        doc = parse_task_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(doc.output_masks) == 1 << 11
+    # the lines themselves weigh about four times the file
+    assert peak < 10 * len(text)
 
 
 # -- serialization round trips -----------------------------------------------
