@@ -205,14 +205,16 @@ def _read_example(
     columns = _columns(body, tokens)
     rest = list(zip(tokens[1:], columns[1:]))
     arrows = [i for i, (tok, _) in enumerate(rest) if tok == "->"]
-    if len(arrows) != 1 or not 0 < arrows[0] == len(rest) - 2:
+    if len(arrows) != 1:
+        errors.append(
+            ParseDiagnostic(line_no, columns[0], "example needs exactly one '->' separator")
+        )
+        return False
+    # feature tokens, then the arrow and one label
+    if not 0 < arrows[0] == len(rest) - 2:
         errors.append(
             ParseDiagnostic(
-                line_no,
-                columns[0],
-                "example needs exactly one '->' separator"
-                if len(arrows) != 1
-                else "example form is: example <feat>[,<feat>...] -> <label>",
+                line_no, columns[0], "example form is: example <feat>[,<feat>...] -> <label>"
             )
         )
         return False
